@@ -111,6 +111,13 @@ class BulkSurfacePair:
         return max(vals)
 
 
+def _element_entries(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) node indices of every element-matrix entry, element-major:
+    entry (e, a, b) couples nodes elems[e, a] and elems[e, b]."""
+    k = elems.shape[1]
+    return np.repeat(elems, k, axis=1).ravel(), np.tile(elems, (1, k)).ravel()
+
+
 _TRI_QPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _GAUSS2 = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 
@@ -150,8 +157,8 @@ class FemOperators:
         # bulk stiffness and consistent mass
         ke = np.einsum("tad,tbd,t->tab", g, g, areas)
         me = (areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
+        self.tri_entries = _element_entries(tris)
+        rows, cols = self.tri_entries
         nb = self.n_bulk
         self.A_bulk = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nb, nb)).tocsr()
         self.M_bulk = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nb, nb)).tocsr()
@@ -159,6 +166,7 @@ class FemOperators:
         # surface loop: element i joins surface nodes (i, i+1 mod M)
         M = self.n_surf
         self.surf_elems = np.column_stack([np.arange(M), (np.arange(M) + 1) % M])
+        self.surf_entries = _element_entries(self.surf_elems)
         h = mesh.surface_edge_lengths()
         self.surf_h = h
         iS = self.surf_elems[:, 0]
@@ -252,27 +260,29 @@ class FemOperators:
         np.add.at(out, self.surf_elems, contrib)
         return out
 
+    def tri_weighted_mass_data(self, qweights: np.ndarray) -> np.ndarray:
+        """Element matrices (T, 3, 3) of :meth:`tri_weighted_mass`, in the
+        order of ``tri_entries``."""
+        return np.einsum("tq,qa,qb->tab", self.tri_qweights * qweights, self.tri_qbasis, self.tri_qbasis)
+
+    def surf_weighted_mass_data(self, qweights: np.ndarray) -> np.ndarray:
+        """Element matrices (M, 2, 2) of :meth:`surf_weighted_mass`, in the
+        order of ``surf_entries``."""
+        return np.einsum("eq,qa,qb->eab", self.surf_qweights * qweights, self.surf_qbasis, self.surf_qbasis)
+
     def tri_weighted_mass(self, qweights: np.ndarray) -> sp.csr_matrix:
         """Mass matrix with an extra quadrature-sampled nonnegative weight (T, q)."""
-        tris = self.mesh.triangles
-        data = np.einsum("tq,qa,qb->tab", self.tri_qweights * qweights, self.tri_qbasis, self.tri_qbasis)
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
-        return sp.coo_matrix((data.ravel(), (rows, cols)), shape=(self.n_bulk, self.n_bulk)).tocsr()
+        data = self.tri_weighted_mass_data(qweights)
+        return sp.coo_matrix((data.ravel(), self.tri_entries), shape=(self.n_bulk, self.n_bulk)).tocsr()
 
     def surf_weighted_mass(self, qweights: np.ndarray) -> sp.csr_matrix:
-        data = np.einsum("eq,qa,qb->eab", self.surf_qweights * qweights, self.surf_qbasis, self.surf_qbasis)
-        rows = np.repeat(self.surf_elems, 2, axis=1).ravel()
-        cols = np.tile(self.surf_elems, (1, 2)).ravel()
-        return sp.coo_matrix((data.ravel(), (rows, cols)), shape=(self.n_surf, self.n_surf)).tocsr()
+        data = self.surf_weighted_mass_data(qweights)
+        return sp.coo_matrix((data.ravel(), self.surf_entries), shape=(self.n_surf, self.n_surf)).tocsr()
 
     def bulk_weighted_stiffness(self, elem_weights: np.ndarray) -> sp.csr_matrix:
         """Stiffness with a per-element scalar weight (mobility averaged per element)."""
-        tris = self.mesh.triangles
         ke = np.einsum("tad,tbd,t->tab", self.tri_grads, self.tri_grads, self.tri_areas * elem_weights)
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
-        return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(self.n_bulk, self.n_bulk)).tocsr()
+        return sp.coo_matrix((ke.ravel(), self.tri_entries), shape=(self.n_bulk, self.n_bulk)).tocsr()
 
     def surf_weighted_stiffness(self, elem_weights: np.ndarray) -> sp.csr_matrix:
         iS, jS = self.surf_elems[:, 0], self.surf_elems[:, 1]

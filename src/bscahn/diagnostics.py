@@ -22,6 +22,20 @@ from . import elliptic
 from .potentials import YosidaParams
 
 
+class StudyRunError(RuntimeError):
+    """A trajectory inside an experiment stopped at a failed step."""
+
+    def __init__(self, what: str, failure: dict):
+        super().__init__(f"{what} failed at step {failure['step']}: {failure['error']}")
+        self.failure = failure
+
+
+def _completed(traj: Trajectory, what: str) -> Trajectory:
+    if traj.failure:
+        raise StudyRunError(what, traj.failure)
+    return traj
+
+
 @dataclass
 class ExperimentResult:
     name: str
@@ -132,9 +146,7 @@ def continuous_dependence_experiment(
     rng = np.random.default_rng(seed)
     direction = mean_compatible_direction(ops, cp, rng)
 
-    base_traj = stepper.run(initial, field_, t_end)
-    if base_traj.failure:
-        raise RuntimeError(f"base run failed: {base_traj.failure}")
+    base_traj = _completed(stepper.run(initial, field_, t_end), "base run")
     dt = cfg.dt
     n_steps = len(base_traj.states) - 1
     # exponential weight accumulates the base velocity integrability in time
@@ -151,9 +163,7 @@ def continuous_dependence_experiment(
         if pert_initial.max_abs() > 1.0:
             raise ValueError("perturbation pushes the initial data out of [-1, 1]")
         pert_field = field_.scaled(1.0 + vel_eps)
-        traj = stepper.run(pert_initial, pert_field, t_end)
-        if traj.failure:
-            raise RuntimeError(f"perturbed run failed: {traj.failure}")
+        traj = _completed(stepper.run(pert_initial, pert_field, t_end), "perturbed run")
 
         diff_final = traj.final.phi_psi - base_traj.final.phi_psi
         lhs = ops.dual_norm(diff_final, cp) ** 2
@@ -241,9 +251,7 @@ def yosida_convergence_study(
             sols.append(elliptic.solve_regularized(prob).uv)
         elif kind == "time":
             stepper = TimeStepper(ops, replace(cfg, yp=yp))
-            traj = stepper.run(initial, field_, t_end)
-            if traj.failure:
-                raise RuntimeError(f"run failed at lam={lam}: {traj.failure}")
+            traj = _completed(stepper.run(initial, field_, t_end), f"run at lam={lam}")
             sols.append(traj.final.phi_psi)
         else:
             raise ValueError(f"unknown study kind {kind!r}")
@@ -296,9 +304,7 @@ def strong_estimate_monitor(
     for amp in amplitudes:
         f_amp = field_.scaled(amp)
         stepper = TimeStepper(ops, cfg)
-        traj = stepper.run(initial, f_amp, t_end)
-        if traj.failure:
-            raise RuntimeError(f"run failed at amplitude {amp}: {traj.failure}")
+        traj = _completed(stepper.run(initial, f_amp, t_end), f"run at amplitude {amp}")
         sup_sq = max(ops.norm_lb(s.mu_theta, cp) ** 2 for s in traj.states)
         dtime = sum(
             ops.inner_ka(b.phi_psi - a.phi_psi, b.phi_psi - a.phi_psi, cp) / dt
@@ -407,9 +413,9 @@ def regime_interpolation_study(
     def run_with(value):
         cp = replace(cfg.cp, **{which: value})
         stepper = TimeStepper(ops, replace(cfg, cp=cp))
-        traj = stepper.run(initial_factory(cp), field_, t_end)
-        if traj.failure:
-            raise RuntimeError(f"run failed at {which}={value}: {traj.failure}")
+        traj = _completed(
+            stepper.run(initial_factory(cp), field_, t_end), f"run at {which}={value}"
+        )
         return traj.final.phi_psi
 
     limit_zero = run_with(0.0)

@@ -241,21 +241,30 @@ def yosida_value(r, theta: float, yp: YosidaParams):
     return (r_arr - j) ** 2 / (2.0 * yp.lam) + f1(np.clip(j, -1.0, 1.0), theta)
 
 
-def yosida_second(r, theta: float, yp: YosidaParams):
-    """Curvature f1''(J) / (1 + lam f1''(J)), capped at its analytic bound 1/lam."""
+def yosida_derivatives(r, theta: float, yp: YosidaParams):
+    """(yosida_prime, yosida_second) at r from a single resolvent evaluation."""
     r_arr = np.asarray(r, dtype=float)
-    j = np.atleast_1d(np.asarray(yosida_resolvent(r_arr, theta, yp)))
+    j = yosida_resolvent(r_arr, theta, yp)
+    prime = (r_arr - j) / yp.lam
+    j = np.atleast_1d(np.asarray(j))
     if theta == 0.0:
-        out = np.zeros_like(j)
+        second = np.zeros_like(j)
     else:
         gap = 1.0 - j * j
-        out = np.empty_like(j)
+        second = np.empty_like(j)
         interior = gap > 0
         fpp = theta / np.maximum(gap, 1e-300)
-        out[interior] = (fpp / (1.0 + yp.lam * fpp))[interior]
-        out[~interior] = 1.0 / yp.lam
-        out = np.minimum(out, 1.0 / yp.lam)
-    return float(out[0]) if np.asarray(r).ndim == 0 else out.reshape(np.shape(r_arr))
+        second[interior] = (fpp / (1.0 + yp.lam * fpp))[interior]
+        second[~interior] = 1.0 / yp.lam
+        second = np.minimum(second, 1.0 / yp.lam)
+    if r_arr.ndim == 0:
+        return prime, float(second[0])
+    return prime, second.reshape(r_arr.shape)
+
+
+def yosida_second(r, theta: float, yp: YosidaParams):
+    """Curvature f1''(J) / (1 + lam f1''(J)), capped at its analytic bound 1/lam."""
+    return yosida_derivatives(r, theta, yp)[1]
 
 
 # -- domination diagnostic ---------------------------------------------------

@@ -30,8 +30,8 @@ from .potentials import (
     YosidaParams,
     f2,
     f2_prime,
+    yosida_derivatives,
     yosida_prime,
-    yosida_second,
     yosida_value,
 )
 from .velocity import VelocityField
@@ -145,6 +145,106 @@ DIAGNOSTIC_COLUMNS = (
 ).split(",")
 
 
+def _reduced_index(P: sp.csr_matrix | None, n_full: int):
+    """Reduced index and weight of every full dof under a prolongator P.
+
+    Each row of a prolongator holds exactly one entry; without a reduction
+    the index is the identity and the weight is None (all ones).
+    """
+    if P is None:
+        return np.arange(n_full), None
+    coo = P.tocoo()
+    index = np.empty(n_full, dtype=np.int64)
+    weight = np.empty(n_full)
+    index[coo.row] = coo.col
+    weight[coo.row] = coo.data
+    return index, weight
+
+
+class _StepJacobian:
+    """The step Newton matrix [[dt D, M_UW], [M_WU, -H(u)]] on one fixed CSC pattern.
+
+    Unknowns are ordered (dw, du); D is reduced by the potential prolongator,
+    H(u) = stiffness + curvature mass by the phase one.  The pattern is the
+    union of the mass and stiffness blocks, every element pair of the mesh in
+    both diagonal blocks, and the potential exchange coupling, so a new
+    mobility or curvature only rewrites the data vector.  The curvature part
+    is a bincount scatter of the element data through precomputed positions,
+    weighted by the trace weight alpha (or its square) where K = 0.
+    """
+
+    def __init__(self, ts: "TimeStepper"):
+        ops = self.ops = ts.ops
+        n_full = ops.n_bulk + ops.n_surf
+        nw, nu = ts.mass_UW.shape
+        n = self.n = nw + nu
+        idx_k, weight_k = _reduced_index(ts.P_K, n_full)
+        idx_l, _ = _reduced_index(ts.P_L, n_full)
+        rows = np.concatenate([ops.tri_entries[0], ops.n_bulk + ops.surf_entries[0]])
+        cols = np.concatenate([ops.tri_entries[1], ops.n_bulk + ops.surf_entries[1]])
+        self._curv_weight = None if weight_k is None else weight_k[rows] * weight_k[cols]
+        mass = ts.mass_UW.tocoo()
+        stiff = ts._project(ts.stiff_K, ts.P_K, ts.P_K).tocoo()
+        # (rows, cols, data) of the blocks that never change; M_WU is written
+        # as the transpose of M_UW, so the matrix is symmetric to the last bit
+        # in the mass blocks
+        fixed = [
+            (mass.row, nw + mass.col, mass.data),
+            (nw + mass.col, mass.row, mass.data),
+            (nw + stiff.row, nw + stiff.col, -stiff.data),
+        ]
+        curv_keys = self._key(nw + idx_k[rows], nw + idx_k[cols])
+        keys = [curv_keys, self._key(idx_l[rows], idx_l[cols])]
+        if ts.cfg.cp.sigma_L != 0.0:
+            q = ts.Q_L.tocoo()
+            keys.append(self._key(q.row, q.col))
+        keys += [self._key(r, c) for r, c, _ in fixed]
+        self._keys = np.unique(np.concatenate(keys))
+        self.indices = (self._keys % n).astype(np.intc)
+        self.indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(self._keys // n, minlength=n), out=self.indptr[1:])
+        self._curv_pos = np.searchsorted(self._keys, curv_keys)
+        self._fixed = sum(self._scatter(*block) for block in fixed)
+
+    def _key(self, rows, cols) -> np.ndarray:
+        """Column-major linear index, so that sorted keys follow the CSC order."""
+        return np.asarray(cols, dtype=np.int64) * self.n + rows
+
+    def _scatter(self, rows, cols, data) -> np.ndarray:
+        pos = np.searchsorted(self._keys, self._key(rows, cols))
+        return np.bincount(pos, weights=data, minlength=len(self._keys))
+
+    def base(self, dt_diss: sp.csr_matrix) -> np.ndarray:
+        """Data of everything but the curvature, given the reduced dt*D."""
+        d = dt_diss.tocoo()
+        return self._fixed + self._scatter(d.row, d.col, d.data)
+
+    def matrix(self, base: np.ndarray, curv_bulk: np.ndarray, curv_surf: np.ndarray):
+        """The Newton matrix for quadrature curvature values (bulk, surface)."""
+        elem = np.concatenate([
+            self.ops.tri_weighted_mass_data(curv_bulk).ravel(),
+            self.ops.surf_weighted_mass_data(curv_surf).ravel(),
+        ])
+        if self._curv_weight is not None:
+            elem *= self._curv_weight
+        data = base - np.bincount(self._curv_pos, weights=elem, minlength=len(self._keys))
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def solve(self, base: np.ndarray, curvature, rhs: np.ndarray) -> np.ndarray:
+        """Newton direction (dw, du); the factor is dropped after its one solve.
+
+        Symmetric mode orders A + A^T and prefers diagonal pivots, which suits
+        the symmetric saddle structure.
+        """
+        lu = spla.splu(
+            self.matrix(base, *curvature),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.01,
+            options={"SymmetricMode": True},
+        )
+        return lu.solve(rhs)
+
+
 class TimeStepper:
     """Owns the assembled operators plus one coupling/potential configuration."""
 
@@ -159,9 +259,12 @@ class TimeStepper:
         self.stiff_K = ops.form_matrix(cp.sigma_K, cp.alpha)
         self.Q_L = ops.coupling_matrix(cp.sigma_L, cp.beta)
         self.mass_UW = self._project(self.mass, self.P_L, self.P_K)
-        self.mass_WU = self._project(self.mass, self.P_K, self.P_L)
         if cfg.mobility.is_constant:
             self._diss_const = self._dissipation_matrix(None)
+        # the step Jacobian's fixed pattern and, for constant mobility, its
+        # curvature-free data; both built at the first Newton solve
+        self._jac = None
+        self._jac_base = None
 
     @staticmethod
     def _project(mat, left, right):
@@ -256,16 +359,6 @@ class TimeStepper:
             ]
         )
 
-    def _curvature_matrix(self, pair: BulkSurfacePair) -> sp.csr_matrix:
-        ops, pot, yp = self.ops, self.cfg.pot, self.cfg.yp
-        return sp.block_diag(
-            [
-                ops.tri_weighted_mass(yosida_second(ops.bulk_at_tri_quad(pair.bulk), pot.theta, yp)),
-                ops.surf_weighted_mass(yosida_second(ops.surf_at_quad(pair.surf), pot.theta_surf, yp)),
-            ],
-            format="csr",
-        )
-
     # -- observables ---------------------------------------------------------------
 
     def energy(self, pair: BulkSurfacePair) -> EnergyBreakdown:
@@ -327,10 +420,55 @@ class TimeStepper:
         red = spla.spsolve(mat, self._reduce(g, test_p))
         return ops.from_vector(self._prolong(red, sol_p))
 
-    def step(self, state: State, field_: VelocityField) -> tuple[State, dict]:
-        """Advance one implicit step; returns the new state and per-step data."""
+    def _jacobian_base(self, diss: sp.csr_matrix) -> np.ndarray:
+        """Step Jacobian data without the curvature term, on the fixed pattern.
+
+        Fixed for constant mobility; otherwise the dissipation block follows
+        the mobility frozen at each step's old state.
+        """
+        if self._jac is None:
+            self._jac = _StepJacobian(self)
+        if self._jac_base is not None:
+            return self._jac_base
+        base = self._jac.base(self._project(self.cfg.dt * diss, self.P_L, self.P_L))
+        if self.cfg.mobility.is_constant:
+            self._jac_base = base
+        return base
+
+    def _evaluate(self, u_red, w_red, explicit_A, diss, concave):
+        """Residual pair of the step system plus the curvature at the iterate.
+
+        One resolvent evaluation per field serves both the convex load and the
+        quadrature curvature a Newton matrix at this iterate needs.
+        """
+        ops, pot, yp, dt = self.ops, self.cfg.pot, self.cfg.yp, self.cfg.dt
+        u_full = self._prolong(u_red, self.P_K)
+        w_full = self._prolong(w_red, self.P_L)
+        prime_b, second_b = yosida_derivatives(
+            ops.bulk_at_tri_quad(u_full[: ops.n_bulk]), pot.theta, yp
+        )
+        prime_s, second_s = yosida_derivatives(
+            ops.surf_at_quad(u_full[ops.n_bulk :]), pot.theta_surf, yp
+        )
+        convex = np.concatenate([ops.tri_quad_load(prime_b), ops.surf_quad_load(prime_s)])
+        res_a = self._reduce(self.mass @ u_full + dt * (diss @ w_full) - explicit_A, self.P_L)
+        res_b = self._reduce(
+            self.mass @ w_full - self.stiff_K @ u_full - convex - concave, self.P_K
+        )
+        return res_a, res_b, (second_b, second_s), u_full, w_full
+
+    def step(
+        self, state: State, field_: VelocityField, energy_old: float | None = None
+    ) -> tuple[State, dict]:
+        """Advance one implicit step; returns the new state and per-step data.
+
+        energy_old, when given, must be ``energy(state.phi_psi).total``; it
+        saves recomputing it.  The per-step data carries the new state's
+        energy breakdown under "energy".  The accepted line-search trial is
+        the next Newton iterate, residual and curvature included.
+        """
         ops, cfg = self.ops, self.cfg
-        cp, dt = cfg.cp, cfg.dt
+        dt = cfg.dt
         u_old = ops.to_vector(state.phi_psi)
         t_mid = state.t + 0.5 * dt
 
@@ -341,53 +479,42 @@ class TimeStepper:
 
         u_red = self._to_reduced(state.phi_psi, self.P_K)
         w_red = self._to_reduced(state.mu_theta, self.P_L)
-
-        dt_diss = self._project(dt * diss, self.P_L, self.P_L)
+        nw = len(w_red)
+        res_a, res_b, curvature, u_full, w_full = self._evaluate(
+            u_red, w_red, explicit_A, diss, concave
+        )
+        base = None
         history = []
         for it in range(cfg.newton_max_iter):
-            u_full = self._prolong(u_red, self.P_K)
-            w_full = self._prolong(w_red, self.P_L)
-            pair_u = ops.from_vector(u_full)
-            res_a = self._reduce(self.mass @ u_full + dt * (diss @ w_full) - explicit_A, self.P_L)
-            res_b = self._reduce(
-                self.mass @ w_full - self.stiff_K @ u_full - self._convex_load(pair_u) - concave,
-                self.P_K,
-            )
             rnorm = max(
                 float(np.abs(res_a).max(initial=0.0)), float(np.abs(res_b).max(initial=0.0))
             )
             history.append(rnorm)
             if rnorm <= cfg.newton_tol:
-                new_state = State(phi_psi=pair_u, mu_theta=ops.from_vector(w_full), t=state.t + dt)
-                info = self._step_info(state, new_state, field_, conv, diss, it, rnorm)
+                new_state = State(
+                    phi_psi=ops.from_vector(u_full),
+                    mu_theta=ops.from_vector(w_full),
+                    t=state.t + dt,
+                )
+                info = self._step_info(state, new_state, conv, diss, it, rnorm, energy_old)
                 return new_state, info
 
-            h_mat = self._project(self.stiff_K + self._curvature_matrix(pair_u), self.P_K, self.P_K)
-            jac = sp.bmat(
-                [[self.mass_UW, dt_diss], [-h_mat, self.mass_WU]], format="csc"
-            )
-            delta = spla.spsolve(jac, -np.concatenate([res_a, res_b]))
-            nu = len(u_red)
+            if base is None:
+                base = self._jacobian_base(diss)
+            delta = self._jac.solve(base, curvature, -np.concatenate([res_a, res_b]))
             step_scale = 1.0
-            base = math.hypot(float(np.linalg.norm(res_a)), float(np.linalg.norm(res_b)))
+            base_norm = math.hypot(float(np.linalg.norm(res_a)), float(np.linalg.norm(res_b)))
             for _ in range(20):
-                u_try = u_red + step_scale * delta[:nu]
-                w_try = w_red + step_scale * delta[nu:]
-                uf = self._prolong(u_try, self.P_K)
-                wf = self._prolong(w_try, self.P_L)
-                ra = self._reduce(self.mass @ uf + dt * (diss @ wf) - explicit_A, self.P_L)
-                rb = self._reduce(
-                    self.mass @ wf
-                    - self.stiff_K @ uf
-                    - self._convex_load(ops.from_vector(uf))
-                    - concave,
-                    self.P_K,
-                )
+                u_try = u_red + step_scale * delta[nw:]
+                w_try = w_red + step_scale * delta[:nw]
+                trial = self._evaluate(u_try, w_try, explicit_A, diss, concave)
+                ra, rb = trial[0], trial[1]
                 trial_norm = math.hypot(float(np.linalg.norm(ra)), float(np.linalg.norm(rb)))
-                if trial_norm < base or max(
+                if trial_norm < base_norm or max(
                     float(np.abs(ra).max()), float(np.abs(rb).max())
                 ) <= cfg.newton_tol:
                     u_red, w_red = u_try, w_try
+                    res_a, res_b, curvature, u_full, w_full = trial
                     break
                 step_scale *= 0.5
             else:
@@ -400,18 +527,20 @@ class TimeStepper:
             history,
         )
 
-    def _step_info(self, old: State, new: State, field_, conv, diss, iters, resid) -> dict:
+    def _step_info(self, old: State, new: State, conv, diss, iters, resid, energy_old) -> dict:
         w = self.ops.to_vector(new.mu_theta)
         dissipation = float(w @ (diss @ w))
         conv_work = float(conv @ w)
-        e_new = self.energy(new.phi_psi).total
-        e_old = self.energy(old.phi_psi).total
+        e_new = self.energy(new.phi_psi)
+        if energy_old is None:
+            energy_old = self.energy(old.phi_psi).total
         return {
             "newton_iters": iters,
             "residual": resid,
             "dissipation": dissipation,
             "convection_work": conv_work,
-            "balance_residual": (e_new - e_old) / self.cfg.dt + dissipation - conv_work,
+            "balance_residual": (e_new.total - energy_old) / self.cfg.dt + dissipation - conv_work,
+            "energy": e_new,
         }
 
     # -- trajectories ------------------------------------------------------------------
@@ -447,11 +576,12 @@ class TimeStepper:
         n_steps = int(round(t_end / self.cfg.dt))
         state = State(phi_psi=initial.copy(), mu_theta=self.initial_mu_theta(initial), t=0.0)
         states = [state]
-        rows = [self._row(0, state, {"newton_iters": 0, "dissipation": 0.0,
-                                     "balance_residual": 0.0})]
+        energy = self.energy(state.phi_psi)
+        rows = [self._row(0, state, energy, {"newton_iters": 0, "dissipation": 0.0,
+                                             "balance_residual": 0.0})]
         for k in range(1, n_steps + 1):
             try:
-                state, info = self.step(state, field_)
+                state, info = self.step(state, field_, energy_old=energy.total)
             except StepError as exc:
                 return Trajectory(
                     states=states,
@@ -459,13 +589,13 @@ class TimeStepper:
                     failure={"step": k, "error": str(exc), "history": exc.history},
                 )
             states.append(state)
-            rows.append(self._row(k, state, info))
+            energy = info["energy"]
+            rows.append(self._row(k, state, energy, info))
             for obs in observers:
                 obs(state, info)
         return Trajectory(states=states, rows=rows)
 
-    def _row(self, k: int, state: State, info: dict) -> dict:
-        e = self.energy(state.phi_psi)
+    def _row(self, k: int, state: State, e: EnergyBreakdown, info: dict) -> dict:
         weighted, mb, ms = self.mass_of(state.phi_psi)
         return {
             "step": k,

@@ -9,6 +9,7 @@ scalar envelope which can be mollified by convolution with a smooth bump.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -27,8 +28,10 @@ _GAUSS_SPREAD = 1.0 / math.sqrt(3.0)  # spacing of the 2-point Gauss nodes
 class ConstantEnvelope:
     value: float = 1.0
 
-    def __call__(self, t: float) -> float:
-        return self.value
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return self.value
+        return np.full(np.shape(t), float(self.value))
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,10 @@ class StepEnvelope:
     low: float = 0.0
     high: float = 1.0
 
-    def __call__(self, t: float) -> float:
-        return self.high if t >= self.t0 else self.low
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return self.high if t >= self.t0 else self.low
+        return np.where(np.asarray(t) >= self.t0, float(self.high), float(self.low))
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,18 @@ class SineEnvelope:
     omega: float = 1.0
     amplitude: float = 1.0
 
-    def __call__(self, t: float) -> float:
-        return self.amplitude * math.sin(self.omega * t)
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return self.amplitude * math.sin(self.omega * t)
+        return self.amplitude * np.sin(self.omega * np.asarray(t, dtype=float))
+
+
+def _simpson_weights(n: int) -> np.ndarray:
+    """Composite-Simpson weights (1, 4, 2, ..., 4, 1) on n panels."""
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
 
 
 def _bump_mass() -> float:
@@ -61,10 +76,7 @@ def _bump_mass() -> float:
     vals = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     vals[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((2.0 / n) / 3.0 * np.sum(w * vals))
+    return float((2.0 / n) / 3.0 * np.sum(_simpson_weights(n) * vals))
 
 
 _BUMP_MASS = _bump_mass()
@@ -79,23 +91,34 @@ def bump_kernel(t):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _simpson_bump(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] and composite-Simpson weights times the bump kernel
+    (read-only: every envelope with this panel count shares them)."""
+    tau = np.linspace(-1.0, 1.0, panels + 1)
+    weights = _simpson_weights(panels) * bump_kernel(tau)
+    tau.flags.writeable = False
+    weights.flags.writeable = False
+    return tau, weights
+
+
 @dataclass(frozen=True)
 class MollifiedEnvelope:
-    """Envelope convolved in time against the scaled bump kernel."""
+    """Envelope convolved in time against the scaled bump kernel.
+
+    The inner envelope must accept an array of times; the whole quadrature
+    is one call of it.
+    """
 
     inner: object
     half_width: float
     panels: int = 4000
 
-    def __call__(self, t: float) -> float:
-        n = self.panels
-        tau = np.linspace(-1.0, 1.0, n + 1)
-        kern = bump_kernel(tau)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        vals = np.array([self.inner(t - self.half_width * x) for x in tau])
-        return float((2.0 / n) / 3.0 * np.sum(w * kern * vals))
+    def __call__(self, t):
+        tau, weights = _simpson_bump(self.panels)
+        vals = self.inner(np.asarray(t, dtype=float)[..., None] - self.half_width * tau)
+        out = (2.0 / self.panels) / 3.0 * np.sum(weights * vals, axis=-1)
+        return float(out) if np.ndim(t) == 0 else out
 
 
 # -- the fields ---------------------------------------------------------------

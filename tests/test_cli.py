@@ -199,6 +199,25 @@ class TestCommands:
         assert code == 2
         assert "error: solver:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["strong", "regimes"])
+    def test_study_step_failure_exit_code(self, kind, tmp_path, capsys, monkeypatch):
+        # a failed step inside a study reaches the user as one solver error
+        # line, not as a traceback
+        from bscahn.stepper import StepError, TimeStepper
+
+        def failing_step(self, state, field_, energy_old=None):
+            raise StepError("forced step failure", [1.0])
+
+        monkeypatch.setattr(TimeStepper, "step", failing_step)
+        code = run_cli("study", kind, "--config", cfg_path(f"{kind}.cfg"),
+                       "--out", str(tmp_path / kind))
+        assert code == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: solver:")
+        assert "forced step failure" in lines[0]
+
     def test_elliptic_rhs_from_field_file(self, tmp_path, ops2, rng):
         from bscahn.assembly import BulkSurfacePair
 

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from bscahn import potentials
 from bscahn.assembly import BulkSurfacePair, CouplingParams
-from bscahn.potentials import PotentialSpec, YosidaParams, f1_prime, f2_prime
+from bscahn.potentials import PotentialSpec, YosidaParams, f1_prime, f2_prime, yosida_second
 from bscahn.stepper import (
     ConstantMobility,
     QuadraticMobility,
@@ -383,3 +386,125 @@ class TestRegimeAndRegularizationLimits:
         assert traj.failure is None
         worst = max(max(r["max_abs_phi"], r["max_abs_psi"]) for r in traj.rows)
         assert worst < 1.0
+
+
+JACOBIAN_CASES = [(K, L, None) for K, L in REGIMES] + [(1.0, 1.0, QuadraticMobility())]
+
+
+def jacobian_case(ops, K, L, mobility, rng):
+    """A stepper, an old state and a Newton iterate for one Jacobian case."""
+    cfg = make_config(K=K, L=L, mobility=mobility)
+    st = TimeStepper(ops, cfg)
+    old = admissible_random(ops, cfg.cp, rng)
+    iterate = admissible_random(ops, cfg.cp, rng, mean=-0.1, amp=0.6)
+    return st, old, iterate
+
+
+def bmat_jacobian(st, diss, curv_bulk, curv_surf):
+    """The step Jacobian as a nonsymmetric block matrix in the order (du, dw)."""
+    ops, dt = st.ops, st.cfg.dt
+    curv = sp.block_diag([ops.tri_weighted_mass(curv_bulk), ops.surf_weighted_mass(curv_surf)])
+    h_mat = st._project(st.stiff_K + curv, st.P_K, st.P_K)
+    mass_WU = st._project(st.mass, st.P_K, st.P_L)
+    dt_diss = st._project(dt * diss, st.P_L, st.P_L)
+    return sp.bmat([[st.mass_UW, dt_diss], [-h_mat, mass_WU]], format="csc")
+
+
+def curvatures(st, pair):
+    ops, yp = st.ops, st.cfg.yp
+    return (
+        yosida_second(ops.bulk_at_tri_quad(pair.bulk), POT.theta, yp),
+        yosida_second(ops.surf_at_quad(pair.surf), POT.theta_surf, yp),
+    )
+
+
+class TestStepJacobian:
+    @pytest.mark.parametrize("K,L,mobility", JACOBIAN_CASES)
+    def test_symmetric_matrix_is_the_block_matrix_with_swapped_columns(
+        self, ops4, K, L, mobility, rng
+    ):
+        st, old, iterate = jacobian_case(ops4, K, L, mobility, rng)
+        diss = st.dissipation_matrix(old)
+        curv = curvatures(st, iterate)
+        ref = bmat_jacobian(st, diss, *curv)
+        nu = st.mass_UW.shape[1]
+        swapped = sp.hstack([ref[:, nu:], ref[:, :nu]]).tocsc()
+        base = st._jacobian_base(diss)
+        mat = st._jac.matrix(base, *curv)
+        scale = abs(swapped).max()
+        assert abs(mat - swapped).max() <= 1e-13 * scale
+        assert abs(mat - mat.T).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("K,L,mobility", JACOBIAN_CASES)
+    def test_newton_step_matches_spsolve_on_the_block_matrix(self, ops4, K, L, mobility, rng):
+        st, old, iterate = jacobian_case(ops4, K, L, mobility, rng)
+        ops = st.ops
+        diss = st.dissipation_matrix(old)
+        explicit_A = st.mass @ ops.to_vector(old)
+        concave = st._concave_load(old)
+        u_red = st._to_reduced(iterate, st.P_K)
+        w_red = st._to_reduced(st.initial_mu_theta(old), st.P_L)
+        res_a, res_b, curv, _, _ = st._evaluate(u_red, w_red, explicit_A, diss, concave)
+        rhs = -np.concatenate([res_a, res_b])
+        base = st._jacobian_base(diss)
+        delta = st._jac.solve(base, curv, rhs)
+        ref = spla.spsolve(bmat_jacobian(st, diss, *curv), rhs)
+        nu, nw = len(u_red), len(w_red)
+        ref_swapped = np.concatenate([ref[nu:], ref[:nu]])
+        assert len(delta) == nu + nw
+        assert np.linalg.norm(delta - ref_swapped) <= 1e-10 * np.linalg.norm(ref_swapped)
+
+    @pytest.mark.parametrize("mobility", [None, QuadraticMobility()])
+    def test_pattern_built_at_the_first_solve_and_kept(self, ops4, mobility, rng):
+        cfg = make_config(mobility=mobility)
+        st = TimeStepper(ops4, cfg)
+        assert st._jac is None
+        seen = []
+        st.run(
+            admissible_random(ops4, cfg.cp, rng),
+            StreamFunctionVelocity(amplitude=1.0, profile="sine2"),
+            5e-3,
+            observers=[lambda state, info: seen.append((st._jac, st._jac.indices, st._jac.indptr))],
+        )
+        assert len(seen) == 5
+        for entry in seen[1:]:
+            assert all(a is b for a, b in zip(entry, seen[0]))
+
+    def test_one_resolvent_evaluation_per_trial_and_energy(self, ops8, rng, monkeypatch):
+        # per step: one call per field for the starting residual and for each
+        # accepted line-search trial, and one per field for the new energy
+        calls = []
+        resolvent = potentials.yosida_resolvent
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return resolvent(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "yosida_resolvent", counting)
+        cfg = make_config()
+        st = TimeStepper(ops8, cfg)
+        per_step, iters = [], []
+
+        def observe(state, info):
+            per_step.append(len(calls))
+            iters.append(info["newton_iters"])
+            calls.clear()
+
+        st.run(
+            admissible_random(ops8, cfg.cp, rng),
+            StreamFunctionVelocity(amplitude=1.0, profile="sine2"),
+            1e-2,
+            observers=[observe],
+        )
+        assert per_step[1:] == [2 * (2 + it) for it in iters[1:]]
+
+    def test_row_energies_are_the_stored_states_energies(self, ops4, rng):
+        cfg = make_config()
+        st = TimeStepper(ops4, cfg)
+        field = StreamFunctionVelocity(amplitude=1.0, profile="sine2")
+        traj = st.run(admissible_random(ops4, cfg.cp, rng), field, 5e-3)
+        for state, row in zip(traj.states, traj.rows):
+            e = st.energy(state.phi_psi)
+            assert row["energy_total"] == e.total
+            assert row["energy_pot_bulk"] == e.pot_bulk
+            assert row["energy_coupling"] == e.coupling

@@ -8,6 +8,7 @@ from bscahn.stepper import StepperConfig, TimeStepper
 from bscahn.assembly import CouplingParams
 from bscahn.velocity import (
     ConstantEnvelope,
+    MollifiedEnvelope,
     SineEnvelope,
     StepEnvelope,
     StreamFunctionVelocity,
@@ -172,6 +173,31 @@ class TestMollification:
         f = mollify_in_time(StreamFunctionVelocity(profile="sine"), 0.05)
         rep = discrete_admissibility(f, mesh4, ops4, t=0.3)
         assert rep.passed
+
+    @pytest.mark.parametrize(
+        "inner",
+        [ConstantEnvelope(0.7), StepEnvelope(t0=0.3), SineEnvelope(omega=3.0, amplitude=2.0)],
+    )
+    def test_vectorized_quadrature_matches_the_pointwise_loop(self, inner):
+        mol = MollifiedEnvelope(inner, 0.1)
+        n = mol.panels
+        tau = np.linspace(-1.0, 1.0, n + 1)
+        w = np.ones(n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        ts = np.array([0.05, 0.25, 0.3, 0.31, 0.5, 1.0])
+        loop = [
+            (2.0 / n) / 3.0 * np.sum(w * bump_kernel(tau) * np.array([inner(t - 0.1 * x) for x in tau]))
+            for t in ts
+        ]
+        for t, expected in zip(ts, loop):
+            assert mol(t) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+        assert mol(ts) == pytest.approx(loop, rel=1e-15, abs=1e-300)
+
+    def test_envelopes_accept_arrays(self):
+        ts = np.array([0.1, 0.5, 0.9])
+        for env in (ConstantEnvelope(2.0), StepEnvelope(t0=0.5), SineEnvelope(omega=2.0)):
+            assert env(ts) == pytest.approx([env(float(t)) for t in ts], rel=1e-15, abs=1e-300)
 
     def test_positive_width_required(self):
         with pytest.raises(ValueError):
