@@ -126,7 +126,7 @@ class FemOperators:
     """Assembled sparse operators plus quadrature tables for one mesh.
 
     Use :func:`assemble`; instances are immutable by convention and cache
-    factorizations of the constrained saddle systems internally.
+    derived operators, Newton patterns and factorizations internally.
     """
 
     def __init__(self, mesh: Mesh):
@@ -334,9 +334,6 @@ class FemOperators:
             val += cp.sigma_K * float(da @ (self.M_surf @ db))
         return val
 
-    def norm_ka(self, a: BulkSurfacePair, cp: CouplingParams) -> float:
-        return math.sqrt(max(self.inner_ka(a, a, cp), 0.0))
-
     def norm_lb(self, a: BulkSurfacePair, cp: CouplingParams) -> float:
         return math.sqrt(max(self.inner_lb(a, a, cp), 0.0))
 
@@ -402,25 +399,69 @@ class FemOperators:
         """Prolongator for the given coupling value, or None when unconstrained."""
         return self.prolongator(weight) if value == 0.0 else None
 
+    # -- reduced coordinates under a prolongator P (None: no reduction) -------------
+
+    @property
+    def block_mass(self) -> sp.csr_matrix:
+        """diag(M_bulk, M_surf) on the full pair vector, built once."""
+        if "mass" not in self._cache:
+            self._cache["mass"] = sp.block_diag([self.M_bulk, self.M_surf], format="csr")
+        return self._cache["mass"]
+
+    @staticmethod
+    def reduce(vec: np.ndarray, P) -> np.ndarray:
+        """Test a full load vector against the reduced basis: P^T vec."""
+        return vec if P is None else P.T @ vec
+
+    @staticmethod
+    def prolong(red: np.ndarray, P) -> np.ndarray:
+        return red if P is None else P @ red
+
+    @staticmethod
+    def project(mat, left, right) -> sp.csr_matrix:
+        """left^T mat right, each side skipped when its prolongator is None."""
+        if left is not None:
+            mat = left.T @ mat
+        if right is not None:
+            mat = mat @ right
+        return sp.csr_matrix(mat)
+
+    def to_reduced(self, pair: BulkSurfacePair, P) -> np.ndarray:
+        """Reduced coordinates [interior bulk, surface] of a constrained pair."""
+        if P is None:
+            return self.to_vector(pair)
+        return np.concatenate([pair.bulk[self.interior_nodes], pair.surf])
+
+    def reduced_element_entries(self, P):
+        """Reduced (row, col) of every bulk then surface element-matrix entry.
+
+        Also returns the product of the two prolongation weights of each
+        entry, or None without a reduction.  Each row of a prolongator holds
+        exactly one entry, so its CSR column indices and data, taken per row,
+        are the reduced index and the weight of every full dof.
+        """
+        rows = np.concatenate([self.tri_entries[0], self.n_bulk + self.surf_entries[0]])
+        cols = np.concatenate([self.tri_entries[1], self.n_bulk + self.surf_entries[1]])
+        if P is None:
+            return rows, cols, None
+        index, weight = P.indices, P.data
+        return index[rows], index[cols], weight[rows] * weight[cols]
+
     # -- the inverse operator and dual norm ----------------------------------------
 
     def _slb_factorization(self, cp: CouplingParams):
         key = ("slb", cp.L, cp.beta)
         if key in self._cache:
             return self._cache[key]
-        C = self.form_matrix(cp.sigma_L, cp.beta)
-        g_mean = np.concatenate([cp.beta * self.mass_vec_bulk, self.mass_vec_surf])
         P = self.reduction(cp.L, cp.beta)
-        if P is not None:
-            C = (P.T @ C @ P).tocsr()
+        C = self.project(self.form_matrix(cp.sigma_L, cp.beta), P, P)
         if math.isinf(cp.L):
             g1 = np.concatenate([self.mass_vec_bulk, np.zeros(self.n_surf)])
             g2 = np.concatenate([np.zeros(self.n_bulk), self.mass_vec_surf])
             G = np.column_stack([g1, g2])
         else:
-            G = g_mean[:, None]
-            if P is not None:
-                G = P.T @ G
+            g_mean = np.concatenate([cp.beta * self.mass_vec_bulk, self.mass_vec_surf])
+            G = self.reduce(g_mean[:, None], P)
         ncon = G.shape[1]
         saddle = sp.bmat([[C, sp.csr_matrix(G)], [sp.csr_matrix(G.T), None]], format="csc")
         lu = spla.splu(saddle)
@@ -449,14 +490,9 @@ class FemOperators:
                     f"rhs weighted integral {cp.beta * ib + isurf:.3e} not zero"
                 )
         lu, P, ncon = self._slb_factorization(cp)
-        b = -np.concatenate([self.M_bulk @ a.bulk, self.M_surf @ a.surf])
-        if P is not None:
-            b = P.T @ b
-        rhs = np.concatenate([b, np.zeros(ncon)])
-        x = lu.solve(rhs)[: len(b)]
-        if P is not None:
-            x = P @ x
-        return self.from_vector(x)
+        b = self.reduce(-(self.block_mass @ self.to_vector(a)), P)
+        x = lu.solve(np.concatenate([b, np.zeros(ncon)]))[: len(b)]
+        return self.from_vector(self.prolong(x, P))
 
     def dual_norm(self, a: BulkSurfacePair, cp: CouplingParams, compat_tol: float = 1e-8) -> float:
         s = self.solve_S_lb(a, cp, compat_tol=compat_tol)
@@ -478,14 +514,10 @@ class FemOperators:
         if math.isinf(cp.K):
             raise ValueError("Poincare constant requires K in [0, inf)")
         cp.validate_measures(self.area_bulk, self.area_surf)
-        C = self.form_matrix(cp.sigma_K, cp.alpha)
-        B = sp.block_diag([self.M_bulk, self.M_surf], format="csr")
-        g = np.concatenate([cp.beta * self.mass_vec_bulk, self.mass_vec_surf])
         P = self.reduction(cp.K, cp.alpha)
-        if P is not None:
-            C = (P.T @ C @ P).tocsr()
-            B = (P.T @ B @ P).tocsr()
-            g = P.T @ g
+        C = self.project(self.form_matrix(cp.sigma_K, cp.alpha), P, P)
+        B = self.project(self.block_mass, P, P)
+        g = self.reduce(np.concatenate([cp.beta * self.mass_vec_bulk, self.mass_vec_surf]), P)
         nred = C.shape[0]
         block = min(block, nred - 1)
         saddle = sp.bmat(
@@ -523,6 +555,53 @@ class FemOperators:
             f"Poincare inverse iteration did not settle in {max_iter} sweeps "
             f"(last eigenvalue {lam_old:g})"
         )
+
+
+class JacobianPattern:
+    """A Newton matrix with a reduced quadrature-weighted mass, on one CSC pattern.
+
+    The pattern is the union of the fixed (rows, cols, data) blocks, of the
+    (rows, cols) blocks, and of every element-matrix entry reduced by the
+    prolongator P and shifted by offset on both axes.  A matrix on it is a
+    data vector: ``fixed`` holds the fixed blocks, :meth:`weighted_mass` is
+    P^T diag(M_w(bulk), M_w(surf)) P as a bincount of the element matrices
+    through precomputed positions.  No reference to the operators is kept,
+    so their ``_cache`` can hold a pattern without a reference cycle.
+    """
+
+    def __init__(self, ops: FemOperators, n: int, P, offset=0, fixed=(), blocks=()):
+        self.n = n
+        rows, cols, self._mass_weight = ops.reduced_element_entries(P)
+        mass_keys = self._key(offset + rows, offset + cols)
+        keys = [mass_keys] + [self._key(b[0], b[1]) for b in [*fixed, *blocks]]
+        self._keys = np.unique(np.concatenate(keys))
+        self.indices = (self._keys % n).astype(np.intc)
+        self.indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(self._keys // n, minlength=n), out=self.indptr[1:])
+        self._mass_pos = np.searchsorted(self._keys, mass_keys)
+        self.fixed = sum(self.scatter(*block) for block in fixed)
+
+    def _key(self, rows, cols) -> np.ndarray:
+        """Column-major linear index, so that sorted keys follow the CSC order."""
+        return np.asarray(cols, dtype=np.int64) * self.n + rows
+
+    def scatter(self, rows, cols, data) -> np.ndarray:
+        """Data vector of the entries (rows, cols, data); they must lie on the pattern."""
+        pos = np.searchsorted(self._keys, self._key(rows, cols))
+        return np.bincount(pos, weights=data, minlength=len(self._keys))
+
+    def weighted_mass(self, ops: FemOperators, q_bulk, q_surf) -> np.ndarray:
+        """Data vector of the reduced mass weighted by quadrature values (bulk, surface)."""
+        elem = np.concatenate([
+            ops.tri_weighted_mass_data(q_bulk).ravel(),
+            ops.surf_weighted_mass_data(q_surf).ravel(),
+        ])
+        if self._mass_weight is not None:
+            elem *= self._mass_weight
+        return np.bincount(self._mass_pos, weights=elem, minlength=len(self._keys))
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 def assemble(mesh: Mesh) -> FemOperators:

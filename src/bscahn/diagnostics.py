@@ -23,17 +23,31 @@ from .potentials import YosidaParams
 
 
 class StudyRunError(RuntimeError):
-    """A trajectory inside an experiment stopped at a failed step."""
+    """A run inside an experiment failed (``failure`` holds its record), or
+    its data functional overflowed (``failure`` is None)."""
 
-    def __init__(self, what: str, failure: dict):
-        super().__init__(f"{what} failed at step {failure['step']}: {failure['error']}")
+    def __init__(self, message: str, failure: dict | None = None):
+        super().__init__(message)
         self.failure = failure
 
 
 def _completed(traj: Trajectory, what: str) -> Trajectory:
     if traj.failure:
-        raise StudyRunError(what, traj.failure)
+        raise StudyRunError(
+            f"{what} failed at step {traj.failure['step']}: {traj.failure['error']}",
+            traj.failure,
+        )
     return traj
+
+
+def _gronwall_weight(exponent: float, what: str) -> float:
+    """exp(exponent) of a Gronwall weight; a study error where it overflows."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise StudyRunError(
+            f"{what}: Gronwall weight exp({exponent:.6g}) overflows a float"
+        ) from None
 
 
 @dataclass
@@ -180,7 +194,9 @@ def continuous_dependence_experiment(
         # denominator: initial part with the full-window weight, velocity part
         # with the tail window from each step
         tail = np.concatenate([np.cumsum((dt * w_rate)[::-1])[::-1], [0.0]])
-        denom = init_dual_sq * math.exp(tail[0]) + float(
+        # tail[0] is the largest exponent, so the weights below it are finite
+        weight = _gronwall_weight(float(tail[0]), f"perturbation ({data_eps:g}, {vel_eps:g})")
+        denom = init_dual_sq * weight + float(
             np.sum(dt * vel_sq * np.exp(tail[1 : n_steps + 1]))
         )
         ratio = lhs / denom if denom > 0 else 0.0
@@ -191,7 +207,7 @@ def continuous_dependence_experiment(
                 "vel_eps": vel_eps,
                 "lhs": lhs,
                 "initial_dual_sq": init_dual_sq,
-                "velocity_term": denom - init_dual_sq * math.exp(tail[0]),
+                "velocity_term": denom - init_dual_sq * weight,
                 "ratio": ratio,
             }
         )
@@ -317,7 +333,7 @@ def strong_estimate_monitor(
             1.0
             + ops.norm_lb(traj.states[0].mu_theta, cp) ** 2
             + float(np.sum(dt * h1s**2))
-        ) * math.exp(float(np.sum(dt * h1s)))
+        ) * _gronwall_weight(float(np.sum(dt * h1s)), f"run at amplitude {amp}")
         rows.append(
             {
                 "amplitude": amp,

@@ -18,17 +18,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BulkSurfacePair, CouplingParams, FemOperators
+from .assembly import BulkSurfacePair, CouplingParams, FemOperators, JacobianPattern
 from .potentials import (
     PotentialSpec,
     YosidaParams,
+    convex_load,
     f2_prime,
     yosida_prime,
     yosida_resolvent,
-    yosida_second,
 )
 
 
@@ -66,106 +65,92 @@ class EllipticSolution:
     extras: dict = field(default_factory=dict)
 
 
+def _operators(ops: FemOperators, cp: CouplingParams):
+    """(P, stiffness) of the (K, alpha)-form, built once per operator set."""
+    key = ("form", cp.K, cp.alpha)
+    if key not in ops._cache:
+        ops._cache[key] = (ops.reduction(cp.K, cp.alpha), ops.form_matrix(cp.sigma_K, cp.alpha))
+    return ops._cache[key]
+
+
+def _newton_pattern(ops: FemOperators, cp: CouplingParams, shifted: bool):
+    """The pattern of the Newton matrix P^T(stiff [+ mass] + curvature mass)P.
+
+    Cached per operator set, so every regularization parameter shares it.
+    """
+    key = ("newton", cp.K, cp.alpha, shifted)
+    if key not in ops._cache:
+        P, stiff = _operators(ops, cp)
+        lin = ops.project(stiff + ops.block_mass if shifted else stiff, P, P).tocoo()
+        ops._cache[key] = JacobianPattern(
+            ops, lin.shape[0], P, fixed=[(lin.row, lin.col, lin.data)]
+        )
+    return ops._cache[key]
+
+
 class _System:
-    """Reduced residual/Jacobian machinery shared by the elliptic solvers."""
+    """Reduced residual and damped Newton shared by the elliptic solvers."""
 
     def __init__(self, prob: EllipticProblem, shifted: bool):
         self.prob = prob
         self.shifted = shifted
-        ops, cp = prob.ops, prob.cp
-        self.ops = ops
-        self.P = ops.reduction(cp.K, cp.alpha)
-        self.stiff = ops.form_matrix(cp.sigma_K, cp.alpha)
-        self.mass = sp.block_diag([ops.M_bulk, ops.M_surf], format="csr")
-        self.rhs_load = np.concatenate(
-            [ops.M_bulk @ prob.rhs.bulk, ops.M_surf @ prob.rhs.surf]
-        )
+        ops = self.ops = prob.ops
+        self.P, self.stiff = _operators(ops, prob.cp)
+        self.rhs_load = ops.block_mass @ ops.to_vector(prob.rhs)
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        return vec if self.P is None else self.P.T @ vec
-
-    def prolong(self, red: np.ndarray) -> np.ndarray:
-        return red if self.P is None else self.P @ red
-
-    def start_reduced(self, pair: BulkSurfacePair | None) -> np.ndarray:
+    def evaluate(self, red: np.ndarray):
+        """Reduced residual and quadrature curvature (bulk, surface) at an iterate."""
         ops = self.ops
-        if pair is None:
-            full = np.zeros(ops.n_bulk + ops.n_surf)
-        else:
-            full = ops.to_vector(pair)
-        if self.P is None:
-            return full
-        ni = len(ops.interior_nodes)
-        red = np.empty(self.P.shape[1])
-        red[:ni] = full[: ops.n_bulk][ops.interior_nodes]
-        red[ni:] = full[ops.n_bulk :]
-        return red
-
-    def _qvals(self, full: np.ndarray):
-        ops, pot = self.ops, self.prob.pot
-        qb = ops.bulk_at_tri_quad(full[: ops.n_bulk])
-        qs = ops.surf_at_quad(full[ops.n_bulk :])
-        return qb, qs
-
-    def nonlinear_load(self, full: np.ndarray) -> np.ndarray:
-        ops, pot, yp = self.ops, self.prob.pot, self.prob.yp
-        qb, qs = self._qvals(full)
-        lb = ops.tri_quad_load(yosida_prime(qb, pot.theta, yp))
-        ls = ops.surf_quad_load(yosida_prime(qs, pot.theta_surf, yp))
-        return np.concatenate([lb, ls])
-
-    def residual(self, red: np.ndarray) -> np.ndarray:
-        full = self.prolong(red)
-        out = self.stiff @ full + self.nonlinear_load(full) - self.rhs_load
+        full = ops.prolong(red, self.P)
+        convex, curvature = convex_load(ops, full, self.prob.pot, self.prob.yp)
+        out = self.stiff @ full + convex - self.rhs_load
         if self.shifted:
-            out += self.mass @ full
-        return self.reduce(out)
+            out += ops.block_mass @ full
+        return ops.reduce(out, self.P), curvature
 
-    def jacobian(self, red: np.ndarray) -> sp.csc_matrix:
-        ops, pot, yp = self.ops, self.prob.pot, self.prob.yp
-        full = self.prolong(red)
-        qb, qs = self._qvals(full)
-        jn = sp.block_diag(
-            [
-                ops.tri_weighted_mass(yosida_second(qb, pot.theta, yp)),
-                ops.surf_weighted_mass(yosida_second(qs, pot.theta_surf, yp)),
-            ],
-            format="csr",
+    def residual_norm(self, pair: BulkSurfacePair) -> float:
+        """Max-norm of the reduced residual at a pair."""
+        return float(np.abs(self.evaluate(self.ops.to_reduced(pair, self.P))[0]).max())
+
+    def newton_direction(self, curvature, rhs: np.ndarray) -> np.ndarray:
+        """Solve the SPD Newton system for the given quadrature curvature."""
+        pattern = _newton_pattern(self.ops, self.prob.cp, self.shifted)
+        lu = spla.splu(
+            pattern.matrix(pattern.fixed + pattern.weighted_mass(self.ops, *curvature)),
+            permc_spec="MMD_AT_PLUS_A",
+            options={"SymmetricMode": True},
         )
-        mat = self.stiff + jn
-        if self.shifted:
-            mat = mat + self.mass
-        if self.P is not None:
-            mat = self.P.T @ mat @ self.P
-        return mat.tocsc()
+        return lu.solve(rhs)
 
     def newton(
         self, red: np.ndarray, tol: float, max_iter: int, history: list[float]
     ) -> tuple[np.ndarray, int]:
-        for it in range(max_iter):
-            r = self.residual(red)
+        """Damped Newton from red; the accepted trial is the next iterate,
+        residual and curvature included."""
+        r, curvature = self.evaluate(red)
+        self.trials = 0  # line-search trials, each one residual evaluation
+        for it in range(max_iter + 1):
             rnorm = float(np.abs(r).max())
             history.append(rnorm)
             if rnorm <= tol:
                 return red, it
-            delta = spla.spsolve(self.jacobian(red), -r)
+            if it == max_iter:
+                break
+            delta = self.newton_direction(curvature, -r)
             step = 1.0
             base = float(np.linalg.norm(r))
             for _ in range(40):
                 trial = red + step * delta
-                if float(np.linalg.norm(self.residual(trial))) < base:
-                    red = trial
+                self.trials += 1
+                r_trial, curv_trial = self.evaluate(trial)
+                if float(np.linalg.norm(r_trial)) < base:
+                    red, r, curvature = trial, r_trial, curv_trial
                     break
                 step *= 0.5
             else:
                 raise EllipticSolveError(
                     f"Newton line search stalled at residual {rnorm:.3e}", history
                 )
-        r = self.residual(red)
-        rnorm = float(np.abs(r).max())
-        history.append(rnorm)
-        if rnorm <= tol:
-            return red, max_iter
         raise EllipticSolveError(
             f"Newton did not reach tol {tol:g} in {max_iter} iterations "
             f"(residual {rnorm:.3e})",
@@ -187,10 +172,8 @@ def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSur
 
     key = ("tlam", cp.K, cp.alpha, lam)
     if key not in ops._cache:
-        mat = (1.0 + lam) * sysm.mass + lam * sysm.stiff
-        if sysm.P is not None:
-            mat = sysm.P.T @ mat @ sysm.P
-        ops._cache[key] = spla.splu(mat.tocsc())
+        mat = (1.0 + lam) * ops.block_mass + lam * sysm.stiff
+        ops._cache[key] = spla.splu(ops.project(mat, sysm.P, sysm.P).tocsc())
     lu = ops._cache[key]
 
     qb = ops.bulk_at_tri_quad(current.bulk)
@@ -201,9 +184,8 @@ def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSur
             ops.surf_quad_load(yosida_resolvent(qs, pot.theta_surf, yp)),
         ]
     )
-    b = sysm.reduce(lam * sysm.rhs_load + load)
-    red = lu.solve(b)
-    return ops.from_vector(sysm.prolong(red))
+    red = lu.solve(ops.reduce(lam * sysm.rhs_load + load, sysm.P))
+    return ops.from_vector(ops.prolong(red, sysm.P))
 
 
 def solve_shifted_regularized(
@@ -232,8 +214,7 @@ def solve_shifted_regularized(
         diff = (new - u).max_abs()
         u = new
         if use_newton:
-            r = sysm.residual(sysm.start_reduced(u))
-            rnorm = float(np.abs(r).max())
+            rnorm = sysm.residual_norm(u)
             history.append(rnorm)
             if rnorm <= fp_switch or fp_iters >= max_fp_iter:
                 break
@@ -241,7 +222,7 @@ def solve_shifted_regularized(
             if diff <= tol:
                 return EllipticSolution(
                     uv=u,
-                    residual_norm=float(np.abs(sysm.residual(sysm.start_reduced(u))).max()),
+                    residual_norm=sysm.residual_norm(u),
                     iterations=fp_iters,
                     lambda_used=prob.yp.lam,
                     extras={"fp_iterations": fp_iters},
@@ -252,10 +233,10 @@ def solve_shifted_regularized(
                     history,
                 )
 
-    red = sysm.start_reduced(u)
+    red = ops.to_reduced(u, sysm.P)
     red, its = sysm.newton(red, tol, newton_max_iter, history)
     return EllipticSolution(
-        uv=ops.from_vector(sysm.prolong(red)),
+        uv=ops.from_vector(ops.prolong(red, sysm.P)),
         residual_norm=history[-1],
         iterations=fp_iters + its,
         lambda_used=prob.yp.lam,
@@ -275,16 +256,17 @@ def solve_regularized(
     definite (lower bound theta/(1+theta) on the weight), so no mean
     constraint is needed despite the pure-flux boundary conditions.
     """
+    ops = prob.ops
     sysm = _System(prob, shifted=False)
     history: list[float] = []
-    red = sysm.start_reduced(start)
+    red = ops.to_reduced(start if start is not None else ops.zero_pair(), sysm.P)
     red, its = sysm.newton(red, tol, max_iter, history)
     return EllipticSolution(
-        uv=prob.ops.from_vector(sysm.prolong(red)),
+        uv=ops.from_vector(ops.prolong(red, sysm.P)),
         residual_norm=history[-1],
         iterations=its,
         lambda_used=prob.yp.lam,
-        extras={"history": history},
+        extras={"history": history, "line_search_trials": sysm.trials},
     )
 
 
@@ -384,14 +366,10 @@ def principal_part_bound_check(uv: BulkSurfacePair, prob: EllipticProblem) -> di
     representative is used.
     """
     ops, cp = prob.ops, prob.cp
-    mass = sp.block_diag([ops.M_bulk, ops.M_surf], format="csc")
-    work = ops.form_matrix(cp.sigma_K, cp.alpha) @ ops.to_vector(uv)
-    P = ops.reduction(cp.K, cp.alpha)
-    if P is None:
-        pp = ops.from_vector(spla.spsolve(mass, work))
-    else:
-        red = spla.spsolve((P.T @ mass @ P).tocsc(), P.T @ work)
-        pp = ops.from_vector(P @ red)
+    P, stiff = _operators(ops, cp)
+    mass = ops.project(ops.block_mass, P, P).tocsc()
+    red = spla.spsolve(mass, ops.reduce(stiff @ ops.to_vector(uv), P))
+    pp = ops.from_vector(ops.prolong(red, P))
 
     lhs = ops.l2_norm(pp) ** 2
     f, g = prob.rhs.bulk, prob.rhs.surf

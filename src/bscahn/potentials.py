@@ -267,6 +267,18 @@ def yosida_second(r, theta: float, yp: YosidaParams):
     return yosida_derivatives(r, theta, yp)[1]
 
 
+def convex_load(ops, full: np.ndarray, pot: PotentialSpec, yp: YosidaParams):
+    """Nodal load of the regularized convex part at a full pair vector, with
+    its quadrature curvature (bulk, surface); one resolvent call per field.
+
+    ``ops`` is the mesh's ``FemOperators``.
+    """
+    prime_b, second_b = yosida_derivatives(ops.bulk_at_tri_quad(full[: ops.n_bulk]), pot.theta, yp)
+    prime_s, second_s = yosida_derivatives(ops.surf_at_quad(full[ops.n_bulk :]), pot.theta_surf, yp)
+    load = np.concatenate([ops.tri_quad_load(prime_b), ops.surf_quad_load(prime_s)])
+    return load, (second_b, second_s)
+
+
 # -- domination diagnostic ---------------------------------------------------
 
 

@@ -24,14 +24,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BulkSurfacePair, CouplingParams, FemOperators
+from .assembly import BulkSurfacePair, CouplingParams, FemOperators, JacobianPattern
 from .potentials import (
     PotentialSpec,
     YosidaParams,
+    convex_load,
     f2,
     f2_prime,
-    yosida_derivatives,
-    yosida_prime,
     yosida_value,
 )
 from .velocity import VelocityField
@@ -145,22 +144,6 @@ DIAGNOSTIC_COLUMNS = (
 ).split(",")
 
 
-def _reduced_index(P: sp.csr_matrix | None, n_full: int):
-    """Reduced index and weight of every full dof under a prolongator P.
-
-    Each row of a prolongator holds exactly one entry; without a reduction
-    the index is the identity and the weight is None (all ones).
-    """
-    if P is None:
-        return np.arange(n_full), None
-    coo = P.tocoo()
-    index = np.empty(n_full, dtype=np.int64)
-    weight = np.empty(n_full)
-    index[coo.row] = coo.col
-    weight[coo.row] = coo.data
-    return index, weight
-
-
 class _StepJacobian:
     """The step Newton matrix [[dt D, M_UW], [M_WU, -H(u)]] on one fixed CSC pattern.
 
@@ -169,22 +152,14 @@ class _StepJacobian:
     union of the mass and stiffness blocks, every element pair of the mesh in
     both diagonal blocks, and the potential exchange coupling, so a new
     mobility or curvature only rewrites the data vector.  The curvature part
-    is a bincount scatter of the element data through precomputed positions,
-    weighted by the trace weight alpha (or its square) where K = 0.
+    is the pattern's reduced weighted mass in the du block.
     """
 
     def __init__(self, ts: "TimeStepper"):
         ops = self.ops = ts.ops
-        n_full = ops.n_bulk + ops.n_surf
         nw, nu = ts.mass_UW.shape
-        n = self.n = nw + nu
-        idx_k, weight_k = _reduced_index(ts.P_K, n_full)
-        idx_l, _ = _reduced_index(ts.P_L, n_full)
-        rows = np.concatenate([ops.tri_entries[0], ops.n_bulk + ops.surf_entries[0]])
-        cols = np.concatenate([ops.tri_entries[1], ops.n_bulk + ops.surf_entries[1]])
-        self._curv_weight = None if weight_k is None else weight_k[rows] * weight_k[cols]
         mass = ts.mass_UW.tocoo()
-        stiff = ts._project(ts.stiff_K, ts.P_K, ts.P_K).tocoo()
+        stiff = ops.project(ts.stiff_K, ts.P_K, ts.P_K).tocoo()
         # (rows, cols, data) of the blocks that never change; M_WU is written
         # as the transpose of M_UW, so the matrix is symmetric to the last bit
         # in the mass blocks
@@ -193,42 +168,21 @@ class _StepJacobian:
             (nw + mass.col, mass.row, mass.data),
             (nw + stiff.row, nw + stiff.col, -stiff.data),
         ]
-        curv_keys = self._key(nw + idx_k[rows], nw + idx_k[cols])
-        keys = [curv_keys, self._key(idx_l[rows], idx_l[cols])]
+        blocks = [ops.reduced_element_entries(ts.P_L)[:2]]
         if ts.cfg.cp.sigma_L != 0.0:
             q = ts.Q_L.tocoo()
-            keys.append(self._key(q.row, q.col))
-        keys += [self._key(r, c) for r, c, _ in fixed]
-        self._keys = np.unique(np.concatenate(keys))
-        self.indices = (self._keys % n).astype(np.intc)
-        self.indptr = np.zeros(n + 1, dtype=np.intc)
-        np.cumsum(np.bincount(self._keys // n, minlength=n), out=self.indptr[1:])
-        self._curv_pos = np.searchsorted(self._keys, curv_keys)
-        self._fixed = sum(self._scatter(*block) for block in fixed)
-
-    def _key(self, rows, cols) -> np.ndarray:
-        """Column-major linear index, so that sorted keys follow the CSC order."""
-        return np.asarray(cols, dtype=np.int64) * self.n + rows
-
-    def _scatter(self, rows, cols, data) -> np.ndarray:
-        pos = np.searchsorted(self._keys, self._key(rows, cols))
-        return np.bincount(pos, weights=data, minlength=len(self._keys))
+            blocks.append((q.row, q.col))
+        self.pattern = JacobianPattern(ops, nw + nu, ts.P_K, nw, fixed, blocks)
 
     def base(self, dt_diss: sp.csr_matrix) -> np.ndarray:
         """Data of everything but the curvature, given the reduced dt*D."""
         d = dt_diss.tocoo()
-        return self._fixed + self._scatter(d.row, d.col, d.data)
+        return self.pattern.fixed + self.pattern.scatter(d.row, d.col, d.data)
 
     def matrix(self, base: np.ndarray, curv_bulk: np.ndarray, curv_surf: np.ndarray):
         """The Newton matrix for quadrature curvature values (bulk, surface)."""
-        elem = np.concatenate([
-            self.ops.tri_weighted_mass_data(curv_bulk).ravel(),
-            self.ops.surf_weighted_mass_data(curv_surf).ravel(),
-        ])
-        if self._curv_weight is not None:
-            elem *= self._curv_weight
-        data = base - np.bincount(self._curv_pos, weights=elem, minlength=len(self._keys))
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        weighted = self.pattern.weighted_mass(self.ops, curv_bulk, curv_surf)
+        return self.pattern.matrix(base - weighted)
 
     def solve(self, base: np.ndarray, curvature, rhs: np.ndarray) -> np.ndarray:
         """Newton direction (dw, du); the factor is dropped after its one solve.
@@ -255,40 +209,16 @@ class TimeStepper:
         cp = cfg.cp
         self.P_K = ops.reduction(cp.K, cp.alpha)
         self.P_L = ops.reduction(cp.L, cp.beta)
-        self.mass = sp.block_diag([ops.M_bulk, ops.M_surf], format="csr")
+        self.mass = ops.block_mass
         self.stiff_K = ops.form_matrix(cp.sigma_K, cp.alpha)
         self.Q_L = ops.coupling_matrix(cp.sigma_L, cp.beta)
-        self.mass_UW = self._project(self.mass, self.P_L, self.P_K)
+        self.mass_UW = ops.project(self.mass, self.P_L, self.P_K)
         if cfg.mobility.is_constant:
             self._diss_const = self._dissipation_matrix(None)
         # the step Jacobian's fixed pattern and, for constant mobility, its
         # curvature-free data; both built at the first Newton solve
         self._jac = None
         self._jac_base = None
-
-    @staticmethod
-    def _project(mat, left, right):
-        if left is not None:
-            mat = left.T @ mat
-        if right is not None:
-            mat = mat @ right
-        return sp.csr_matrix(mat)
-
-    def _reduce(self, vec, P):
-        return vec if P is None else P.T @ vec
-
-    def _prolong(self, red, P):
-        return red if P is None else P @ red
-
-    def _to_reduced(self, pair: BulkSurfacePair, P) -> np.ndarray:
-        full = self.ops.to_vector(pair)
-        if P is None:
-            return full
-        ni = len(self.ops.interior_nodes)
-        red = np.empty(P.shape[1])
-        red[:ni] = pair.bulk[self.ops.interior_nodes]
-        red[ni:] = pair.surf
-        return red
 
     # -- element mobility weights and the dissipation operator -----------------
 
@@ -341,15 +271,6 @@ class TimeStepper:
             np.add.at(out[ops.n_bulk :], jS, seg)
         return out
 
-    def _convex_load(self, pair: BulkSurfacePair) -> np.ndarray:
-        ops, pot, yp = self.ops, self.cfg.pot, self.cfg.yp
-        return np.concatenate(
-            [
-                ops.tri_quad_load(yosida_prime(ops.bulk_at_tri_quad(pair.bulk), pot.theta, yp)),
-                ops.surf_quad_load(yosida_prime(ops.surf_at_quad(pair.surf), pot.theta_surf, yp)),
-            ]
-        )
-
     def _concave_load(self, pair: BulkSurfacePair) -> np.ndarray:
         ops, pot = self.ops, self.cfg.pot
         return np.concatenate(
@@ -387,10 +308,6 @@ class TimeStepper:
         ib, isurf = self.ops.integrals(pair)
         return self.cfg.cp.beta * ib + isurf, ib, isurf
 
-    def dissipation_rate(self, old_pair: BulkSurfacePair, mu_theta: BulkSurfacePair) -> float:
-        w = self.ops.to_vector(mu_theta)
-        return float(w @ (self.dissipation_matrix(old_pair) @ w))
-
     # -- one implicit step -----------------------------------------------------------
 
     def initial_mu_theta(self, pair: BulkSurfacePair) -> BulkSurfacePair:
@@ -401,7 +318,9 @@ class TimeStepper:
         the minimal-mass-norm representative is returned then.
         """
         ops = self.ops
-        g = self.stiff_K @ ops.to_vector(pair) + self._convex_load(pair) + self._concave_load(pair)
+        full = ops.to_vector(pair)
+        convex, _ = convex_load(ops, full, self.cfg.pot, self.cfg.yp)
+        g = self.stiff_K @ full + convex + self._concave_load(pair)
         if self.P_K is None and self.P_L is None:
             w = np.concatenate(
                 [
@@ -416,9 +335,9 @@ class TimeStepper:
         # the minimal-mass-norm representative is taken
         test_p = self.P_K if self.P_K is not None else self.P_L
         sol_p = self.P_L if self.P_L is not None else self.P_K
-        mat = self._project(self.mass, test_p, sol_p).tocsc()
-        red = spla.spsolve(mat, self._reduce(g, test_p))
-        return ops.from_vector(self._prolong(red, sol_p))
+        mat = ops.project(self.mass, test_p, sol_p).tocsc()
+        red = spla.spsolve(mat, ops.reduce(g, test_p))
+        return ops.from_vector(ops.prolong(red, sol_p))
 
     def _jacobian_base(self, diss: sp.csr_matrix) -> np.ndarray:
         """Step Jacobian data without the curvature term, on the fixed pattern.
@@ -430,32 +349,22 @@ class TimeStepper:
             self._jac = _StepJacobian(self)
         if self._jac_base is not None:
             return self._jac_base
-        base = self._jac.base(self._project(self.cfg.dt * diss, self.P_L, self.P_L))
+        base = self._jac.base(self.ops.project(self.cfg.dt * diss, self.P_L, self.P_L))
         if self.cfg.mobility.is_constant:
             self._jac_base = base
         return base
 
     def _evaluate(self, u_red, w_red, explicit_A, diss, concave):
-        """Residual pair of the step system plus the curvature at the iterate.
-
-        One resolvent evaluation per field serves both the convex load and the
-        quadrature curvature a Newton matrix at this iterate needs.
-        """
-        ops, pot, yp, dt = self.ops, self.cfg.pot, self.cfg.yp, self.cfg.dt
-        u_full = self._prolong(u_red, self.P_K)
-        w_full = self._prolong(w_red, self.P_L)
-        prime_b, second_b = yosida_derivatives(
-            ops.bulk_at_tri_quad(u_full[: ops.n_bulk]), pot.theta, yp
-        )
-        prime_s, second_s = yosida_derivatives(
-            ops.surf_at_quad(u_full[ops.n_bulk :]), pot.theta_surf, yp
-        )
-        convex = np.concatenate([ops.tri_quad_load(prime_b), ops.surf_quad_load(prime_s)])
-        res_a = self._reduce(self.mass @ u_full + dt * (diss @ w_full) - explicit_A, self.P_L)
-        res_b = self._reduce(
+        """Residual pair of the step system plus the curvature at the iterate."""
+        ops, dt = self.ops, self.cfg.dt
+        u_full = ops.prolong(u_red, self.P_K)
+        w_full = ops.prolong(w_red, self.P_L)
+        convex, curvature = convex_load(ops, u_full, self.cfg.pot, self.cfg.yp)
+        res_a = ops.reduce(self.mass @ u_full + dt * (diss @ w_full) - explicit_A, self.P_L)
+        res_b = ops.reduce(
             self.mass @ w_full - self.stiff_K @ u_full - convex - concave, self.P_K
         )
-        return res_a, res_b, (second_b, second_s), u_full, w_full
+        return res_a, res_b, curvature, u_full, w_full
 
     def step(
         self, state: State, field_: VelocityField, energy_old: float | None = None
@@ -477,8 +386,8 @@ class TimeStepper:
         concave = self._concave_load(state.phi_psi)
         explicit_A = self.mass @ u_old + dt * conv
 
-        u_red = self._to_reduced(state.phi_psi, self.P_K)
-        w_red = self._to_reduced(state.mu_theta, self.P_L)
+        u_red = ops.to_reduced(state.phi_psi, self.P_K)
+        w_red = ops.to_reduced(state.mu_theta, self.P_L)
         nw = len(w_red)
         res_a, res_b, curvature, u_full, w_full = self._evaluate(
             u_red, w_red, explicit_A, diss, concave

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -17,6 +19,22 @@ def run_cli(*argv):
 
 def cfg_path(name):
     return os.path.join(CONFIG_DIR, name)
+
+
+def edited_config(name, edits):
+    """Text of configs/<name> with the {(section, key): value} edits applied."""
+    section, out = None, []
+    with open(cfg_path(name)) as fh:
+        for line in fh.read().splitlines():
+            stripped = line.strip()
+            if stripped.startswith("["):
+                section = stripped[1:-1]
+            elif "=" in stripped and not stripped.startswith("#"):
+                key = stripped.split("=", 1)[0].strip()
+                if (section, key) in edits:
+                    line = f"{key} = {edits[(section, key)]}"
+            out.append(line)
+    return "\n".join(out) + "\n"
 
 
 class TestConfigParsing:
@@ -217,6 +235,31 @@ class TestCommands:
         assert len(lines) == 1
         assert lines[0].startswith("error: solver:")
         assert "forced step failure" in lines[0]
+
+    @pytest.mark.parametrize("kind", ["strong", "contdep"])
+    def test_gronwall_overflow_is_one_solver_error(self, kind, tmp_path, capsys):
+        # a fast, strong flow makes the Gronwall weight exp(...) of the
+        # study's data functional overflow a float
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(edited_config(f"{kind}.cfg", {
+            ("time", "lambda"): "1e-6", ("time", "dt"): "0.2", ("time", "t_end"): "0.2",
+            ("velocity", "amplitude"): "200",
+        }))
+        code = run_cli("study", kind, "--config", str(cfg), "--out", str(tmp_path / kind))
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: solver:")
+        assert "Gronwall weight exp(" in lines[0]
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "bscahn", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: bscahn")
 
     def test_elliptic_rhs_from_field_file(self, tmp_path, ops2, rng):
         from bscahn.assembly import BulkSurfacePair

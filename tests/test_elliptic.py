@@ -1,12 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from bscahn.assembly import BulkSurfacePair, CouplingParams
+from bscahn import potentials
+from bscahn.assembly import BulkSurfacePair, CouplingParams, assemble
 from bscahn.elliptic import (
     EllipticProblem,
     EllipticSolveError,
+    _newton_pattern,
+    _System,
     fixed_point_step,
     principal_part_bound_check,
     project_initial_data,
@@ -66,6 +72,85 @@ class TestFixedPointMap:
     def test_unbounded_regime_rejected(self, ops4):
         with pytest.raises(ValueError):
             problem(ops4, cp=CouplingParams(K=math.inf, L=1.0, alpha=0.5, beta=2.0))
+
+
+NEWTON_CASES = list(itertools.product([0.0, 1.0], [False, True]))
+
+
+def coupling(K):
+    return CouplingParams(K=K, L=1.0, alpha=0.5, beta=2.0)
+
+
+def newton_case(ops, K, shifted, rng, scale=1.0):
+    """A Newton system and a reduced iterate for one (K, shifted) case."""
+    sysm = _System(problem(ops, rhs=random_pair(ops, rng, scale), cp=coupling(K)), shifted)
+    return sysm, ops.to_reduced(random_pair(ops, rng, 0.6), sysm.P)
+
+
+def assembled_newton_matrix(sysm, curv_bulk, curv_surf):
+    """P^T(stiff [+ mass] + curvature mass)P from the COO-built weighted masses."""
+    ops = sysm.ops
+    curv = sp.block_diag([ops.tri_weighted_mass(curv_bulk), ops.surf_weighted_mass(curv_surf)])
+    mat = sysm.stiff + curv
+    if sysm.shifted:
+        mat = mat + sp.block_diag([ops.M_bulk, ops.M_surf])
+    return ops.project(mat, sysm.P, sysm.P).tocsc()
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("K,shifted", NEWTON_CASES)
+    def test_fixed_pattern_matrix_is_the_assembled_one(self, ops4, K, shifted, rng):
+        sysm, red = newton_case(ops4, K, shifted, rng)
+        _, curv = sysm.evaluate(red)
+        pattern = _newton_pattern(ops4, sysm.prob.cp, shifted)
+        mat = pattern.matrix(pattern.fixed + pattern.weighted_mass(ops4, *curv))
+        ref = assembled_newton_matrix(sysm, *curv)
+        scale = abs(ref).max()
+        assert abs(mat - ref).max() <= 1e-13 * scale
+        assert abs(mat - mat.T).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("K,shifted", NEWTON_CASES)
+    def test_newton_direction_matches_spsolve(self, ops4, K, shifted, rng):
+        sysm, red = newton_case(ops4, K, shifted, rng)
+        r, curv = sysm.evaluate(red)
+        delta = sysm.newton_direction(curv, -r)
+        ref = spla.spsolve(assembled_newton_matrix(sysm, *curv), -r)
+        assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("K,shifted", NEWTON_CASES)
+    def test_one_resolvent_evaluation_per_field_and_trial(self, ops4, K, shifted, rng,
+                                                          monkeypatch):
+        # the starting residual and each line-search trial call the resolvent
+        # once per field; the Jacobian reuses the accepted trial's curvature
+        calls = []
+        resolvent = potentials.yosida_resolvent
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return resolvent(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "yosida_resolvent", counting)
+        sysm, _ = newton_case(ops4, K, shifted, rng, scale=5.0)
+        if shifted:
+            _, its = sysm.newton(ops4.to_reduced(ops4.zero_pair(), sysm.P), 1e-10, 60, [])
+            trials = sysm.trials
+        else:
+            sol = solve_regularized(sysm.prob)
+            its, trials = sol.iterations, sol.extras["line_search_trials"]
+        assert trials > its  # the line search backtracked
+        assert len(calls) == 2 * (1 + trials)
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_fixed_point_step_same_with_cold_and_warm_cache(self, mesh4, K, rng):
+        ops = assemble(mesh4)
+        prob = problem(ops, rhs=random_pair(ops, rng), cp=coupling(K), lam=0.1)
+        start = random_pair(ops, rng, 0.5)
+        cold = fixed_point_step(start, prob)
+        cached = dict(ops._cache)
+        warm = fixed_point_step(start, prob)
+        assert all(ops._cache[key] is value for key, value in cached.items())
+        assert np.array_equal(cold.bulk, warm.bulk)
+        assert np.array_equal(cold.surf, warm.surf)
 
 
 class TestShiftedSolve:

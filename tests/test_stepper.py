@@ -8,7 +8,14 @@ import scipy.sparse.linalg as spla
 
 from bscahn import potentials
 from bscahn.assembly import BulkSurfacePair, CouplingParams
-from bscahn.potentials import PotentialSpec, YosidaParams, f1_prime, f2_prime, yosida_second
+from bscahn.potentials import (
+    PotentialSpec,
+    YosidaParams,
+    convex_load,
+    f1_prime,
+    f2_prime,
+    yosida_second,
+)
 from bscahn.stepper import (
     ConstantMobility,
     QuadraticMobility,
@@ -252,7 +259,7 @@ class TestRun:
             w = st.initial_mu_theta(pair)
             g = (
                 st.stiff_K @ ops4.to_vector(pair)
-                + st._convex_load(pair)
+                + convex_load(ops4, ops4.to_vector(pair), POT, cfg.yp)[0]
                 + st._concave_load(pair)
             )
             resid = st.mass @ ops4.to_vector(w) - g
@@ -404,9 +411,9 @@ def bmat_jacobian(st, diss, curv_bulk, curv_surf):
     """The step Jacobian as a nonsymmetric block matrix in the order (du, dw)."""
     ops, dt = st.ops, st.cfg.dt
     curv = sp.block_diag([ops.tri_weighted_mass(curv_bulk), ops.surf_weighted_mass(curv_surf)])
-    h_mat = st._project(st.stiff_K + curv, st.P_K, st.P_K)
-    mass_WU = st._project(st.mass, st.P_K, st.P_L)
-    dt_diss = st._project(dt * diss, st.P_L, st.P_L)
+    h_mat = ops.project(st.stiff_K + curv, st.P_K, st.P_K)
+    mass_WU = ops.project(st.mass, st.P_K, st.P_L)
+    dt_diss = ops.project(dt * diss, st.P_L, st.P_L)
     return sp.bmat([[st.mass_UW, dt_diss], [-h_mat, mass_WU]], format="csc")
 
 
@@ -442,8 +449,8 @@ class TestStepJacobian:
         diss = st.dissipation_matrix(old)
         explicit_A = st.mass @ ops.to_vector(old)
         concave = st._concave_load(old)
-        u_red = st._to_reduced(iterate, st.P_K)
-        w_red = st._to_reduced(st.initial_mu_theta(old), st.P_L)
+        u_red = ops.to_reduced(iterate, st.P_K)
+        w_red = ops.to_reduced(st.initial_mu_theta(old), st.P_L)
         res_a, res_b, curv, _, _ = st._evaluate(u_red, w_red, explicit_A, diss, concave)
         rhs = -np.concatenate([res_a, res_b])
         base = st._jacobian_base(diss)
@@ -464,7 +471,7 @@ class TestStepJacobian:
             admissible_random(ops4, cfg.cp, rng),
             StreamFunctionVelocity(amplitude=1.0, profile="sine2"),
             5e-3,
-            observers=[lambda state, info: seen.append((st._jac, st._jac.indices, st._jac.indptr))],
+            observers=[lambda state, info: seen.append((st._jac, st._jac.pattern.indices, st._jac.pattern.indptr))],
         )
         assert len(seen) == 5
         for entry in seen[1:]:
