@@ -4,7 +4,9 @@ Assembles consistent mass and stiffness matrices on the triangulated bulk and
 on the 1D periodic boundary loop, the coupling-weighted bilinear forms, the
 generalized bulk-surface mean, constrained subspaces (trace elimination for
 the zero-coupling regimes), the inverse elliptic solution operator with its
-dual norm, and the discrete Poincare constant.
+dual norm, and the discrete Poincare constant.  Also holds what the two
+Newton solvers (elliptic and time step) share: the damped Newton loop and the
+fixed-pattern Newton matrix.
 
 Quadrature convention: nonlinear integrands are evaluated with the 3-point
 edge-midpoint rule on triangles and 2-point Gauss on boundary segments.  Both
@@ -247,18 +249,19 @@ class FemOperators:
     def surf_quad_integral(self, qvals: np.ndarray) -> float:
         return float(np.sum(self.surf_qweights * qvals))
 
+    @staticmethod
+    def to_nodes(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+        """Sum element values into n nodes, in the flattened order of index."""
+        return np.bincount(index.ravel(), weights=values.ravel(), minlength=n)
+
     def tri_quad_load(self, qvals: np.ndarray) -> np.ndarray:
         """Nodal load of a quadrature-sampled integrand against P1 test functions."""
         contrib = np.einsum("tq,qa->ta", self.tri_qweights * qvals, self.tri_qbasis)
-        out = np.zeros(self.n_bulk)
-        np.add.at(out, self.mesh.triangles, contrib)
-        return out
+        return self.to_nodes(self.mesh.triangles, contrib, self.n_bulk)
 
     def surf_quad_load(self, qvals: np.ndarray) -> np.ndarray:
         contrib = np.einsum("eq,qa->ea", self.surf_qweights * qvals, self.surf_qbasis)
-        out = np.zeros(self.n_surf)
-        np.add.at(out, self.surf_elems, contrib)
-        return out
+        return self.to_nodes(self.surf_elems, contrib, self.n_surf)
 
     def tri_weighted_mass_data(self, qweights: np.ndarray) -> np.ndarray:
         """Element matrices (T, 3, 3) of :meth:`tri_weighted_mass`, in the
@@ -314,25 +317,23 @@ class FemOperators:
     def _coupling_deficit(self, a: BulkSurfacePair, weight: float) -> np.ndarray:
         return weight * a.surf - self.trace @ a.bulk
 
-    def inner_lb(self, a: BulkSurfacePair, b: BulkSurfacePair, cp: CouplingParams) -> float:
-        """The (L, beta)-weighted bilinear form of two pairs."""
+    def _form_inner(self, a: BulkSurfacePair, b: BulkSurfacePair, sig, weight) -> float:
+        """The bilinear form of :meth:`form_matrix` (sig, weight) of two pairs."""
         self._check_shapes(a, b)
         val = float(a.bulk @ (self.A_bulk @ b.bulk) + a.surf @ (self.A_surf @ b.surf))
-        if cp.sigma_L != 0.0:
-            da = self._coupling_deficit(a, cp.beta)
-            db = self._coupling_deficit(b, cp.beta)
-            val += cp.sigma_L * float(da @ (self.M_surf @ db))
+        if sig != 0.0:
+            da = self._coupling_deficit(a, weight)
+            db = self._coupling_deficit(b, weight)
+            val += sig * float(da @ (self.M_surf @ db))
         return val
+
+    def inner_lb(self, a: BulkSurfacePair, b: BulkSurfacePair, cp: CouplingParams) -> float:
+        """The (L, beta)-weighted bilinear form of two pairs."""
+        return self._form_inner(a, b, cp.sigma_L, cp.beta)
 
     def inner_ka(self, a: BulkSurfacePair, b: BulkSurfacePair, cp: CouplingParams) -> float:
         """The (K, alpha)-weighted bilinear form of two pairs."""
-        self._check_shapes(a, b)
-        val = float(a.bulk @ (self.A_bulk @ b.bulk) + a.surf @ (self.A_surf @ b.surf))
-        if cp.sigma_K != 0.0:
-            da = self._coupling_deficit(a, cp.alpha)
-            db = self._coupling_deficit(b, cp.alpha)
-            val += cp.sigma_K * float(da @ (self.M_surf @ db))
-        return val
+        return self._form_inner(a, b, cp.sigma_K, cp.alpha)
 
     def norm_lb(self, a: BulkSurfacePair, cp: CouplingParams) -> float:
         return math.sqrt(max(self.inner_lb(a, a, cp), 0.0))
@@ -366,6 +367,27 @@ class FemOperators:
         w = cp.beta if weight is None else weight
         ib, isurf = self.integrals(a)
         return (w * ib + isurf) / (w * w * self.area_bulk + self.area_surf)
+
+    def check_initial_data(self, pair: BulkSurfacePair, cp: CouplingParams) -> None:
+        """Raise ValueError unless the pair is admissible initial data for cp:
+        within the [-1, 1] band, on the trace constraint when K = 0, and with
+        its generalized mean (component means when L = inf) inside (-1, 1)."""
+        if pair.max_abs() > 1.0 + 1e-12:
+            raise ValueError("initial phase fields must satisfy max |value| <= 1")
+        if cp.K == 0.0:
+            err = float(np.abs(pair.bulk[self.mesh.surface_nodes] - cp.alpha * pair.surf).max())
+            if err > 1e-10:
+                raise ValueError(f"initial data violates the phase trace constraint by {err:g}")
+        if math.isinf(cp.L):
+            mb, ms = self.component_means(pair)
+            if not (-1.0 < mb < 1.0 and -1.0 < ms < 1.0):
+                raise ValueError(f"component means ({mb:g}, {ms:g}) must lie in (-1, 1)")
+        else:
+            mean = self.bs_mean(pair, cp)
+            if not (-1.0 < mean < 1.0 and -1.0 < cp.beta * mean < 1.0):
+                raise ValueError(
+                    f"generalized mean {mean:g} (weighted {cp.beta * mean:g}) must lie in (-1, 1)"
+                )
 
     def project_constraint(self, a: BulkSurfacePair, cp: CouplingParams, which: str) -> BulkSurfacePair:
         """Overwrite boundary bulk coefficients by weight * surface values.
@@ -555,6 +577,44 @@ class FemOperators:
             f"Poincare inverse iteration did not settle in {max_iter} sweeps "
             f"(last eigenvalue {lam_old:g})"
         )
+
+
+def damped_newton(evaluate, direction, x, tol, max_iter, max_trials, error, history):
+    """Damped Newton with a halving line search from x; returns (x, aux, iterations, trials).
+
+    ``evaluate(x)`` gives (residual, aux), ``direction(aux, rhs)`` the Newton
+    step at the iterate aux belongs to.  It stops once the residual max-norm,
+    appended to history per iterate, is at most tol.  A trial is accepted
+    when it lowers the 2-norm or meets tol, and becomes the next iterate with
+    its aux.  A stalled line search or a miss after max_iter updates raises
+    ``error(message, history)``.
+    """
+    r, aux = evaluate(x)
+    trials = 0
+    for it in range(max_iter + 1):
+        rnorm = float(np.abs(r).max(initial=0.0))
+        history.append(rnorm)
+        if rnorm <= tol:
+            return x, aux, it, trials
+        if it == max_iter:
+            break
+        delta = direction(aux, -r)
+        base = float(np.linalg.norm(r))
+        step = 1.0
+        for _ in range(max_trials):
+            trials += 1
+            trial = x + step * delta
+            r_trial, aux_trial = evaluate(trial)
+            if float(np.linalg.norm(r_trial)) < base or float(np.abs(r_trial).max()) <= tol:
+                x, r, aux = trial, r_trial, aux_trial
+                break
+            step *= 0.5
+        else:
+            raise error(f"Newton line search stalled at residual {rnorm:.3e}", history)
+    raise error(
+        f"Newton did not reach tol {tol:g} in {max_iter} iterations (residual {rnorm:.3e})",
+        history,
+    )
 
 
 class JacobianPattern:

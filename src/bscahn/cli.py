@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,15 +34,6 @@ def _fail(code: int, message: str) -> int:
     label = {EXIT_CONFIG: "config", EXIT_SOLVER: "solver", EXIT_STUDY_FAIL: "study"}[code]
     print(f"error: {label}: {message}", file=sys.stderr)
     return code
-
-
-def _ordered_map(fn, items, jobs: int):
-    """Apply fn over items, possibly in worker threads, preserving order."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _ensure_outdir(path: str) -> str:
@@ -149,7 +139,7 @@ def cmd_elliptic(args) -> int:
     return EXIT_OK
 
 
-def _study_yosida(data, setup, jobs):
+def _study_yosida(data, setup):
     kind = data.get("study", {}).get("yosida_kind", "elliptic")
     schedule = _float_list(
         data.get("study", {}).get(
@@ -171,7 +161,7 @@ def _study_yosida(data, setup, jobs):
     )
 
 
-def _study_contdep(data, setup, jobs):
+def _study_contdep(data, setup):
     eps = _float_list(data.get("study", {}).get("contdep_eps", "2e-3 1e-3 0"))
     res = dg.continuous_dependence_experiment(
         setup.ops,
@@ -194,14 +184,14 @@ def _study_contdep(data, setup, jobs):
     return res
 
 
-def _study_strong(data, setup, jobs):
+def _study_strong(data, setup):
     amplitudes = _float_list(data.get("study", {}).get("strong_amplitudes", "0 0.5 1 2"))
     return dg.strong_estimate_monitor(
         setup.ops, setup.cfg, setup.field, setup.initial, setup.t_end, amplitudes=amplitudes
     )
 
 
-def _study_regimes(data, setup, jobs):
+def _study_regimes(data, setup):
     from .config import build_initial  # late import to avoid cycle at module load
 
     zero_vals = tuple(_float_list(data.get("study", {}).get("regime_zero", "1 0.1 0.01")))
@@ -227,7 +217,7 @@ def _study_regimes(data, setup, jobs):
             toward_inf=inf_vals,
         )
 
-    res_k, res_l = _ordered_map(run_one, ["K", "L"], jobs)
+    res_k, res_l = run_one("K"), run_one("L")
     merged = dg.ExperimentResult(
         name="regime_interpolation",
         columns=["which", "direction", "value", "gap"],
@@ -250,7 +240,7 @@ _STUDIES = {
 def cmd_study(args) -> int:
     data = parse_config(args.config)
     setup = build_setup(data, out_dir=args.out, seed=args.seed)
-    res = _STUDIES[args.kind](data, setup, args.jobs)
+    res = _STUDIES[args.kind](data, setup)
     out = _ensure_outdir(setup.out_dir)
     csv_path = os.path.join(out, f"study_{args.kind}.csv")
     output.write_csv(csv_path, res.columns, res.rows)
@@ -286,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument("--seed", type=int, default=None, help="overrides [run] seed")
 
     common(sub.add_parser("mesh", help="build and save the mesh"))

@@ -275,22 +275,10 @@ def build_initial(
     else:
         raise ConfigError(f"unknown initial kind {kind!r}")
 
-    if pair.max_abs() > 1.0 + 1e-12:
-        raise ConfigError("initial data exceeds the [-1, 1] band")
-    if cp.K == 0.0:
-        err = float(np.abs(pair.bulk[mesh.surface_nodes] - cp.alpha * pair.surf).max())
-        if err > 1e-10:
-            raise ConfigError(f"initial data violates the K = 0 trace constraint by {err:g}")
-    if math.isinf(cp.L):
-        mb, ms = ops.component_means(pair)
-        if not (-1.0 < mb < 1.0 and -1.0 < ms < 1.0):
-            raise ConfigError(f"component means ({mb:g}, {ms:g}) must lie in (-1, 1)")
-    else:
-        mean = ops.bs_mean(pair, cp)
-        if not (-1.0 < mean < 1.0 and -1.0 < cp.beta * mean < 1.0):
-            raise ConfigError(
-                f"generalized mean {mean:g} (weighted {cp.beta * mean:g}) must lie in (-1, 1)"
-            )
+    try:
+        ops.check_initial_data(pair, cp)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return pair
 
 

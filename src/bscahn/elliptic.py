@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import BulkSurfacePair, CouplingParams, FemOperators, JacobianPattern
+from .assembly import BulkSurfacePair, CouplingParams, FemOperators, JacobianPattern, damped_newton
 from .potentials import (
     PotentialSpec,
     YosidaParams,
@@ -89,7 +89,7 @@ def _newton_pattern(ops: FemOperators, cp: CouplingParams, shifted: bool):
 
 
 class _System:
-    """Reduced residual and damped Newton shared by the elliptic solvers."""
+    """Reduced residual and Newton direction shared by the elliptic solvers."""
 
     def __init__(self, prob: EllipticProblem, shifted: bool):
         self.prob = prob
@@ -121,41 +121,6 @@ class _System:
             options={"SymmetricMode": True},
         )
         return lu.solve(rhs)
-
-    def newton(
-        self, red: np.ndarray, tol: float, max_iter: int, history: list[float]
-    ) -> tuple[np.ndarray, int]:
-        """Damped Newton from red; the accepted trial is the next iterate,
-        residual and curvature included."""
-        r, curvature = self.evaluate(red)
-        self.trials = 0  # line-search trials, each one residual evaluation
-        for it in range(max_iter + 1):
-            rnorm = float(np.abs(r).max())
-            history.append(rnorm)
-            if rnorm <= tol:
-                return red, it
-            if it == max_iter:
-                break
-            delta = self.newton_direction(curvature, -r)
-            step = 1.0
-            base = float(np.linalg.norm(r))
-            for _ in range(40):
-                trial = red + step * delta
-                self.trials += 1
-                r_trial, curv_trial = self.evaluate(trial)
-                if float(np.linalg.norm(r_trial)) < base:
-                    red, r, curvature = trial, r_trial, curv_trial
-                    break
-                step *= 0.5
-            else:
-                raise EllipticSolveError(
-                    f"Newton line search stalled at residual {rnorm:.3e}", history
-                )
-        raise EllipticSolveError(
-            f"Newton did not reach tol {tol:g} in {max_iter} iterations "
-            f"(residual {rnorm:.3e})",
-            history,
-        )
 
 
 def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSurfacePair:
@@ -233,8 +198,10 @@ def solve_shifted_regularized(
                     history,
                 )
 
-    red = ops.to_reduced(u, sysm.P)
-    red, its = sysm.newton(red, tol, newton_max_iter, history)
+    red, _, its, _ = damped_newton(
+        sysm.evaluate, sysm.newton_direction, ops.to_reduced(u, sysm.P), tol,
+        newton_max_iter, 40, EllipticSolveError, history,
+    )
     return EllipticSolution(
         uv=ops.from_vector(ops.prolong(red, sysm.P)),
         residual_norm=history[-1],
@@ -260,13 +227,15 @@ def solve_regularized(
     sysm = _System(prob, shifted=False)
     history: list[float] = []
     red = ops.to_reduced(start if start is not None else ops.zero_pair(), sysm.P)
-    red, its = sysm.newton(red, tol, max_iter, history)
+    red, _, its, trials = damped_newton(
+        sysm.evaluate, sysm.newton_direction, red, tol, max_iter, 40, EllipticSolveError, history
+    )
     return EllipticSolution(
         uv=ops.from_vector(ops.prolong(red, sysm.P)),
         residual_norm=history[-1],
         iterations=its,
         lambda_used=prob.yp.lam,
-        extras={"history": history, "line_search_trials": sysm.trials},
+        extras={"history": history, "line_search_trials": trials},
     )
 
 

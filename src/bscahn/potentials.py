@@ -46,8 +46,6 @@ class PotentialSpec:
     theta_c: float = 1.6
     theta_surf: float | None = None
     theta_c_surf: float | None = None
-    theta_omega: float | None = None
-    theta_gamma: float | None = None
     kappa1: float = 1.0
     kappa2: float = 0.0
 
@@ -56,18 +54,10 @@ class PotentialSpec:
             object.__setattr__(self, "theta_surf", self.theta)
         if self.theta_c_surf is None:
             object.__setattr__(self, "theta_c_surf", self.theta_c)
-        if self.theta_omega is None:
-            object.__setattr__(self, "theta_omega", self.theta)
-        if self.theta_gamma is None:
-            object.__setattr__(self, "theta_gamma", self.theta_surf)
         if not (0.0 <= self.theta < self.theta_c):
             raise ValueError(f"need 0 <= theta < theta_c, got {self.theta}, {self.theta_c}")
         if not (0.0 <= self.theta_surf < self.theta_c_surf):
             raise ValueError("need 0 <= theta_surf < theta_c_surf")
-        if self.theta > 0 and not (0.0 < self.theta_omega <= self.theta):
-            raise ValueError("theta_omega must lie in (0, theta]")
-        if self.theta_surf > 0 and not (0.0 < self.theta_gamma <= self.theta_surf):
-            raise ValueError("theta_gamma must lie in (0, theta_surf]")
         if self.kappa1 <= 0 or self.kappa2 < 0:
             raise ValueError("need kappa1 > 0 and kappa2 >= 0")
 

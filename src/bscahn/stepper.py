@@ -17,14 +17,13 @@ points (see assembly module notes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BulkSurfacePair, CouplingParams, FemOperators, JacobianPattern
+from .assembly import BulkSurfacePair, CouplingParams, FemOperators, JacobianPattern, damped_newton
 from .potentials import (
     PotentialSpec,
     YosidaParams,
@@ -257,18 +256,16 @@ class TimeStepper:
         v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
         if np.any(v):
             phi_q = ops.bulk_at_tri_quad(pair.bulk)
-            common = ops.tri_qweights * phi_q
-            for a in range(3):
-                flux = np.einsum("tq,tqd,td->t", common, v, ops.tri_grads[:, a, :])
-                np.add.at(out[: ops.n_bulk], ops.mesh.triangles[:, a], flux)
+            # flux[a, t]: the load of triangle t on its local node a
+            flux = np.einsum("tq,tqd,tad->at", ops.tri_qweights * phi_q, v, ops.tri_grads)
+            out[: ops.n_bulk] = ops.to_nodes(ops.mesh.triangles.T, flux, ops.n_bulk)
         speeds = np.asarray(field_.sample_surface(ops.surf_qarcs[:, 0], t))
         if np.any(speeds):
             # per element: speed * int psi * d(test)/ds, the integral of the
             # P1 interpolant over the element is exact
             iS, jS = ops.surf_elems[:, 0], ops.surf_elems[:, 1]
             seg = 0.5 * (pair.surf[iS] + pair.surf[jS]) * speeds
-            np.add.at(out[ops.n_bulk :], iS, -seg)
-            np.add.at(out[ops.n_bulk :], jS, seg)
+            out[ops.n_bulk :] = ops.to_nodes(ops.surf_elems.T, np.stack([-seg, seg]), ops.n_surf)
         return out
 
     def _concave_load(self, pair: BulkSurfacePair) -> np.ndarray:
@@ -386,55 +383,34 @@ class TimeStepper:
         concave = self._concave_load(state.phi_psi)
         explicit_A = self.mass @ u_old + dt * conv
 
-        u_red = ops.to_reduced(state.phi_psi, self.P_K)
+        # the unknown is [w_red, u_red], in the Jacobian's (dw, du) order
         w_red = ops.to_reduced(state.mu_theta, self.P_L)
+        x = np.concatenate([w_red, ops.to_reduced(state.phi_psi, self.P_K)])
         nw = len(w_red)
-        res_a, res_b, curvature, u_full, w_full = self._evaluate(
-            u_red, w_red, explicit_A, diss, concave
-        )
         base = None
-        history = []
-        for it in range(cfg.newton_max_iter):
-            rnorm = max(
-                float(np.abs(res_a).max(initial=0.0)), float(np.abs(res_b).max(initial=0.0))
-            )
-            history.append(rnorm)
-            if rnorm <= cfg.newton_tol:
-                new_state = State(
-                    phi_psi=ops.from_vector(u_full),
-                    mu_theta=ops.from_vector(w_full),
-                    t=state.t + dt,
-                )
-                info = self._step_info(state, new_state, conv, diss, it, rnorm, energy_old)
-                return new_state, info
 
+        def evaluate(x):
+            res_a, res_b, curvature, u_full, w_full = self._evaluate(
+                x[nw:], x[:nw], explicit_A, diss, concave
+            )
+            return np.concatenate([res_a, res_b]), (curvature, u_full, w_full)
+
+        def direction(aux, rhs):
+            nonlocal base
             if base is None:
                 base = self._jacobian_base(diss)
-            delta = self._jac.solve(base, curvature, -np.concatenate([res_a, res_b]))
-            step_scale = 1.0
-            base_norm = math.hypot(float(np.linalg.norm(res_a)), float(np.linalg.norm(res_b)))
-            for _ in range(20):
-                u_try = u_red + step_scale * delta[nw:]
-                w_try = w_red + step_scale * delta[:nw]
-                trial = self._evaluate(u_try, w_try, explicit_A, diss, concave)
-                ra, rb = trial[0], trial[1]
-                trial_norm = math.hypot(float(np.linalg.norm(ra)), float(np.linalg.norm(rb)))
-                if trial_norm < base_norm or max(
-                    float(np.abs(ra).max()), float(np.abs(rb).max())
-                ) <= cfg.newton_tol:
-                    u_red, w_red = u_try, w_try
-                    res_a, res_b, curvature, u_full, w_full = trial
-                    break
-                step_scale *= 0.5
-            else:
-                raise StepError(
-                    f"step Newton line search stalled at residual {rnorm:.3e}", history
-                )
-        raise StepError(
-            f"step Newton did not reach tol {cfg.newton_tol:g} in "
-            f"{cfg.newton_max_iter} iterations (residual {history[-1]:.3e})",
-            history,
+            return self._jac.solve(base, aux[0], rhs)
+
+        history = []
+        _, (_, u_full, w_full), iters, _ = damped_newton(
+            evaluate, direction, x, cfg.newton_tol, cfg.newton_max_iter, 20,
+            lambda message, hist: StepError("step " + message, hist), history,
         )
+        new_state = State(
+            phi_psi=ops.from_vector(u_full), mu_theta=ops.from_vector(w_full), t=state.t + dt
+        )
+        info = self._step_info(state, new_state, conv, diss, iters, history[-1], energy_old)
+        return new_state, info
 
     def _step_info(self, old: State, new: State, conv, diss, iters, resid, energy_old) -> dict:
         w = self.ops.to_vector(new.mu_theta)
@@ -454,25 +430,6 @@ class TimeStepper:
 
     # -- trajectories ------------------------------------------------------------------
 
-    def check_initial_data(self, pair: BulkSurfacePair) -> None:
-        cp, ops = self.cfg.cp, self.ops
-        if pair.max_abs() > 1.0 + 1e-12:
-            raise ValueError("initial phase fields must satisfy max |value| <= 1")
-        if math.isinf(cp.L):
-            mb, ms = ops.component_means(pair)
-            if not (-1.0 < mb < 1.0 and -1.0 < ms < 1.0):
-                raise ValueError(f"component means ({mb:g}, {ms:g}) must lie in (-1, 1)")
-        else:
-            mean = ops.bs_mean(pair, cp)
-            if not (-1.0 < mean < 1.0 and -1.0 < cp.beta * mean < 1.0):
-                raise ValueError(
-                    f"generalized mean {mean:g} (weighted {cp.beta * mean:g}) must lie in (-1, 1)"
-                )
-        if cp.K == 0.0:
-            err = np.abs(pair.bulk[ops.mesh.surface_nodes] - cp.alpha * pair.surf).max()
-            if err > 1e-10:
-                raise ValueError(f"initial data violates the phase trace constraint by {err:g}")
-
     def run(
         self,
         initial: BulkSurfacePair,
@@ -481,7 +438,7 @@ class TimeStepper:
         observers=(),
     ) -> Trajectory:
         """March from t = 0 to t_end, collecting states and diagnostics rows."""
-        self.check_initial_data(initial)
+        self.ops.check_initial_data(initial, self.cfg.cp)
         n_steps = int(round(t_end / self.cfg.dt))
         state = State(phi_psi=initial.copy(), mu_theta=self.initial_mu_theta(initial), t=0.0)
         states = [state]

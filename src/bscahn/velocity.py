@@ -383,7 +383,7 @@ def discrete_admissibility(
     if isinstance(field_, StreamFunctionVelocity) and not field_.is_zero:
         edges, integrals = _stream_edge_integrals(field_, mesh, t)
         nodes, tris = mesh.nodes, mesh.triangles
-        p = nodes[tris]
+        index, values = [], []
         for local_a, local_b in ((0, 1), (1, 2), (2, 0)):
             i = tris[:, local_a]
             j = tris[:, local_b]
@@ -394,15 +394,15 @@ def discrete_admissibility(
             lengths = np.linalg.norm(nodes[j] - nodes[i], axis=1)
             idx = np.array([edges[(min(a, b), max(a, b))] for a, b in zip(i, j)])
             vals = integrals[idx] / lengths
-            np.add.at(div_residual, j, vals)
-            np.add.at(div_residual, i, -vals)
+            index += [j, i]
+            values += [vals, -vals]
+        div_residual = ops.to_nodes(np.concatenate(index), np.concatenate(values), ops.n_bulk)
     elif not field_.is_zero and not isinstance(field_, SurfaceSlipVelocity):
         # generic fallback: triangle quadrature of -int v . grad(zeta)
         qc = ops.tri_qcoords
         v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
-        for a in range(3):
-            flux = np.einsum("tq,tqd,td->t", ops.tri_qweights, v, ops.tri_grads[:, a, :])
-            np.add.at(div_residual, mesh.triangles[:, a], -flux)
+        flux = np.einsum("tq,tqd,tad->at", ops.tri_qweights, v, ops.tri_grads)
+        div_residual = ops.to_nodes(mesh.triangles.T, -flux, ops.n_bulk)
         mode += "-quadrature"
 
     div_max = float(np.abs(div_residual[interior]).max()) if len(interior) else 0.0

@@ -87,6 +87,25 @@ class TestOperators:
         assert quad_s == pytest.approx(float(v @ (ops4.M_surf @ v)), rel=1e-13)
 
 
+class TestQuadratureLoads:
+    def test_loads_are_the_add_at_scatter_bitwise(self, ops4, rng):
+        # to_nodes sums in the order np.add.at did, so no bit moves
+        qb = rng.standard_normal(ops4.tri_qweights.shape)
+        qs = rng.standard_normal(ops4.surf_qweights.shape)
+        ref_b = np.zeros(ops4.n_bulk)
+        np.add.at(
+            ref_b, ops4.mesh.triangles,
+            np.einsum("tq,qa->ta", ops4.tri_qweights * qb, ops4.tri_qbasis),
+        )
+        ref_s = np.zeros(ops4.n_surf)
+        np.add.at(
+            ref_s, ops4.surf_elems,
+            np.einsum("eq,qa->ea", ops4.surf_qweights * qs, ops4.surf_qbasis),
+        )
+        assert np.array_equal(ops4.tri_quad_load(qb), ref_b)
+        assert np.array_equal(ops4.surf_quad_load(qs), ref_s)
+
+
 class TestBilinearForms:
     def test_compatible_constants_vanish(self, ops4):
         a = ops4.constant_pair(3.0, 1.5)  # bulk = beta * surf

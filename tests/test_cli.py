@@ -160,7 +160,6 @@ class TestCommands:
         out = tmp_path / "r"
         code = run_cli(
             "study", "regimes", "--config", cfg_path("regimes.cfg"), "--out", str(out),
-            "--jobs", "2",
         )
         assert code == 0
 
@@ -288,7 +287,7 @@ class TestCommands:
         # force a failing study result through the real command path
         from bscahn.diagnostics import ExperimentResult
 
-        def fake_study(data, setup, jobs):
+        def fake_study(data, setup):
             return ExperimentResult(
                 name="forced", columns=["x"], rows=[{"x": 1.0}],
                 passed=False, reason="forced failure", extras={},

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bscahn import potentials
-from bscahn.assembly import BulkSurfacePair, CouplingParams, assemble
+from bscahn.assembly import BulkSurfacePair, CouplingParams, assemble, damped_newton
 from bscahn.elliptic import (
     EllipticProblem,
     EllipticSolveError,
@@ -132,8 +132,11 @@ class TestNewtonSystem:
         monkeypatch.setattr(potentials, "yosida_resolvent", counting)
         sysm, _ = newton_case(ops4, K, shifted, rng, scale=5.0)
         if shifted:
-            _, its = sysm.newton(ops4.to_reduced(ops4.zero_pair(), sysm.P), 1e-10, 60, [])
-            trials = sysm.trials
+            start = ops4.to_reduced(ops4.zero_pair(), sysm.P)
+            _, _, its, trials = damped_newton(
+                sysm.evaluate, sysm.newton_direction, start, 1e-10, 60, 40,
+                EllipticSolveError, [],
+            )
         else:
             sol = solve_regularized(sysm.prob)
             its, trials = sol.iterations, sol.extras["line_search_trials"]
@@ -199,9 +202,7 @@ class TestStationarySolve:
         # the nonlinear operator gap against the solution difference dominates
         # the regularized convexity floor in the L2 norm
         lam = 1e-2
-        theta_star = min(POT.theta_omega, POT.theta_gamma) / (
-            1.0 + max(POT.theta_omega, POT.theta_gamma)
-        )
+        theta_star = min(POT.theta, POT.theta_surf) / (1.0 + max(POT.theta, POT.theta_surf))
         prob1 = problem(ops4, rhs=random_pair(ops4, rng), lam=lam)
         prob2 = problem(ops4, rhs=random_pair(ops4, rng), lam=lam)
         u1 = solve_regularized(prob1).uv

@@ -60,7 +60,6 @@ class TestSpecValidation:
     def test_defaults_admissible(self):
         spec = PotentialSpec()
         assert spec.theta_surf == spec.theta
-        assert spec.theta_omega == spec.theta
 
     def test_temperature_ordering_enforced(self):
         with pytest.raises(ValueError):

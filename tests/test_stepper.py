@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from bscahn import potentials
 from bscahn.assembly import BulkSurfacePair, CouplingParams
+from bscahn.config import ConfigError, build_initial, parse_config_text
 from bscahn.potentials import (
     PotentialSpec,
     YosidaParams,
@@ -199,6 +201,44 @@ class TestSingleStep:
         with pytest.raises(StepError, match="halve dt"):
             st_bad.step(state, StreamFunctionVelocity(amplitude=1.0))
 
+    def test_convergence_on_the_last_allowed_update_is_accepted(self, ops4):
+        # this step needs three Newton updates; with newton_max_iter = 3 the
+        # iterate after the third one must be checked, not rejected
+        cfg = make_config()
+        field = StreamFunctionVelocity(amplitude=1.0, profile="sine2")
+        init = admissible_random(ops4, cfg.cp, np.random.default_rng(0))
+        free = TimeStepper(ops4, cfg).run(init, field, t_end=1e-3)
+        assert free.rows[1]["newton_iters"] == 3
+        capped = TimeStepper(ops4, replace(cfg, newton_max_iter=3)).run(init, field, 1e-3)
+        assert capped.failure is None
+        assert capped.rows[1]["newton_iters"] == 3
+        assert np.array_equal(capped.final.phi_psi.bulk, free.final.phi_psi.bulk)
+
+    @pytest.mark.parametrize(
+        "field",
+        [StreamFunctionVelocity(amplitude=1.0, profile="sine2"), SurfaceSlipVelocity(speed=1.0)],
+    )
+    def test_convection_load_is_the_add_at_scatter_bitwise(self, ops4, field, rng):
+        st = TimeStepper(ops4, make_config())
+        pair = admissible_random(ops4, st.cfg.cp, rng)
+        t = 0.3
+        ref = np.zeros(ops4.n_bulk + ops4.n_surf)
+        qc = ops4.tri_qcoords
+        v = field.sample_bulk(qc[..., 0], qc[..., 1], t)
+        if np.any(v):
+            common = ops4.tri_qweights * ops4.bulk_at_tri_quad(pair.bulk)
+            for a in range(3):
+                flux = np.einsum("tq,tqd,td->t", common, v, ops4.tri_grads[:, a, :])
+                np.add.at(ref[: ops4.n_bulk], ops4.mesh.triangles[:, a], flux)
+        speeds = np.asarray(field.sample_surface(ops4.surf_qarcs[:, 0], t))
+        iS, jS = ops4.surf_elems[:, 0], ops4.surf_elems[:, 1]
+        seg = 0.5 * (pair.surf[iS] + pair.surf[jS]) * speeds
+        np.add.at(ref[ops4.n_bulk :], iS, -seg)
+        np.add.at(ref[ops4.n_bulk :], jS, seg)
+        out = st.convection_load(pair, field, t)
+        assert np.any(out)
+        assert np.array_equal(out, ref)
+
 
 class TestRun:
     def test_constant_trajectory(self, ops4):
@@ -236,6 +276,31 @@ class TestRun:
         st = TimeStepper(ops4, make_config(L=math.inf))
         with pytest.raises(ValueError, match="means"):
             st.run(ops4.constant_pair(1.0, 0.0), ZeroVelocity(), 1e-3)
+
+    @pytest.mark.parametrize(
+        "coupling,bulk,surf,match",
+        [
+            ("K = 1\nL = 1\nalpha = 0.5\nbeta = 2", 1.2, 0.0, "<= 1"),
+            ("K = 0\nL = 1\nalpha = 1\nbeta = 1", 0.2, 0.3, "trace constraint"),
+            ("K = 1\nL = 1\nalpha = 0.5\nbeta = 2", 0.9, 0.9, "mean"),
+            ("K = 1\nL = inf\nalpha = 0.5\nbeta = 2", 1.0, 0.0, "means"),
+        ],
+        ids=["band", "trace", "mean", "component_means"],
+    )
+    def test_config_and_run_reject_the_same_data_alike(
+        self, ops4, coupling, bulk, surf, match
+    ):
+        data = parse_config_text(
+            f"[coupling]\n{coupling}\n"
+            f"[initial]\nkind = constant\nvalue_bulk = {bulk}\nvalue_surf = {surf}\n"
+        )
+        cp = CouplingParams(**{k: float(v) for k, v in data["coupling"].items()})
+        with pytest.raises(ConfigError, match=match) as from_config:
+            build_initial(data, ops4.mesh, ops4, cp, seed=0)
+        st = TimeStepper(ops4, make_config(**{k: getattr(cp, k) for k in data["coupling"]}))
+        with pytest.raises(ValueError, match=match) as from_run:
+            st.run(ops4.constant_pair(bulk, surf), ZeroVelocity(), 1e-3)
+        assert str(from_config.value) == str(from_run.value)
 
     def test_observer_called_per_step(self, ops4, rng):
         cfg = make_config()
