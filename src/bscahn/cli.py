@@ -17,12 +17,12 @@ import numpy as np
 
 from . import diagnostics as dg
 from . import output
-from .assembly import BulkSurfacePair, SolverError
+from .assembly import BulkSurfacePair, SolverFailure
 from .config import ConfigError, build_setup, parse_config, _float_list, _get
-from .elliptic import EllipticSolveError, solve_singular
+from .elliptic import solve_singular
 from .mesh import MeshError, save_mesh
-from .stepper import DIAGNOSTIC_COLUMNS, StepError, TimeStepper
-from .potentials import ResolventError, YosidaParams
+from .stepper import DIAGNOSTIC_COLUMNS, TimeStepper
+from .potentials import YosidaParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, MeshError, FileNotFoundError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except (StepError, EllipticSolveError, ResolventError, SolverError, dg.StudyRunError) as exc:
+    except SolverFailure as exc:
         return _fail(EXIT_SOLVER, str(exc))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import BulkSurfacePair, FemOperators, assemble
+from .assembly import BulkSurfacePair, FemOperators, SolverFailure, assemble
 from .mesh import generate_unit_square
 from .stepper import StepperConfig, TimeStepper, Trajectory
 from .velocity import VelocityField
@@ -22,7 +22,7 @@ from . import elliptic
 from .potentials import YosidaParams
 
 
-class StudyRunError(RuntimeError):
+class StudyRunError(SolverFailure):
     """A run inside an experiment failed (``failure`` holds its record), or
     its data functional overflowed (``failure`` is None)."""
 

@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import BulkSurfacePair, CouplingParams, FemOperators, JacobianPattern, damped_newton
+from .assembly import (
+    BulkSurfacePair,
+    CouplingParams,
+    FemOperators,
+    JacobianPattern,
+    LaggedFactor,
+    SolverFailure,
+    damped_newton,
+)
 from .potentials import (
     PotentialSpec,
     YosidaParams,
@@ -31,7 +39,7 @@ from .potentials import (
 )
 
 
-class EllipticSolveError(RuntimeError):
+class EllipticSolveError(SolverFailure):
     """Newton or continuation failure; carries the residual history."""
 
     def __init__(self, message, history=None):
@@ -89,7 +97,13 @@ def _newton_pattern(ops: FemOperators, cp: CouplingParams, shifted: bool):
 
 
 class _System:
-    """Reduced residual and Newton direction shared by the elliptic solvers."""
+    """Reduced residual and Newton direction shared by the elliptic solvers.
+
+    One system serves one solve, at one regularization parameter, and counts
+    its factorizations.  Every Newton matrix is factored afresh: the studies
+    difference solutions whose Newton solves end at the roundoff floor, and a
+    lagged factor moves those differences by up to 1e-10 relative.
+    """
 
     def __init__(self, prob: EllipticProblem, shifted: bool):
         self.prob = prob
@@ -97,6 +111,7 @@ class _System:
         ops = self.ops = prob.ops
         self.P, self.stiff = _operators(ops, prob.cp)
         self.rhs_load = ops.block_mass @ ops.to_vector(prob.rhs)
+        self.factor = LaggedFactor()
 
     def evaluate(self, red: np.ndarray):
         """Reduced residual and quadrature curvature (bulk, surface) at an iterate."""
@@ -115,12 +130,10 @@ class _System:
     def newton_direction(self, curvature, rhs: np.ndarray) -> np.ndarray:
         """Solve the SPD Newton system for the given quadrature curvature."""
         pattern = _newton_pattern(self.ops, self.prob.cp, self.shifted)
-        lu = spla.splu(
-            pattern.matrix(pattern.fixed + pattern.weighted_mass(self.ops, *curvature)),
-            permc_spec="MMD_AT_PLUS_A",
-            options={"SymmetricMode": True},
-        )
-        return lu.solve(rhs)
+        mat = pattern.matrix(pattern.fixed + pattern.weighted_mass(self.ops, *curvature))
+        direction = self.factor.solve(mat, rhs)
+        self.factor.drop()
+        return direction
 
 
 def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSurfacePair:
@@ -190,7 +203,7 @@ def solve_shifted_regularized(
                     residual_norm=sysm.residual_norm(u),
                     iterations=fp_iters,
                     lambda_used=prob.yp.lam,
-                    extras={"fp_iterations": fp_iters},
+                    extras={"fp_iterations": fp_iters, "factorizations": 0},
                 )
             if fp_iters >= max_fp_iter:
                 raise EllipticSolveError(
@@ -207,7 +220,11 @@ def solve_shifted_regularized(
         residual_norm=history[-1],
         iterations=fp_iters + its,
         lambda_used=prob.yp.lam,
-        extras={"fp_iterations": fp_iters, "newton_iterations": its},
+        extras={
+            "fp_iterations": fp_iters,
+            "newton_iterations": its,
+            "factorizations": sysm.factor.factorizations,
+        },
     )
 
 
@@ -235,7 +252,11 @@ def solve_regularized(
         residual_norm=history[-1],
         iterations=its,
         lambda_used=prob.yp.lam,
-        extras={"history": history, "line_search_trials": trials},
+        extras={
+            "history": history,
+            "line_search_trials": trials,
+            "factorizations": sysm.factor.factorizations,
+        },
     )
 
 
@@ -253,7 +274,8 @@ def solve_singular(
     Solves at each value of the decreasing schedule, warm-starting from the
     previous solution, and certifies a Cauchy tail: the last successive H1
     difference must fall below cauchy_tol.  Records the measured separation
-    1 - max nodal |value| of the final solution.
+    1 - max nodal |value| of the final solution; its iterations and
+    factorizations are summed over the schedule.
     """
     schedule = list(schedule)
     if any(b >= a for a, b in zip(schedule, schedule[1:])) or not schedule:
@@ -263,12 +285,13 @@ def solve_singular(
 
     diffs: list[float] = []
     sol = None
-    total_iters = 0
+    total_iters = total_factors = 0
     for lam in schedule:
         prob = EllipticProblem(ops=ops, cp=cp, pot=pot, yp=YosidaParams(lam=lam), rhs=rhs)
         prev = sol.uv if sol is not None else None
         sol = solve_regularized(prob, tol=newton_tol, start=prev)
         total_iters += sol.iterations
+        total_factors += sol.extras["factorizations"]
         if prev is not None:
             diffs.append(ops.h1_norm(sol.uv - prev))
 
@@ -281,7 +304,8 @@ def solve_singular(
         )
     sol.iterations = total_iters
     sol.extras.update(
-        {"h1_differences": diffs, "separation": separation, "schedule": schedule}
+        {"h1_differences": diffs, "separation": separation, "schedule": schedule,
+         "factorizations": total_factors}
     )
     return sol
 

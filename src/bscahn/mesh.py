@@ -8,7 +8,7 @@ trace map used by all bulk-surface coupling terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class Mesh:
     triangles: np.ndarray
     surface_nodes: np.ndarray
     arc_lengths: np.ndarray
-    _edge_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.nodes, self.triangles, self.surface_nodes, self.arc_lengths):
@@ -77,27 +76,12 @@ class Mesh:
     def perimeter(self) -> float:
         return float(self.arc_lengths[-1])
 
-    @property
-    def trace_map(self) -> np.ndarray:
-        """surface-node index -> bulk-node index."""
-        return self.surface_nodes
-
     def triangle_areas(self) -> np.ndarray:
         return _signed_areas(self.nodes, self.triangles)
 
     def surface_edge_lengths(self) -> np.ndarray:
         """Length of the M boundary edges (edge i joins surface nodes i, i+1 mod M)."""
         return np.diff(self.arc_lengths)
-
-    def boundary_edges(self) -> list[tuple[int, int]]:
-        """Undirected boundary edges as sorted bulk-node index pairs."""
-        if "boundary" not in self._edge_cache:
-            loop = self.surface_nodes
-            self._edge_cache["boundary"] = [
-                tuple(sorted((int(loop[i]), int(loop[(i + 1) % len(loop)]))))
-                for i in range(len(loop))
-            ]
-        return self._edge_cache["boundary"]
 
 
 def _boundary_loop(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import SolverFailure
+
 _TINY_GAP = 1e-15  # bracket inset at the +-1 endpoints
 # Switch to the log-gap solve once 1-|root| falls below this: closer to the
 # endpoint the s-space residual cannot reach resolvent_tol in float64.
@@ -26,7 +28,7 @@ class PotentialDomainError(ValueError):
     """Argument outside the potential's domain."""
 
 
-class ResolventError(RuntimeError):
+class ResolventError(SolverFailure):
     """Resolvent iteration failed to converge; carries the last bracket."""
 
     def __init__(self, message, bracket):
@@ -290,22 +292,6 @@ def check_domination(
     grid = np.asarray(grid, dtype=float)
     fp = np.abs(yosida_prime(alpha * grid, pot.theta, yp))
     gp = np.abs(yosida_prime(grid, pot.theta_surf, yp))
-    margin = fp - pot.kappa1 * gp - pot.kappa2
-    k = int(np.argmax(margin))
-    return DominationReport(
-        max_margin=float(margin[k]), argmax_r=float(grid[k]), passed=bool(margin[k] <= 0.0)
-    )
-
-
-def check_domination_raw(
-    pot: PotentialSpec, grid, alpha: float = 1.0
-) -> DominationReport:
-    """Same margin for the raw derivatives on a grid inside (-1, 1)."""
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.abs(grid) >= 1.0):
-        raise PotentialDomainError("raw domination check needs a grid inside (-1, 1)")
-    fp = np.abs(f1_prime(alpha * grid, pot.theta))
-    gp = np.abs(f1_prime(grid, pot.theta_surf))
     margin = fp - pot.kappa1 * gp - pot.kappa2
     k = int(np.argmax(margin))
     return DominationReport(

@@ -23,7 +23,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BulkSurfacePair, CouplingParams, FemOperators, JacobianPattern, damped_newton
+from .assembly import (
+    BulkSurfacePair,
+    CouplingParams,
+    FemOperators,
+    JacobianPattern,
+    LaggedFactor,
+    SolverFailure,
+    damped_newton,
+)
 from .potentials import (
     PotentialSpec,
     YosidaParams,
@@ -35,7 +43,7 @@ from .potentials import (
 from .velocity import VelocityField
 
 
-class StepError(RuntimeError):
+class StepError(SolverFailure):
     """Nonlinear solve failed for one step; suggests halving the time step."""
 
     def __init__(self, message, history=None):
@@ -151,7 +159,8 @@ class _StepJacobian:
     union of the mass and stiffness blocks, every element pair of the mesh in
     both diagonal blocks, and the potential exchange coupling, so a new
     mobility or curvature only rewrites the data vector.  The curvature part
-    is the pattern's reduced weighted mass in the du block.
+    is the pattern's reduced weighted mass in the du block.  Its lagged
+    factor serves every Newton iteration of every step of one run.
     """
 
     def __init__(self, ts: "TimeStepper"):
@@ -172,6 +181,7 @@ class _StepJacobian:
             q = ts.Q_L.tocoo()
             blocks.append((q.row, q.col))
         self.pattern = JacobianPattern(ops, nw + nu, ts.P_K, nw, fixed, blocks)
+        self.factor = LaggedFactor()
 
     def base(self, dt_diss: sp.csr_matrix) -> np.ndarray:
         """Data of everything but the curvature, given the reduced dt*D."""
@@ -184,18 +194,8 @@ class _StepJacobian:
         return self.pattern.matrix(base - weighted)
 
     def solve(self, base: np.ndarray, curvature, rhs: np.ndarray) -> np.ndarray:
-        """Newton direction (dw, du); the factor is dropped after its one solve.
-
-        Symmetric mode orders A + A^T and prefers diagonal pivots, which suits
-        the symmetric saddle structure.
-        """
-        lu = spla.splu(
-            self.matrix(base, *curvature),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.01,
-            options={"SymmetricMode": True},
-        )
-        return lu.solve(rhs)
+        """Newton direction (dw, du) through the lagged factor."""
+        return self.factor.solve(self.matrix(base, *curvature), rhs)
 
 
 class TimeStepper:
@@ -214,8 +214,8 @@ class TimeStepper:
         self.mass_UW = ops.project(self.mass, self.P_L, self.P_K)
         if cfg.mobility.is_constant:
             self._diss_const = self._dissipation_matrix(None)
-        # the step Jacobian's fixed pattern and, for constant mobility, its
-        # curvature-free data; both built at the first Newton solve
+        # the step Jacobian's fixed pattern, lagged factor and, for constant
+        # mobility, its curvature-free data; all built at the first Newton solve
         self._jac = None
         self._jac_base = None
 
@@ -370,8 +370,14 @@ class TimeStepper:
 
         energy_old, when given, must be ``energy(state.phi_psi).total``; it
         saves recomputing it.  The per-step data carries the new state's
-        energy breakdown under "energy".  The accepted line-search trial is
-        the next Newton iterate, residual and curvature included.
+        energy breakdown under "energy", and under "factorizations" the step
+        Jacobian factorizations it made; the lagged factor is kept for the
+        next step until :meth:`run` ends.  A step that fails on a factor kept
+        from an earlier step is retried once on a fresh factor, so a raised
+        StepError is the one a fresh stepper raises from the same state; a
+        successful step matches it to the Newton tolerance, not bitwise.  The
+        accepted line-search trial is the next Newton iterate, residual and
+        curvature included.
         """
         ops, cfg = self.ops, self.cfg
         dt = cfg.dt
@@ -401,16 +407,35 @@ class TimeStepper:
                 base = self._jacobian_base(diss)
             return self._jac.solve(base, aux[0], rhs)
 
-        history = []
-        _, (_, u_full, w_full), iters, _ = damped_newton(
-            evaluate, direction, x, cfg.newton_tol, cfg.newton_max_iter, 20,
-            lambda message, hist: StepError("step " + message, hist), history,
-        )
+        def newton():
+            history = []
+            _, (_, u_full, w_full), iters, _ = damped_newton(
+                evaluate, direction, x, cfg.newton_tol, cfg.newton_max_iter, 20,
+                lambda message, hist: StepError("step " + message, hist), history,
+            )
+            return u_full, w_full, iters, history[-1]
+
+        factors_before = self._factorizations()
+        inherited = self._jac is not None and self._jac.factor.lu is not None
+        try:
+            u_full, w_full, iters, resid = newton()
+        except StepError:
+            if not inherited:
+                raise
+            # retry on a factor of this step's own matrix, so that a failure
+            # depends on (state, field, dt) alone, as on a fresh stepper
+            self._jac.factor.drop()
+            u_full, w_full, iters, resid = newton()
         new_state = State(
             phi_psi=ops.from_vector(u_full), mu_theta=ops.from_vector(w_full), t=state.t + dt
         )
-        info = self._step_info(state, new_state, conv, diss, iters, history[-1], energy_old)
+        info = self._step_info(state, new_state, conv, diss, iters, resid, energy_old)
+        info["factorizations"] = self._factorizations() - factors_before
         return new_state, info
+
+    def _factorizations(self) -> int:
+        """Step Jacobian factorizations made so far by this stepper."""
+        return 0 if self._jac is None else self._jac.factor.factorizations
 
     def _step_info(self, old: State, new: State, conv, diss, iters, resid, energy_old) -> dict:
         w = self.ops.to_vector(new.mu_theta)
@@ -445,21 +470,26 @@ class TimeStepper:
         energy = self.energy(state.phi_psi)
         rows = [self._row(0, state, energy, {"newton_iters": 0, "dissipation": 0.0,
                                              "balance_residual": 0.0})]
-        for k in range(1, n_steps + 1):
-            try:
-                state, info = self.step(state, field_, energy_old=energy.total)
-            except StepError as exc:
-                return Trajectory(
-                    states=states,
-                    rows=rows,
-                    failure={"step": k, "error": str(exc), "history": exc.history},
-                )
-            states.append(state)
-            energy = info["energy"]
-            rows.append(self._row(k, state, energy, info))
-            for obs in observers:
-                obs(state, info)
-        return Trajectory(states=states, rows=rows)
+        try:
+            for k in range(1, n_steps + 1):
+                try:
+                    state, info = self.step(state, field_, energy_old=energy.total)
+                except StepError as exc:
+                    return Trajectory(
+                        states=states,
+                        rows=rows,
+                        failure={"step": k, "error": str(exc), "history": exc.history},
+                    )
+                states.append(state)
+                energy = info["energy"]
+                rows.append(self._row(k, state, energy, info))
+                for obs in observers:
+                    obs(state, info)
+            return Trajectory(states=states, rows=rows)
+        finally:
+            # the factor is worth keeping across steps, not across runs
+            if self._jac is not None:
+                self._jac.factor.drop()
 
     def _row(self, k: int, state: State, e: EnergyBreakdown, info: dict) -> dict:
         weighted, mb, ms = self.mass_of(state.phi_psi)

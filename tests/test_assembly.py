@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bscahn.assembly import (
     BulkSurfacePair,
     CompatibilityError,
     CouplingParams,
+    JacobianPattern,
+    LaggedFactor,
     assemble,
     sigma,
 )
@@ -304,3 +307,46 @@ class TestPoincare:
         for _ in range(10):
             a = mean_free(ops4, CP, random_pair(ops4, rng))
             assert ops4.l2_norm(a) <= c * math.sqrt(ops4.inner_ka(a, a, CP)) * (1 + 1e-10)
+
+
+def curvature_matrix(ops, pattern, scale):
+    """stiffness + mass + (scale * a smooth positive weight) mass on the pattern."""
+    q_bulk = scale * (1.0 + ops.tri_qcoords[..., 0] ** 2)
+    q_surf = scale * (1.0 + ops.surf_qcoords[..., 1] ** 2)
+    return pattern.matrix(pattern.fixed + pattern.weighted_mass(ops, q_bulk, q_surf))
+
+
+class TestLaggedFactor:
+    @pytest.fixture
+    def pattern(self, ops4):
+        lin = (ops4.form_matrix(1.0, 0.5) + ops4.block_mass).tocoo()
+        return JacobianPattern(ops4, lin.shape[0], None, fixed=[(lin.row, lin.col, lin.data)])
+
+    def test_nearby_matrix_is_refined_on_the_held_factor(self, ops4, pattern, rng):
+        factor = LaggedFactor()
+        b = rng.standard_normal(pattern.n)
+        factor.solve(curvature_matrix(ops4, pattern, 1.0), b)
+        held = factor.lu
+        current = curvature_matrix(ops4, pattern, 1.05)
+        x = factor.solve(current, b)
+        assert factor.factorizations == 1
+        assert factor.lu is held
+        assert np.linalg.norm(b - current @ x) <= 1e-10 * np.linalg.norm(b)
+
+    def test_very_different_matrix_is_refactored(self, ops4, pattern, rng):
+        factor = LaggedFactor()
+        b = rng.standard_normal(pattern.n)
+        factor.solve(curvature_matrix(ops4, pattern, 1.0), b)
+        current = curvature_matrix(ops4, pattern, 1e4)
+        x = factor.solve(current, b)
+        ref = spla.spsolve(current, b)
+        assert factor.factorizations == 2
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_drop_frees_the_factor_and_keeps_the_count(self, ops4, pattern, rng):
+        factor = LaggedFactor()
+        factor.solve(curvature_matrix(ops4, pattern, 1.0), rng.standard_normal(pattern.n))
+        factor.drop()
+        assert factor.lu is None
+        assert factor.factorizations == 1
+

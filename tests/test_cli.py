@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 
 from bscahn import cli
+from bscahn.assembly import SolverError, SolverFailure
+from bscahn.diagnostics import StudyRunError
+from bscahn.elliptic import EllipticSolveError
+from bscahn.potentials import ResolventError
+from bscahn.stepper import StepError
 from bscahn.config import ConfigError, build_setup, parse_config_text
 from bscahn.output import read_csv, read_field_snapshot, write_csv, write_field_snapshot
 
@@ -220,7 +225,7 @@ class TestCommands:
     def test_study_step_failure_exit_code(self, kind, tmp_path, capsys, monkeypatch):
         # a failed step inside a study reaches the user as one solver error
         # line, not as a traceback
-        from bscahn.stepper import StepError, TimeStepper
+        from bscahn.stepper import TimeStepper
 
         def failing_step(self, state, field_, energy_old=None):
             raise StepError("forced step failure", [1.0])
@@ -234,6 +239,28 @@ class TestCommands:
         assert len(lines) == 1
         assert lines[0].startswith("error: solver:")
         assert "forced step failure" in lines[0]
+
+    @pytest.mark.parametrize("error", [
+        lambda: StepError("step failed", [1.0]),
+        lambda: EllipticSolveError("elliptic failed", [1.0]),
+        lambda: ResolventError("resolvent failed", (0.0, 1.0)),
+        lambda: SolverError("linear solve failed"),
+        lambda: StudyRunError("study run failed"),
+    ])
+    def test_every_solver_failure_is_one_solver_error(self, error, tmp_path, capsys,
+                                                       monkeypatch):
+        exc = error()
+        assert isinstance(exc, SolverFailure) and isinstance(exc, RuntimeError)
+
+        def failing(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", failing)
+        code = run_cli("simulate", "--config", cfg_path("simulate.cfg"),
+                       "--out", str(tmp_path / "s"))
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"error: solver: {exc}"]
 
     @pytest.mark.parametrize("kind", ["strong", "contdep"])
     def test_gronwall_overflow_is_one_solver_error(self, kind, tmp_path, capsys):

@@ -156,6 +156,33 @@ class TestNewtonSystem:
         assert np.array_equal(cold.surf, warm.surf)
 
 
+    def test_solve_regularized_same_on_fresh_and_used_operators(self, mesh4, rng):
+        # a solve keeps no factor past its own Newton directions, so an
+        # earlier solve on the same operators cannot change a later one
+        ops = assemble(mesh4)
+        rhs, other = random_pair(ops, rng, 3.0), random_pair(ops, rng, 3.0)
+        fresh = solve_regularized(problem(ops, rhs=rhs, lam=1e-3))
+        used = assemble(mesh4)
+        solve_regularized(problem(used, rhs=other, lam=1e-2))
+        again = solve_regularized(problem(used, rhs=rhs, lam=1e-3))
+        assert np.array_equal(fresh.uv.bulk, again.uv.bulk)
+        assert np.array_equal(fresh.uv.surf, again.uv.surf)
+        assert fresh.iterations == again.iterations
+        assert 1 <= fresh.extras["factorizations"] == again.extras["factorizations"]
+
+    def test_each_newton_direction_is_factored(self, ops4, rng):
+        # elliptic directions are direct solves, so the continuation's
+        # successive-lambda differences keep the rounding of a fresh factor
+        rhs = random_pair(ops4, rng)
+        shifted = solve_shifted_regularized(problem(ops4, rhs=rhs, lam=0.1))
+        assert 1 <= shifted.extras["factorizations"] == shifted.extras["newton_iterations"]
+        contraction = solve_shifted_regularized(problem(ops4, rhs=rhs, lam=0.1), use_newton=False)
+        assert contraction.extras["factorizations"] == 0
+        bounded = BulkSurfacePair(rng.uniform(-1, 1, ops4.n_bulk), rng.uniform(-1, 1, ops4.n_surf))
+        sol = solve_singular(bounded, ops4, CP, POT)
+        assert len(sol.extras["schedule"]) <= sol.extras["factorizations"] == sol.iterations
+
+
 class TestShiftedSolve:
     def test_zero_rhs(self, ops4):
         sol = solve_shifted_regularized(problem(ops4, lam=0.1))

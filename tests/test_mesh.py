@@ -50,8 +50,8 @@ def test_boundary_loop_starts_at_origin_and_runs_ccw(mesh4):
     assert shoelace > 0
 
 
-def test_trace_map_injective_onto_boundary(mesh4):
-    loop = mesh4.trace_map
+def test_surface_nodes_injective_onto_boundary(mesh4):
+    loop = mesh4.surface_nodes
     assert len(set(loop.tolist())) == len(loop)
     on_boundary = np.where(
         (np.abs(mesh4.nodes[:, 0]) < 1e-14)
@@ -93,8 +93,9 @@ def test_boundary_edges_belong_to_one_triangle(mesh4):
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             key = (min(a, b), max(a, b))
             count[key] = count.get(key, 0) + 1
-    for edge in mesh4.boundary_edges():
-        assert count[edge] == 1
+    loop = mesh4.surface_nodes.tolist()
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        assert count[(min(a, b), max(a, b))] == 1
 
 
 def test_save_load_roundtrip(tmp_path, mesh2):

@@ -10,7 +10,6 @@ from bscahn.potentials import (
     ResolventError,
     YosidaParams,
     check_domination,
-    check_domination_raw,
     f1,
     f1_prime,
     f1_second,
@@ -246,9 +245,14 @@ class TestDomination:
         # the weaker bulk potential is exactly half of the stronger surface
         # one, so the raw margins vanish with kappa1 = 1/2 on the open band
         spec = PotentialSpec(theta=1.0, theta_c=2.0, theta_surf=2.0, theta_c_surf=3.0, kappa1=0.5)
-        rep = check_domination_raw(spec, np.linspace(-0.999, 0.999, 10001), alpha=1.0)
-        assert rep.passed
-        assert rep.max_margin <= 1e-12
+        grid = np.linspace(-0.999, 0.999, 10001)
+        margin = (
+            np.abs(f1_prime(grid, spec.theta))
+            - spec.kappa1 * np.abs(f1_prime(grid, spec.theta_surf))
+            - spec.kappa2
+        )
+        assert margin.max() <= 0.0
+        assert margin.max() <= 1e-12
 
     def test_scaled_pair_regularized_transfer(self):
         # after regularization the same-constant inequality is provably lost

@@ -570,6 +570,67 @@ class TestStepJacobian:
         )
         assert per_step[1:] == [2 * (2 + it) for it in iters[1:]]
 
+    def test_one_factorization_per_trajectory(self, ops8, rng):
+        cfg = make_config()
+        st = TimeStepper(ops8, cfg)
+        factors, iters = [], []
+
+        def observe(state, info):
+            factors.append(info["factorizations"])
+            iters.append(info["newton_iters"])
+
+        traj = st.run(
+            admissible_random(ops8, cfg.cp, rng),
+            StreamFunctionVelocity(amplitude=1.0, profile="sine2"),
+            1e-2,
+            observers=[observe],
+        )
+        assert traj.failure is None
+        assert sum(iters) > len(iters) == 10
+        assert factors == [1] + [0] * 9
+
+    def test_no_factor_held_after_run(self, ops4, rng):
+        cfg = make_config()
+        field = StreamFunctionVelocity(amplitude=1.0, profile="sine2")
+        init = admissible_random(ops4, cfg.cp, rng)
+        st = TimeStepper(ops4, cfg)
+        st.run(init, field, 3e-3)
+        assert st._jac.factor.lu is None
+        # a StepError ends the run with a failure record
+        failing = TimeStepper(ops4, replace(cfg, newton_max_iter=1, newton_tol=1e-15))
+        traj = failing.run(init, field, 3e-3)
+        assert traj.failure is not None
+        assert failing._jac.factor.lu is None
+
+        # any other exception propagates out of run
+        def stop(state, info):
+            raise RuntimeError("observer stop")
+
+        with pytest.raises(RuntimeError, match="observer stop"):
+            st.run(init, field, 3e-3, observers=[stop])
+        assert st._jac.factor.factorizations == 2
+        assert st._jac.factor.lu is None
+
+    def test_failing_step_rebuilds_on_a_fresh_stepper(self, ops4, rng):
+        # a step that fails on a factor kept from an earlier step raises the
+        # StepError a fresh stepper raises from the same state, bit for bit
+        cfg = make_config()
+        field = StreamFunctionVelocity(amplitude=1.0, profile="sine2")
+        st = TimeStepper(ops4, cfg)
+        state = st.run(admissible_random(ops4, cfg.cp, rng), ZeroVelocity(), 1e-3).states[0]
+        state, _ = st.step(state, field)
+        assert st._jac.factor.lu is not None
+        before = st._jac.factor.factorizations
+        st.cfg = replace(cfg, newton_max_iter=1, newton_tol=1e-15)
+        with pytest.raises(StepError) as lagged:
+            st.step(state, field)
+        fresh = TimeStepper(ops4, st.cfg)
+        with pytest.raises(StepError) as direct:
+            fresh.step(state, field)
+        assert str(lagged.value) == str(direct.value)
+        assert lagged.value.history == direct.value.history
+        assert st._jac.factor.factorizations == before + 1
+
     def test_row_energies_are_the_stored_states_energies(self, ops4, rng):
         cfg = make_config()
         st = TimeStepper(ops4, cfg)
