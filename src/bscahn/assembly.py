@@ -124,6 +124,12 @@ def _element_entries(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(elems, k, axis=1).ravel(), np.tile(elems, (1, k)).ravel()
 
 
+def _scatter(data: np.ndarray, entries: tuple[np.ndarray, np.ndarray], n: int) -> sp.csr_matrix:
+    """The n-by-n matrix summing element-matrix data, element-major as in
+    :func:`_element_entries`, into its (row, col) entries."""
+    return sp.coo_matrix((data.ravel(), entries), shape=(n, n)).tocsr()
+
+
 _TRI_QPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _GAUSS2 = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 
@@ -143,31 +149,21 @@ class FemOperators:
 
         # triangle geometry
         p = nodes[tris]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        areas = mesh.triangle_areas()
         if np.any(areas <= 0):
             raise ValueError("degenerate or inverted triangle in assembly")
         self.tri_areas = areas
 
-        # P1 gradients: grad lambda_a, shape (T, 3, 2)
-        g = np.empty((len(tris), 3, 2))
-        for a in range(3):
-            b, c = (a + 1) % 3, (a + 2) % 3
-            edge = p[:, c] - p[:, b]
-            g[:, a, 0] = -edge[:, 1]
-            g[:, a, 1] = edge[:, 0]
-        g /= (2.0 * areas)[:, None, None]
-        self.tri_grads = g
+        # P1 gradients, shape (T, 3, 2): grad lambda_a is the opposite edge,
+        # node a+1 to a+2, turned a quarter counterclockwise, over twice the area
+        edge = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+        self.tri_grads = np.stack([-edge[..., 1], edge[..., 0]], -1) / (2.0 * areas)[:, None, None]
 
         # bulk stiffness and consistent mass
-        ke = np.einsum("tad,tbd,t->tab", g, g, areas)
-        me = (areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
         self.tri_entries = _element_entries(tris)
-        rows, cols = self.tri_entries
-        nb = self.n_bulk
-        self.A_bulk = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nb, nb)).tocsr()
-        self.M_bulk = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nb, nb)).tocsr()
+        self.A_bulk = self.bulk_weighted_stiffness(np.ones(len(tris)))
+        me = (areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+        self.M_bulk = _scatter(me, self.tri_entries, self.n_bulk)
 
         # surface loop: element i joins surface nodes (i, i+1 mod M)
         M = self.n_surf
@@ -175,18 +171,13 @@ class FemOperators:
         self.surf_entries = _element_entries(self.surf_elems)
         h = mesh.surface_edge_lengths()
         self.surf_h = h
-        iS = self.surf_elems[:, 0]
-        jS = self.surf_elems[:, 1]
-        rowsS = np.concatenate([iS, iS, jS, jS])
-        colsS = np.concatenate([iS, jS, iS, jS])
-        a_data = np.concatenate([1.0 / h, -1.0 / h, -1.0 / h, 1.0 / h])
-        m_data = np.concatenate([h / 3.0, h / 6.0, h / 6.0, h / 3.0])
-        self.A_surf = sp.coo_matrix((a_data, (rowsS, colsS)), shape=(M, M)).tocsr()
-        self.M_surf = sp.coo_matrix((m_data, (rowsS, colsS)), shape=(M, M)).tocsr()
+        self.A_surf = self.surf_weighted_stiffness(np.ones(M))
+        me_surf = np.stack([h / 3.0, h / 6.0, h / 6.0, h / 3.0], axis=1)
+        self.M_surf = _scatter(me_surf, self.surf_entries, M)
 
         # trace operator: surface index -> bulk node
         self.trace = sp.coo_matrix(
-            (np.ones(M), (np.arange(M), mesh.surface_nodes)), shape=(M, nb)
+            (np.ones(M), (np.arange(M), mesh.surface_nodes)), shape=(M, self.n_bulk)
         ).tocsr()
 
         self.mass_vec_bulk = np.asarray(self.M_bulk.sum(axis=1)).ravel()
@@ -202,18 +193,13 @@ class FemOperators:
         xi = _GAUSS2
         self.surf_qbasis = np.column_stack([1.0 - xi, xi])  # (q, a)
         self.surf_qweights = np.repeat(h[:, None] / 2.0, 2, axis=1)  # (M, q)
-        arc = mesh.arc_lengths
-        self.surf_qarcs = arc[:-1, None] + xi[None, :] * h[:, None]  # (M, q)
+        self.surf_qarcs = mesh.arc_lengths[:-1, None] + xi[None, :] * h[:, None]  # (M, q)
         pts = nodes[mesh.surface_nodes]
-        nxt = np.roll(pts, -1, axis=0)
-        self.surf_qcoords = pts[:, None, :] + xi[None, :, None] * (nxt - pts)[:, None, :]
-        d = nxt - pts
-        self.surf_tangents = d / h[:, None]
+        d = np.roll(pts, -1, axis=0) - pts
+        self.surf_qcoords = pts[:, None, :] + xi[None, :, None] * d[:, None, :]
         self.surf_normals = np.column_stack([d[:, 1], -d[:, 0]]) / h[:, None]
 
-        self.interior_nodes = np.setdiff1d(
-            np.arange(nb), mesh.surface_nodes, assume_unique=False
-        )
+        self.interior_nodes = np.setdiff1d(np.arange(self.n_bulk), mesh.surface_nodes)
         self._cache: dict = {}
 
     # -- pair/vector plumbing -------------------------------------------------
@@ -279,25 +265,19 @@ class FemOperators:
 
     def tri_weighted_mass(self, qweights: np.ndarray) -> sp.csr_matrix:
         """Mass matrix with an extra quadrature-sampled nonnegative weight (T, q)."""
-        data = self.tri_weighted_mass_data(qweights)
-        return sp.coo_matrix((data.ravel(), self.tri_entries), shape=(self.n_bulk, self.n_bulk)).tocsr()
+        return _scatter(self.tri_weighted_mass_data(qweights), self.tri_entries, self.n_bulk)
 
     def surf_weighted_mass(self, qweights: np.ndarray) -> sp.csr_matrix:
-        data = self.surf_weighted_mass_data(qweights)
-        return sp.coo_matrix((data.ravel(), self.surf_entries), shape=(self.n_surf, self.n_surf)).tocsr()
+        return _scatter(self.surf_weighted_mass_data(qweights), self.surf_entries, self.n_surf)
 
     def bulk_weighted_stiffness(self, elem_weights: np.ndarray) -> sp.csr_matrix:
         """Stiffness with a per-element scalar weight (mobility averaged per element)."""
         ke = np.einsum("tad,tbd,t->tab", self.tri_grads, self.tri_grads, self.tri_areas * elem_weights)
-        return sp.coo_matrix((ke.ravel(), self.tri_entries), shape=(self.n_bulk, self.n_bulk)).tocsr()
+        return _scatter(ke, self.tri_entries, self.n_bulk)
 
     def surf_weighted_stiffness(self, elem_weights: np.ndarray) -> sp.csr_matrix:
-        iS, jS = self.surf_elems[:, 0], self.surf_elems[:, 1]
         w = elem_weights / self.surf_h
-        rows = np.concatenate([iS, iS, jS, jS])
-        cols = np.concatenate([iS, jS, iS, jS])
-        data = np.concatenate([w, -w, -w, w])
-        return sp.coo_matrix((data, (rows, cols)), shape=(self.n_surf, self.n_surf)).tocsr()
+        return _scatter(np.stack([w, -w, -w, w], axis=1), self.surf_entries, self.n_surf)
 
     # -- coupled bilinear forms -------------------------------------------------
 

@@ -9,7 +9,7 @@ configuration can check is checked at parse/build time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,6 @@ class RunSetup:
     t_end: float
     seed: int
     out_dir: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def build_mesh(data: dict) -> Mesh:
@@ -311,5 +310,4 @@ def build_setup(data: dict, out_dir: str | None = None, seed: int | None = None)
         t_end=t_end,
         seed=seed,
         out_dir=out_dir or data.get("output", {}).get("dir", "."),
-        raw=data,
     )

@@ -63,34 +63,23 @@ class ExperimentResult:
 # -- velocity norms ------------------------------------------------------------
 
 
-def velocity_l2_norm(ops: FemOperators, field_: VelocityField, t: float) -> float:
-    qc = ops.tri_qcoords
-    v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
-    bulk = ops.tri_quad_integral(np.sum(v * v, axis=-1))
-    w = np.asarray(field_.sample_surface(ops.surf_qarcs, t))
-    surf = ops.surf_quad_integral(w * w)
-    return math.sqrt(bulk + surf)
-
-
-def velocity_l3_norm(ops: FemOperators, field_: VelocityField, t: float) -> float:
-    qc = ops.tri_qcoords
-    v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
-    bulk = ops.tri_quad_integral(np.sum(v * v, axis=-1) ** 1.5)
-    w = np.abs(np.asarray(field_.sample_surface(ops.surf_qarcs, t)))
-    surf = ops.surf_quad_integral(w**3)
-    return (bulk + surf) ** (1.0 / 3.0)
-
-
-def velocity_h1_norm(ops: FemOperators, field_: VelocityField, t: float) -> float:
+def velocity_norms(
+    ops: FemOperators, field_: VelocityField, t: float
+) -> tuple[float, float, float]:
+    """L2, L3 and H1 norms of the bulk-surface velocity at time t, from one
+    sample of v, grad v and the slip speed at the quadrature points."""
     qc = ops.tri_qcoords
     v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
     g = field_.bulk_gradient(qc[..., 0], qc[..., 1], t)
-    bulk = ops.tri_quad_integral(np.sum(v * v, axis=-1) + np.sum(g * g, axis=(-1, -2)))
+    w = np.asarray(field_.sample_surface(ops.surf_qarcs, t))
+    v2 = np.sum(v * v, axis=-1)
+    w2 = ops.surf_quad_integral(w * w)
+    l2 = math.sqrt(ops.tri_quad_integral(v2) + w2)
+    l3 = (ops.tri_quad_integral(v2**1.5) + ops.surf_quad_integral(np.abs(w) ** 3)) ** (1.0 / 3.0)
     # the slip speed is constant in arc length, so its tangential derivative
     # vanishes and only the mass part contributes on the surface
-    w = np.asarray(field_.sample_surface(ops.surf_qarcs, t))
-    surf = ops.surf_quad_integral(w * w)
-    return math.sqrt(bulk + surf)
+    h1 = math.sqrt(ops.tri_quad_integral(v2 + np.sum(g * g, axis=(-1, -2))) + w2)
+    return l2, l3, h1
 
 
 # -- continuous dependence -------------------------------------------------------
@@ -165,7 +154,7 @@ def continuous_dependence_experiment(
     n_steps = len(base_traj.states) - 1
     # exponential weight accumulates the base velocity integrability in time
     w_rate = np.array(
-        [1.0 + velocity_l3_norm(ops, field_, k * dt) ** 2 for k in range(n_steps + 1)]
+        [1.0 + velocity_norms(ops, field_, k * dt)[1] ** 2 for k in range(n_steps + 1)]
     )
 
     rows = []
@@ -189,7 +178,7 @@ def continuous_dependence_experiment(
         )
         init_dual_sq = ops.dual_norm(direction * data_eps, cp) ** 2
         vel_sq = np.array(
-            [velocity_l2_norm(ops, field_.scaled(vel_eps), k * dt) ** 2 for k in range(n_steps)]
+            [velocity_norms(ops, field_.scaled(vel_eps), k * dt)[0] ** 2 for k in range(n_steps)]
         )
         # denominator: initial part with the full-window weight, velocity part
         # with the tail window from each step
@@ -327,7 +316,7 @@ def strong_estimate_monitor(
             for a, b in zip(traj.states, traj.states[1:])
         )
         h1s = np.array(
-            [velocity_h1_norm(ops, f_amp, k * dt) for k in range(len(traj.states))]
+            [velocity_norms(ops, f_amp, k * dt)[2] for k in range(len(traj.states))]
         )
         data = (
             1.0

@@ -84,51 +84,62 @@ class Mesh:
         return np.diff(self.arc_lengths)
 
 
+def triangle_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The undirected edges of a triangulation.
+
+    Returns the unique edges as ascending (low, high) node pairs, the (T, 3)
+    index of the edge joining local nodes k and k+1 mod 3 of each triangle,
+    and how many triangles share each edge.
+    """
+    heads = np.roll(triangles, -1, axis=1)
+    low, high = np.minimum(triangles, heads), np.maximum(triangles, heads)
+    n = int(triangles.max(initial=-1)) + 1
+    keys, index, counts = np.unique(
+        (low * n + high).ravel(), return_inverse=True, return_counts=True
+    )
+    return np.column_stack([keys // n, keys % n]), index.reshape(triangles.shape), counts
+
+
 def _boundary_loop(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Extract the boundary as one CCW loop from triangle adjacency.
 
     Boundary edges are those appearing in exactly one triangle; with CCW
     triangles their in-triangle orientation traverses an outer boundary
     counterclockwise.  Raises MeshError on non-manifold edges or if the
-    boundary has more than one loop.
+    boundary has more than one loop; where a mesh has several faults, the
+    one met first in triangle order is reported.
     """
-    count: dict[tuple[int, int], int] = {}
-    directed: dict[int, int] = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            count[key] = count.get(key, 0) + 1
-            if count[key] == 1:
-                directed[int(a)] = int(b)
+    edges, tri_edges, counts = triangle_edges(triangles)
+    shared = counts[tri_edges].ravel()  # per directed edge, triangle-major
+    tails = triangles.ravel()
+    heads = np.roll(triangles, -1, axis=1).ravel()
 
-    boundary_dir: dict[int, int] = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            if count[key] == 1:
-                if int(a) in boundary_dir:
-                    raise MeshError(f"non-manifold boundary at node {int(a)}")
-                boundary_dir[int(a)] = int(b)
-            elif count[key] > 2:
-                raise MeshError(f"edge {key} shared by {count[key]} triangles")
-
-    if not boundary_dir:
+    on_boundary = np.flatnonzero(shared == 1)
+    _, first = np.unique(tails[on_boundary], return_index=True)
+    repeated = np.delete(on_boundary, first)  # a second boundary edge leaving a node
+    over = np.flatnonzero(shared > 2)
+    if repeated.size and (not over.size or repeated[0] < over[0]):
+        raise MeshError(f"non-manifold boundary at node {int(tails[repeated[0]])}")
+    if over.size:
+        low, high = edges[tri_edges.ravel()[over[0]]]
+        raise MeshError(f"edge ({low}, {high}) shared by {shared[over[0]]} triangles")
+    if not on_boundary.size:
         raise MeshError("mesh has no boundary")
 
-    boundary_nodes = np.array(sorted(boundary_dir.keys()))
+    boundary_nodes = np.sort(tails[on_boundary])
     coords = nodes[boundary_nodes]
     start = int(boundary_nodes[np.argmin(np.einsum("ij,ij->i", coords, coords))])
+    successor = np.full(len(nodes), -1, dtype=np.int64)
+    successor[tails[on_boundary]] = heads[on_boundary]
 
     loop = [start]
-    nxt = boundary_dir[start]
-    while nxt != start:
-        loop.append(nxt)
-        nxt = boundary_dir[nxt]
-        if len(loop) > len(boundary_dir):
+    while (nxt := int(successor[loop[-1]])) != start:
+        if nxt < 0 or len(loop) == len(boundary_nodes):
             raise MeshError("boundary walk does not close")
-    if len(loop) != len(boundary_dir):
+        loop.append(nxt)
+    if len(loop) != len(boundary_nodes):
         raise MeshError(
-            f"boundary has multiple loops ({len(boundary_dir) - len(loop)} nodes unreached)"
+            f"boundary has multiple loops ({len(boundary_nodes) - len(loop)} nodes unreached)"
         )
     return np.array(loop, dtype=np.int64)
 
@@ -159,20 +170,15 @@ def generate_unit_square(n: int) -> Mesh:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise MeshError(f"grid resolution must be an integer >= 2, got {n!r}")
     xs = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="xy")
-    nodes = np.column_stack([xx.ravel(), yy.ravel()])
+    nodes = np.column_stack([np.tile(xs, n + 1), np.repeat(xs, n + 1)])  # x fastest
 
-    def idx(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            a, b = idx(i, j), idx(i + 1, j)
-            c, d = idx(i + 1, j + 1), idx(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return _build(nodes, np.array(tris))
+    # cell (i, j), j-major, is split into (a, b, c) and (a, c, d) with a its
+    # bottom-left corner, counterclockwise
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * (n + 1) + i
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return _build(nodes, tris)
 
 
 def load_mesh(path: str) -> Mesh:
@@ -209,7 +215,7 @@ def load_mesh(path: str) -> Mesh:
         tok, ln, col = take()
         try:
             return kind(tok)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise MeshFormatError(f"bad {what} {tok!r}", ln, col) from None
 
     take("bsmesh")
@@ -218,25 +224,21 @@ def load_mesh(path: str) -> Mesh:
         raise MeshFormatError(f"unsupported format version {version!r}", ln, col)
     n_nodes = take_number(int, "node count")
     n_tris = take_number(int, "triangle count")
-    if n_nodes < 3 or n_tris < 1:
-        raise MeshFormatError("mesh too small", ln, col)
+    for count, low, (_, ln, col) in zip((n_nodes, n_tris), (3, 1), tokens[pos - 2 : pos]):
+        if count < low:
+            raise MeshFormatError("mesh too small", ln, col)
+    # the file must hold every number it announces; checked before allocating
+    if 2 * n_nodes + 3 * n_tris > len(tokens) - pos:
+        raise MeshFormatError("unexpected end of file", len(raw_lines), 1)
 
-    nodes = np.empty((n_nodes, 2))
-    for k in range(n_nodes):
-        nodes[k, 0] = take_number(float, "coordinate")
-        nodes[k, 1] = take_number(float, "coordinate")
-    tris = np.empty((n_tris, 3), dtype=np.int64)
-    for k in range(n_tris):
-        for c in range(3):
-            tris[k, c] = take_number(int, "node index")
+    nodes = np.array([take_number(float, "coordinate") for _ in range(2 * n_nodes)])
+    tris = np.array([take_number(np.int64, "node index") for _ in range(3 * n_tris)])
     if pos != len(tokens):
         tok, ln, col = tokens[pos]
         raise MeshFormatError(f"trailing data {tok!r}", ln, col)
 
     try:
-        return _build(nodes, tris)
-    except MeshFormatError:
-        raise
+        return _build(nodes.reshape(n_nodes, 2), tris.reshape(n_tris, 3))
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
 

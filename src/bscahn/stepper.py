@@ -49,7 +49,6 @@ class StepError(SolverFailure):
     def __init__(self, message, history=None):
         super().__init__(message + " (advice: halve dt and retry)")
         self.history = list(history or [])
-        self.advice = "halve dt"
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class ConstantMobility:
             raise ValueError("mobilities must be positive")
 
     is_constant = True
-    bounds = property(lambda self: (self.m_bulk, self.m_bulk, self.m_surf, self.m_surf))
 
     def bulk(self, s):
         return np.full_like(np.asarray(s, dtype=float), self.m_bulk)
@@ -87,7 +85,6 @@ class QuadraticMobility:
             raise ValueError("mobility upper bounds below lower bounds")
 
     is_constant = False
-    bounds = property(lambda self: (self.bulk_lo, self.bulk_hi, self.surf_lo, self.surf_hi))
 
     def bulk(self, s):
         c = np.clip(np.asarray(s, dtype=float), -1.0, 1.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import FemOperators
-from .mesh import Mesh
+from .mesh import Mesh, triangle_edges
 
 _GAUSS_SPREAD = 1.0 / math.sqrt(3.0)  # spacing of the 2-point Gauss nodes
 
@@ -333,30 +333,21 @@ class AdmissibilityReport:
 
 
 def _stream_edge_integrals(field_: StreamFunctionVelocity, mesh: Mesh, t: float):
-    """Gauss-4 line integrals of psi over every undirected mesh edge."""
-    edges = {}
+    """Gauss-4 line integrals of psi over every undirected mesh edge, and the
+    edge lengths, looked up per triangle: column k of each (T, 3) result is
+    the edge joining local nodes k and k+1 mod 3."""
     xi = np.array(
         [0.5 - 0.43056815579702629, 0.5 - 0.16999052179242816,
          0.5 + 0.16999052179242816, 0.5 + 0.43056815579702629]
     )
     wq = np.array([0.17392742256872693, 0.32607257743127305,
                    0.32607257743127305, 0.17392742256872693])
-    tris = mesh.triangles
-    keys = []
-    for tri in tris:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(int(a), int(b)), max(int(a), int(b)))
-            if key not in edges:
-                edges[key] = len(keys)
-                keys.append(key)
-    keys_arr = np.array(keys)
-    p0 = mesh.nodes[keys_arr[:, 0]]
-    p1 = mesh.nodes[keys_arr[:, 1]]
+    edges, tri_edges, _ = triangle_edges(mesh.triangles)
+    p0, p1 = mesh.nodes[edges.T]
     pts = p0[:, None, :] + xi[None, :, None] * (p1 - p0)[:, None, :]
     lengths = np.linalg.norm(p1 - p0, axis=1)
     psi = field_.stream(pts[..., 0], pts[..., 1], t)
-    vals = lengths * (psi @ wq)
-    return edges, vals
+    return (lengths * (psi @ wq))[tri_edges], lengths[tri_edges]
 
 
 def discrete_admissibility(
@@ -381,22 +372,17 @@ def discrete_admissibility(
     mode = type(field_).__name__
 
     if isinstance(field_, StreamFunctionVelocity) and not field_.is_zero:
-        edges, integrals = _stream_edge_integrals(field_, mesh, t)
-        nodes, tris = mesh.nodes, mesh.triangles
-        index, values = [], []
-        for local_a, local_b in ((0, 1), (1, 2), (2, 0)):
-            i = tris[:, local_a]
-            j = tris[:, local_b]
-            # d zeta/d tau along the directed edge i->j is +1/len for the
-            # head basis, -1/len for the tail, 0 for the opposite node; the
-            # edge integral itself is direction-free, so the two adjacent
-            # triangles contribute with opposite signs and cancel exactly
-            lengths = np.linalg.norm(nodes[j] - nodes[i], axis=1)
-            idx = np.array([edges[(min(a, b), max(a, b))] for a, b in zip(i, j)])
-            vals = integrals[idx] / lengths
-            index += [j, i]
-            values += [vals, -vals]
-        div_residual = ops.to_nodes(np.concatenate(index), np.concatenate(values), ops.n_bulk)
+        # d zeta/d tau along a directed triangle edge is +1/len for the head
+        # basis, -1/len for the tail, 0 for the opposite node; the edge
+        # integral itself is direction-free, so the two adjacent triangles
+        # contribute with opposite signs and cancel exactly
+        integrals, lengths = _stream_edge_integrals(field_, mesh, t)
+        vals = (integrals / lengths).T  # (3, T)
+        tails = mesh.triangles.T
+        heads = np.roll(tails, -1, axis=0)
+        # summed local edge by local edge, heads before tails
+        index, values = np.stack([heads, tails], axis=1), np.stack([vals, -vals], axis=1)
+        div_residual = ops.to_nodes(index, values, ops.n_bulk)
     elif not field_.is_zero and not isinstance(field_, SurfaceSlipVelocity):
         # generic fallback: triangle quadrature of -int v . grad(zeta)
         qc = ops.tri_qcoords

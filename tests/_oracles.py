@@ -130,3 +130,62 @@ def energy_by_loops(mesh, pair: BulkSurfacePair, cp, pot, yp) -> float:
             db = cp.alpha * pair.surf[j] - pair.bulk[loop[j]]
             total += 0.5 * cp.sigma_K * h * (da * da + da * db + db * db) / 3.0
     return total
+
+
+def edges_by_dict(triangles):
+    """Unique (low, high) edges in ascending order, the (T, 3) index of the
+    edge from local node k to k+1 mod 3, and the triangles sharing each edge,
+    by a dict loop over the triangles."""
+
+    def key(tri, k):
+        a, b = int(tri[k]), int(tri[(k + 1) % 3])
+        return (min(a, b), max(a, b))
+
+    count = {}
+    for tri in triangles:
+        for k in range(3):
+            count[key(tri, k)] = count.get(key(tri, k), 0) + 1
+    edges = sorted(count)
+    number = {e: i for i, e in enumerate(edges)}
+    tri_edges = [[number[key(tri, k)] for k in range(3)] for tri in triangles]
+    return np.array(edges), np.array(tri_edges), np.array([count[e] for e in edges])
+
+
+def p1_operators_by_blocks(mesh, w_surf):
+    """A_bulk, A_surf, M_surf and the surface stiffness weighted per element
+    by w_surf, each summed from its own COO triplets: the bulk stiffness from
+    per-triangle gradients, the surface matrices from the four (i, i), (i, j),
+    (j, i), (j, j) blocks of the loop segments i -> j = i + 1 mod M."""
+    nodes, tris = mesh.nodes, mesh.triangles
+    p = nodes[tris]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    g = np.empty((len(tris), 3, 2))
+    for a in range(3):
+        edge = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
+        g[:, a, 0] = -edge[:, 1]
+        g[:, a, 1] = edge[:, 0]
+    g /= (2.0 * areas)[:, None, None]
+    ke = np.einsum("tad,tbd,t->tab", g, g, areas)
+    rows, cols = np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, (1, 3)).ravel()
+    nb = mesh.num_nodes
+    A_bulk = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nb, nb)).tocsr()
+
+    M = mesh.num_surface_nodes
+    h = mesh.surface_edge_lengths()
+    i = np.arange(M)
+    j = (i + 1) % M
+    rows, cols = np.concatenate([i, i, j, j]), np.concatenate([i, j, i, j])
+
+    def surface(diag, off):
+        data = np.concatenate([diag, off, off, diag])
+        return sp.coo_matrix((data, (rows, cols)), shape=(M, M)).tocsr()
+
+    w = w_surf / h
+    return {
+        "A_bulk": A_bulk,
+        "A_surf": surface(1.0 / h, -1.0 / h),
+        "M_surf": surface(h / 3.0, h / 6.0),
+        "surf_weighted_stiffness": surface(w, -w),
+    }

@@ -15,7 +15,9 @@ from bscahn.assembly import (
     sigma,
 )
 
-from _oracles import dense_poincare, dense_solve_S
+from bscahn.mesh import generate_unit_square
+
+from _oracles import dense_poincare, dense_solve_S, p1_operators_by_blocks
 
 CP = CouplingParams(K=1.0, L=1.0, alpha=0.5, beta=2.0)
 
@@ -107,6 +109,27 @@ class TestQuadratureLoads:
         )
         assert np.array_equal(ops4.tri_quad_load(qb), ref_b)
         assert np.array_equal(ops4.surf_quad_load(qs), ref_s)
+
+
+class TestElementScatter:
+    @pytest.mark.parametrize("n", [2, 3, 33])
+    def test_operators_equal_the_per_block_formulas_bitwise(self, n, rng):
+        # every P1 operator goes through one element-matrix scatter; summing
+        # at most two terms per surface entry leaves each bit where the
+        # hand-built blocks put it (n = 3 and 33 catch h * (1/3) for h / 3)
+        ops = assemble(generate_unit_square(n))
+        w = rng.uniform(0.1, 2.0, ops.n_surf)
+        ref = p1_operators_by_blocks(ops.mesh, w)
+        got = {
+            "A_bulk": ops.A_bulk,
+            "A_surf": ops.A_surf,
+            "M_surf": ops.M_surf,
+            "surf_weighted_stiffness": ops.surf_weighted_stiffness(w),
+        }
+        for name, mat in got.items():
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(mat, part), getattr(ref[name], part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
 
 
 class TestBilinearForms:

@@ -207,6 +207,16 @@ class TestCommands:
         assert code == 1
         assert "error: config:" in capsys.readouterr().err
 
+    def test_mesh_file_with_huge_counts_is_one_config_error(self, tmp_path, capsys):
+        mesh_file = tmp_path / "huge.txt"
+        mesh_file.write_text("bsmesh 1\n1000000000000 1\n0 0\n1 0\n0 1\n0 1 2\n")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"[mesh]\npath = {mesh_file}\n")
+        code = run_cli("mesh", "--config", str(cfg), "--out", str(tmp_path / "m"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["error: config: line 7, column 1: unexpected end of file"]
+
     def test_missing_config_exit_code(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.cfg")) == 1
 

@@ -12,9 +12,7 @@ from bscahn.diagnostics import (
     separation_report,
     strong_estimate_monitor,
     trace_interpolation_report,
-    velocity_h1_norm,
-    velocity_l2_norm,
-    velocity_l3_norm,
+    velocity_norms,
     yosida_convergence_study,
 )
 from bscahn.potentials import PotentialSpec, YosidaParams
@@ -43,21 +41,21 @@ def admissible_random(ops, cp, rng, mean=0.05, amp=0.3):
 
 class TestVelocityNorms:
     def test_zero_field(self, ops4):
-        assert velocity_l2_norm(ops4, ZeroVelocity(), 0.0) == 0.0
-        assert velocity_h1_norm(ops4, ZeroVelocity(), 0.0) == 0.0
+        assert velocity_norms(ops4, ZeroVelocity(), 0.0)[0] == 0.0
+        assert velocity_norms(ops4, ZeroVelocity(), 0.0)[2] == 0.0
 
     def test_l2_scales_linearly(self, ops4):
         f = StreamFunctionVelocity(amplitude=1.0, profile="sine")
-        assert velocity_l2_norm(ops4, f.scaled(3.0), 0.0) == pytest.approx(
-            3.0 * velocity_l2_norm(ops4, f, 0.0), rel=1e-12
+        assert velocity_norms(ops4, f.scaled(3.0), 0.0)[0] == pytest.approx(
+            3.0 * velocity_norms(ops4, f, 0.0)[0], rel=1e-12
         )
 
     def test_norm_ordering(self, ops8):
         f = StreamFunctionVelocity(amplitude=1.0, profile="sine")
-        l2 = velocity_l2_norm(ops8, f, 0.0)
-        h1 = velocity_h1_norm(ops8, f, 0.0)
+        l2 = velocity_norms(ops8, f, 0.0)[0]
+        h1 = velocity_norms(ops8, f, 0.0)[2]
         assert 0 < l2 < h1
-        assert velocity_l3_norm(ops8, f, 0.0) > 0
+        assert velocity_norms(ops8, f, 0.0)[1] > 0
 
 
 class TestMeanCompatibleDirection:

@@ -8,7 +8,18 @@ from bscahn.mesh import (
     generate_unit_square,
     load_mesh,
     save_mesh,
+    triangle_edges,
 )
+
+from _oracles import edges_by_dict
+
+
+def write_mesh(path, nodes, tris):
+    lines = ["bsmesh 1", f"{len(nodes)} {len(tris)}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in nodes]
+    lines += [f"{a} {b} {c}" for a, b, c in tris]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def test_counts_on_coarsest_grid(mesh2):
@@ -169,3 +180,86 @@ def test_load_ignores_comments(tmp_path):
 def test_mesh_arrays_are_immutable(mesh2):
     with pytest.raises(ValueError):
         mesh2.nodes[0, 0] = 5.0
+
+
+def shuffled_unit_square(tmp_path, n):
+    """generate_unit_square(n) saved with its triangles in reverse order, each
+    rotated by its index mod 3, and loaded back."""
+    mesh = generate_unit_square(n)
+    tris = [np.roll(tri, k % 3) for k, tri in enumerate(mesh.triangles[::-1])]
+    return load_mesh(write_mesh(tmp_path / "shuffled.txt", mesh.nodes, tris))
+
+
+@pytest.mark.parametrize("which", ["generated", "shuffled"])
+def test_triangle_edges_match_a_dict_loop(which, tmp_path):
+    mesh = generate_unit_square(4) if which == "generated" else shuffled_unit_square(tmp_path, 4)
+    edges, tri_edges, counts = triangle_edges(mesh.triangles)
+    ref_edges, ref_tri_edges, ref_counts = edges_by_dict(mesh.triangles)
+    assert np.array_equal(edges, ref_edges)
+    assert np.array_equal(tri_edges, ref_tri_edges)
+    assert np.array_equal(counts, ref_counts)
+    assert mesh.num_nodes - len(edges) + mesh.num_triangles == 1
+    # boundary edges are the ones in a single triangle
+    assert int(np.sum(counts == 1)) == mesh.num_surface_nodes
+
+
+def test_shuffled_triangles_keep_the_boundary_loop(tmp_path):
+    mesh = shuffled_unit_square(tmp_path, 4)
+    ref = generate_unit_square(4)
+    assert np.array_equal(mesh.surface_nodes, ref.surface_nodes)
+    assert np.array_equal(mesh.arc_lengths, ref.arc_lengths)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_unit_square_triangles_by_nested_loops(n):
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a, b = j * (n + 1) + i, j * (n + 1) + i + 1
+            c, d = (j + 1) * (n + 1) + i + 1, (j + 1) * (n + 1) + i
+            tris += [(a, b, c), (a, c, d)]
+    mesh = generate_unit_square(n)
+    assert mesh.triangles.dtype == np.int64
+    assert np.array_equal(mesh.triangles, np.array(tris))
+
+
+def test_bow_tie_is_non_manifold(tmp_path):
+    # two triangles touching only at node 0
+    nodes = [(0, 0), (1, 0), (1, 1), (-1, 0), (-1, -1)]
+    path = write_mesh(tmp_path / "bowtie.txt", nodes, [(0, 1, 2), (0, 3, 4)])
+    with pytest.raises(MeshError, match="non-manifold boundary at node 0$"):
+        load_mesh(path)
+
+
+def test_edge_in_three_triangles_is_rejected(tmp_path):
+    nodes = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)]
+    path = write_mesh(tmp_path / "fan.txt", nodes, [(0, 1, 2), (1, 0, 3), (0, 1, 4)])
+    with pytest.raises(MeshError) as err:
+        load_mesh(path)
+    assert str(err.value) == f"{path}: edge (0, 1) shared by 3 triangles"
+
+
+def test_load_checks_counts_before_allocating(tmp_path):
+    # a trillion nodes announced, three given: a format error, not an
+    # attempt to allocate the announced arrays
+    path = tmp_path / "huge.txt"
+    path.write_text("bsmesh 1\n1000000000000 1\n0 0\n1 0\n0 1\n0 1 2\n")
+    with pytest.raises(MeshFormatError, match="unexpected end of file"):
+        load_mesh(str(path))
+
+
+def test_node_index_past_int64_is_a_format_error(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("bsmesh 1\n3 1\n0 0\n1 0\n0 1\n0 1 100000000000000000000\n")
+    with pytest.raises(MeshFormatError, match="bad node index") as err:
+        load_mesh(str(path))
+    assert (err.value.line, err.value.column) == (6, 5)
+
+
+@pytest.mark.parametrize("counts, column", [("-5 1", 1), ("3 0", 3)])
+def test_mesh_too_small_points_at_the_count(counts, column, tmp_path):
+    path = tmp_path / "small.txt"
+    path.write_text(f"bsmesh 1\n{counts}\n0 0\n1 0\n0 1\n0 1 2\n")
+    with pytest.raises(MeshFormatError, match="mesh too small") as err:
+        load_mesh(str(path))
+    assert (err.value.line, err.value.column) == (2, column)

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bscahn.assembly import BulkSurfacePair
+from bscahn.assembly import BulkSurfacePair, assemble
+from bscahn.mesh import generate_unit_square
 from bscahn.stepper import StepperConfig, TimeStepper
 from bscahn.assembly import CouplingParams
 from bscahn.velocity import (
@@ -100,6 +102,23 @@ class TestAdmissibility:
         assert rep.passed
         assert rep.weak_divergence_max <= 1e-12
         assert rep.boundary_normal_max <= 1e-12
+
+    @pytest.mark.parametrize("profile", ["sine", "sine2"])
+    def test_stream_fields_pass_on_a_jittered_reordered_mesh(self, profile):
+        # interior nodes moved, triangles in reverse order and each rotated,
+        # so every local edge k of the edge table is exercised; the boundary
+        # loop does not change
+        mesh = generate_unit_square(6)
+        nodes = mesh.nodes.copy()
+        interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.surface_nodes)
+        nodes[interior] += np.random.default_rng(5).uniform(-0.03, 0.03, (len(interior), 2))
+        tris = np.array([np.roll(tri, k % 3) for k, tri in enumerate(mesh.triangles[::-1])])
+        moved = replace(mesh, nodes=nodes, triangles=tris)
+        rep = discrete_admissibility(
+            StreamFunctionVelocity(profile=profile), moved, assemble(moved)
+        )
+        assert rep.passed
+        assert rep.weak_divergence_max <= 1e-12
 
     def test_slip_field_divergence_free(self, mesh4, ops4):
         rep = discrete_admissibility(SurfaceSlipVelocity(speed=1.0), mesh4, ops4)
