@@ -282,21 +282,32 @@ class FemOperators:
     # -- coupled bilinear forms -------------------------------------------------
 
     def coupling_matrix(self, sig: float, weight: float) -> sp.csr_matrix:
-        """sig * E^T M_surf E with E x = weight * x_surf - trace(x_bulk)."""
-        nb, ns = self.n_bulk, self.n_surf
-        if sig == 0.0:
-            return sp.csr_matrix((nb + ns, nb + ns))
-        R, Ms = self.trace, self.M_surf
-        Qbb = R.T @ Ms @ R
-        Qbs = -weight * (R.T @ Ms)
-        Qss = weight * weight * Ms
-        return sig * sp.bmat([[Qbb, Qbs], [Qbs.T, Qss]], format="csr")
+        """sig * E^T M_surf E with E x = weight * x_surf - trace(x_bulk);
+        built once per (sig, weight), and shared, so never to be modified."""
+        key = ("coupling_matrix", sig, weight)
+        if key not in self._cache:
+            nb, ns = self.n_bulk, self.n_surf
+            if sig == 0.0:
+                Q = sp.csr_matrix((nb + ns, nb + ns))
+            else:
+                R, Ms = self.trace, self.M_surf
+                Qbb = R.T @ Ms @ R
+                Qbs = -weight * (R.T @ Ms)
+                Qss = weight * weight * Ms
+                Q = sig * sp.bmat([[Qbb, Qbs], [Qbs.T, Qss]], format="csr")
+            self._cache[key] = Q
+        return self._cache[key]
 
     def form_matrix(self, sig: float, weight: float) -> sp.csr_matrix:
-        base = sp.block_diag([self.A_bulk, self.A_surf], format="csr")
-        if sig == 0.0:
-            return base
-        return (base + self.coupling_matrix(sig, weight)).tocsr()
+        """diag(A_bulk, A_surf) plus :meth:`coupling_matrix`; built once per
+        (sig, weight), and shared, so never to be modified."""
+        key = ("form_matrix", sig, weight)
+        if key not in self._cache:
+            base = sp.block_diag([self.A_bulk, self.A_surf], format="csr")
+            if sig != 0.0:
+                base = (base + self.coupling_matrix(sig, weight)).tocsr()
+            self._cache[key] = base
+        return self._cache[key]
 
     def _coupling_deficit(self, a: BulkSurfacePair, weight: float) -> np.ndarray:
         return weight * a.surf - self.trace @ a.bulk
@@ -398,7 +409,10 @@ class FemOperators:
             rows = np.concatenate([self.interior_nodes, self.mesh.surface_nodes, np.arange(nb, nb + ns)])
             cols = np.concatenate([np.arange(ni), ni + np.arange(ns), ni + np.arange(ns)])
             data = np.concatenate([np.ones(ni), np.full(ns, float(weight)), np.ones(ns)])
-            self._cache[key] = sp.coo_matrix((data, (rows, cols)), shape=(nb + ns, ni + ns)).tocsr()
+            P = sp.coo_matrix((data, (rows, cols)), shape=(nb + ns, ni + ns)).tocsr()
+            self._cache[key] = P
+            # for reduce; the identity of a cached P is stable while it is cached
+            self._cache[("prol.T", id(P))] = P.T
         return self._cache[key]
 
     def reduction(self, value: float, weight: float) -> sp.csr_matrix | None:
@@ -414,10 +428,12 @@ class FemOperators:
             self._cache["mass"] = sp.block_diag([self.M_bulk, self.M_surf], format="csr")
         return self._cache["mass"]
 
-    @staticmethod
-    def reduce(vec: np.ndarray, P) -> np.ndarray:
+    def reduce(self, vec: np.ndarray, P) -> np.ndarray:
         """Test a full load vector against the reduced basis: P^T vec."""
-        return vec if P is None else P.T @ vec
+        if P is None:
+            return vec
+        PT = self._cache.get(("prol.T", id(P)))
+        return (P.T if PT is None else PT) @ vec
 
     @staticmethod
     def prolong(red: np.ndarray, P) -> np.ndarray:
@@ -563,17 +579,18 @@ class FemOperators:
         )
 
 
-def damped_newton(evaluate, direction, x, tol, max_iter, max_trials, error, history):
+def damped_newton(evaluate, direction, x, tol, max_iter, max_trials, error, history, start=None):
     """Damped Newton with a halving line search from x; returns (x, aux, iterations, trials).
 
     ``evaluate(x)`` gives (residual, aux), ``direction(aux, rhs)`` the Newton
-    step at the iterate aux belongs to.  It stops once the residual max-norm,
+    step at the iterate aux belongs to; ``start``, when given, is
+    ``evaluate(x)`` already computed.  It stops once the residual max-norm,
     appended to history per iterate, is at most tol.  A trial is accepted
     when it lowers the 2-norm or meets tol, and becomes the next iterate with
     its aux.  A stalled line search or a miss after max_iter updates raises
     ``error(message, history)``.
     """
-    r, aux = evaluate(x)
+    r, aux = evaluate(x) if start is None else start
     trials = 0
     for it in range(max_iter + 1):
         rnorm = float(np.abs(r).max(initial=0.0))

@@ -74,11 +74,8 @@ class EllipticSolution:
 
 
 def _operators(ops: FemOperators, cp: CouplingParams):
-    """(P, stiffness) of the (K, alpha)-form, built once per operator set."""
-    key = ("form", cp.K, cp.alpha)
-    if key not in ops._cache:
-        ops._cache[key] = (ops.reduction(cp.K, cp.alpha), ops.form_matrix(cp.sigma_K, cp.alpha))
-    return ops._cache[key]
+    """(P, stiffness) of the (K, alpha)-form; the operator set caches both."""
+    return ops.reduction(cp.K, cp.alpha), ops.form_matrix(cp.sigma_K, cp.alpha)
 
 
 def _newton_pattern(ops: FemOperators, cp: CouplingParams, shifted: bool):

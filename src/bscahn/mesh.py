@@ -214,9 +214,12 @@ def load_mesh(path: str) -> Mesh:
     def take_number(kind, what: str):
         tok, ln, col = take()
         try:
-            return kind(tok)
+            value = kind(tok)
         except (ValueError, OverflowError):
-            raise MeshFormatError(f"bad {what} {tok!r}", ln, col) from None
+            value = np.nan
+        if not np.isfinite(value):  # float() also reads nan and inf
+            raise MeshFormatError(f"bad {what} {tok!r}", ln, col)
+        return value
 
     take("bsmesh")
     version, ln, col = take()

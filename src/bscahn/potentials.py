@@ -13,6 +13,7 @@ All evaluators are numpy-vectorized and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,15 +144,16 @@ def yosida_resolvent(r, theta: float, yp: YosidaParams):
     root saturates toward +-1 are re-solved for the gap t = 1 - |s| in log
     space, which stays well conditioned down to the denormal floor.  The
     result may then round to exactly +-1.0; downstream maps handle that via
-    the continuous extension of f1 and the 1/lam curvature cap.
+    the continuous extension of f1 and the 1/lam curvature cap.  Both
+    iterations go on only with the entries that have not converged yet; the
+    arithmetic of an entry does not depend on the others.
     """
     r_arr = np.asarray(r, dtype=float)
     scalar = r_arr.ndim == 0
-    rv = np.atleast_1d(r_arr).astype(float).copy()
+    rv = np.atleast_1d(r_arr).astype(float)
     lam = yp.lam
     if theta == 0.0:
-        out = rv.copy()
-        return float(out[0]) if scalar else out
+        return float(rv[0]) if scalar else rv
 
     half = theta / 2.0
     sign = np.where(rv < 0, -1.0, 1.0)
@@ -159,64 +161,96 @@ def yosida_resolvent(r, theta: float, yp: YosidaParams):
 
     s_hi = 1.0 - _SATURATION
     r_switch = s_hi + lam * half * np.log((2.0 - _SATURATION) / _SATURATION)
-    interior = ra < r_switch
+    interior = ra < r_switch  # False for NaN
 
-    out = np.empty_like(rv)
-
-    # interior entries: Newton with bisection fallback on a fixed bracket
-    if np.any(interior):
-        ri = ra[interior]
-        lo = np.zeros_like(ri)  # g(0) = -ri <= 0
-        hi = np.full_like(ri, 1.0 - _TINY_GAP)
-        s = np.clip(ri, 0.0, 1.0 - 1e-6)
-        converged = np.zeros(ri.shape, dtype=bool)
-        for _ in range(yp.resolvent_max_iter):
-            g = s + lam * half * np.log((1.0 + s) / (1.0 - s)) - ri
-            converged = np.abs(g) <= yp.resolvent_tol
-            if np.all(converged):
-                break
-            lo = np.where(g < 0, s, lo)
-            hi = np.where(g > 0, s, hi)
-            gp = 1.0 + lam * theta / (1.0 - s * s)
-            s_new = s - g / gp
-            outside = (s_new <= lo) | (s_new >= hi)
-            s_new = np.where(outside, 0.5 * (lo + hi), s_new)
-            s = np.where(converged, s, s_new)
-        else:
-            if not np.all(converged):
-                k = int(np.argmin(converged.ravel()))
-                raise ResolventError(
-                    f"resolvent did not reach tol {yp.resolvent_tol:g} in "
-                    f"{yp.resolvent_max_iter} iterations",
-                    bracket=(float(lo.ravel()[k]), float(hi.ravel()[k])),
-                )
-        out[interior] = s
-
-    # saturated entries: solve for u = ln t, t = 1 - s, with a u-bracket
-    sat = ~interior
-    if np.any(sat):
-        rs = ra[sat]
-        c = lam * half
-        u_lo = np.full_like(rs, np.log(5e-324))  # h(u_lo) > 0 or t underflows
-        u_hi = np.full_like(rs, np.log(_SATURATION))
-        u = np.clip((1.0 - rs + c * np.log(2.0)) / c, u_lo, u_hi)
-        for _ in range(yp.resolvent_max_iter):
-            t = np.exp(u)
-            h = (1.0 - t) + c * (np.log(2.0 - t) - u) - rs
-            done = np.abs(h) <= yp.resolvent_tol * np.maximum(1.0, np.abs(rs))
-            if np.all(done):
-                break
-            u_lo = np.where(h > 0, u, u_lo)  # h decreasing in u
-            u_hi = np.where(h < 0, u, u_hi)
-            hp = -t - c * (t / (2.0 - t) + 1.0)
-            u_new = u - h / hp
-            outside = (u_new <= u_lo) | (u_new >= u_hi)
-            u_new = np.where(outside, 0.5 * (u_lo + u_hi), u_new)
-            u = np.where(done, u, u_new)
-        out[sat] = 1.0 - np.exp(u)
+    if interior.all():
+        out = _interior_roots(ra.ravel(), lam, theta, yp).reshape(ra.shape)
+    else:
+        out = np.empty_like(rv)
+        if np.any(interior):
+            out[interior] = _interior_roots(ra[interior], lam, theta, yp)
+        sat = ~interior
+        out[sat] = _saturated_roots(ra[sat], lam * half, yp)
 
     out *= sign
     return float(out[0]) if scalar else out
+
+
+def _interior_roots(ri, lam: float, theta: float, yp: YosidaParams) -> np.ndarray:
+    """Roots for 0 <= ri < r_switch: Newton with bisection fallback on a fixed
+    bracket, each entry frozen once its residual is within tol.  Frozen
+    entries leave the arrays once they are at least half of them."""
+    half = theta / 2.0
+    frozen = active = None  # roots of the entries that left, and the rest's indices
+    lo = np.zeros_like(ri)  # g(0) = -ri <= 0
+    hi = np.full_like(ri, 1.0 - _TINY_GAP)
+    s = np.minimum(ri, 1.0 - 1e-6)  # the clip to [0, 1 - 1e-6]: ri >= 0
+    for _ in range(yp.resolvent_max_iter):
+        g = s + lam * half * np.log((1.0 + s) / (1.0 - s)) - ri
+        converged = np.abs(g) <= yp.resolvent_tol
+        n_converged = np.count_nonzero(converged)
+        if n_converged == s.size:
+            if frozen is None:
+                return s
+            frozen[active] = s
+            return frozen
+        if 2 * n_converged >= s.size:
+            if frozen is None:
+                frozen, active = np.empty_like(s), np.arange(s.size)
+            frozen[active[converged]] = s[converged]
+            keep = ~converged
+            active, ri, s, g, lo, hi = active[keep], ri[keep], s[keep], g[keep], lo[keep], hi[keep]
+            n_converged = 0
+        lo = np.where(g < 0, s, lo)
+        hi = np.where(g > 0, s, hi)
+        gp = 1.0 + lam * theta / (1.0 - s * s)
+        s_new = s - g / gp
+        outside = (s_new <= lo) | (s_new >= hi)
+        s_new = np.where(outside, 0.5 * (lo + hi), s_new)
+        s = np.where(converged, s, s_new) if n_converged else s_new
+    k = int(np.argmin(converged)) if n_converged else 0  # first unconverged entry
+    raise ResolventError(
+        f"resolvent did not reach tol {yp.resolvent_tol:g} in "
+        f"{yp.resolvent_max_iter} iterations",
+        bracket=(float(lo[k]), float(hi[k])),
+    )
+
+
+def _saturated_roots(rs, c: float, yp: YosidaParams) -> np.ndarray:
+    """Roots for rs >= r_switch or NaN (c = lam*theta/2): safeguarded Newton
+    on u = ln t, t = 1 - s, with a u-bracket, each entry frozen once its
+    residual is within tol, as in :func:`_interior_roots`; an entry that never
+    gets there keeps its last iterate."""
+    frozen = active = None
+    u_lo = np.full_like(rs, np.log(5e-324))  # h(u_lo) > 0 or t underflows
+    u_hi = np.full_like(rs, np.log(_SATURATION))
+    u = np.clip((1.0 - rs + c * np.log(2.0)) / c, u_lo, u_hi)
+    for _ in range(yp.resolvent_max_iter):
+        t = np.exp(u)
+        h = (1.0 - t) + c * (np.log(2.0 - t) - u) - rs
+        done = np.abs(h) <= yp.resolvent_tol * np.maximum(1.0, np.abs(rs))
+        n_done = np.count_nonzero(done)
+        if n_done == u.size:
+            break
+        if 2 * n_done >= u.size:
+            if frozen is None:
+                frozen, active = np.empty_like(u), np.arange(u.size)
+            frozen[active[done]] = u[done]
+            keep = ~done
+            active, rs, u, t, h = active[keep], rs[keep], u[keep], t[keep], h[keep]
+            u_lo, u_hi = u_lo[keep], u_hi[keep]
+            n_done = 0
+        u_lo = np.where(h > 0, u, u_lo)  # h decreasing in u
+        u_hi = np.where(h < 0, u, u_hi)
+        hp = -t - c * (t / (2.0 - t) + 1.0)
+        u_new = u - h / hp
+        outside = (u_new <= u_lo) | (u_new >= u_hi)
+        u_new = np.where(outside, 0.5 * (u_lo + u_hi), u_new)
+        u = np.where(done, u, u_new) if n_done else u_new
+    if frozen is not None:
+        frozen[active] = u
+        u = frozen
+    return 1.0 - np.exp(u)
 
 
 def yosida_prime(r, theta: float, yp: YosidaParams):
@@ -226,17 +260,25 @@ def yosida_prime(r, theta: float, yp: YosidaParams):
     return (r_arr - j) / yp.lam
 
 
-def yosida_value(r, theta: float, yp: YosidaParams):
-    """Moreau envelope |r - J|^2 / (2 lam) + f1(J), J the resolvent."""
+def yosida_value(r, theta: float, yp: YosidaParams, j=None):
+    """Moreau envelope |r - J|^2 / (2 lam) + f1(J), J the resolvent.
+
+    ``j``, when given, must be ``yosida_resolvent(r, theta, yp)``.
+    """
     r_arr = np.asarray(r, dtype=float)
-    j = yosida_resolvent(r_arr, theta, yp)
+    if j is None:
+        j = yosida_resolvent(r_arr, theta, yp)
     return (r_arr - j) ** 2 / (2.0 * yp.lam) + f1(np.clip(j, -1.0, 1.0), theta)
 
 
-def yosida_derivatives(r, theta: float, yp: YosidaParams):
-    """(yosida_prime, yosida_second) at r from a single resolvent evaluation."""
+def yosida_derivatives(r, theta: float, yp: YosidaParams, j=None):
+    """(yosida_prime, yosida_second) at r from a single resolvent evaluation.
+
+    ``j``, when given, must be ``yosida_resolvent(r, theta, yp)``.
+    """
     r_arr = np.asarray(r, dtype=float)
-    j = yosida_resolvent(r_arr, theta, yp)
+    if j is None:
+        j = yosida_resolvent(r_arr, theta, yp)
     prime = (r_arr - j) / yp.lam
     j = np.atleast_1d(np.asarray(j))
     if theta == 0.0:
@@ -259,16 +301,35 @@ def yosida_second(r, theta: float, yp: YosidaParams):
     return yosida_derivatives(r, theta, yp)[1]
 
 
+class ConvexTerms(NamedTuple):
+    """The regularized convex part at one pair vector, each as (bulk, surface):
+    the quadrature values r, their resolvents j and curvatures, and the
+    concatenated nodal load."""
+
+    r: tuple
+    j: tuple
+    curvature: tuple
+    load: np.ndarray
+
+
+def convex_terms(ops, full: np.ndarray, pot: PotentialSpec, yp: YosidaParams) -> ConvexTerms:
+    """Evaluate the regularized convex part at a full pair vector; one
+    resolvent call per field.  ``ops`` is the mesh's ``FemOperators``."""
+    qb = ops.bulk_at_tri_quad(full[: ops.n_bulk])
+    qs = ops.surf_at_quad(full[ops.n_bulk :])
+    jb = yosida_resolvent(qb, pot.theta, yp)
+    js = yosida_resolvent(qs, pot.theta_surf, yp)
+    prime_b, second_b = yosida_derivatives(qb, pot.theta, yp, jb)
+    prime_s, second_s = yosida_derivatives(qs, pot.theta_surf, yp, js)
+    load = np.concatenate([ops.tri_quad_load(prime_b), ops.surf_quad_load(prime_s)])
+    return ConvexTerms((qb, qs), (jb, js), (second_b, second_s), load)
+
+
 def convex_load(ops, full: np.ndarray, pot: PotentialSpec, yp: YosidaParams):
     """Nodal load of the regularized convex part at a full pair vector, with
-    its quadrature curvature (bulk, surface); one resolvent call per field.
-
-    ``ops`` is the mesh's ``FemOperators``.
-    """
-    prime_b, second_b = yosida_derivatives(ops.bulk_at_tri_quad(full[: ops.n_bulk]), pot.theta, yp)
-    prime_s, second_s = yosida_derivatives(ops.surf_at_quad(full[ops.n_bulk :]), pot.theta_surf, yp)
-    load = np.concatenate([ops.tri_quad_load(prime_b), ops.surf_quad_load(prime_s)])
-    return load, (second_b, second_s)
+    its quadrature curvature (bulk, surface); see :func:`convex_terms`."""
+    terms = convex_terms(ops, full, pot, yp)
+    return terms.load, terms.curvature
 
 
 # -- domination diagnostic ---------------------------------------------------

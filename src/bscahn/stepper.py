@@ -18,6 +18,7 @@ points (see assembly module notes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,9 +34,11 @@ from .assembly import (
     damped_newton,
 )
 from .potentials import (
+    ConvexTerms,
     PotentialSpec,
     YosidaParams,
     convex_load,
+    convex_terms,
     f2,
     f2_prime,
     yosida_value,
@@ -128,6 +131,22 @@ class EnergyBreakdown:
     @property
     def total(self) -> float:
         return self.grad_bulk + self.grad_surf + self.pot_bulk + self.pot_surf + self.coupling
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """What one step of :meth:`TimeStepper.run` hands to the next.
+
+    ``energy`` is the energy of the state the next step starts from, and
+    ``convex`` the convex terms at that state's phase vector as the step's
+    Newton solve accepted it (None before the first step).  ``bulk_velocity``
+    maps a time to the run's bulk velocity at the triangle quadrature points
+    (None: the step samples its field).
+    """
+
+    energy: EnergyBreakdown
+    convex: ConvexTerms | None = None
+    bulk_velocity: Callable | None = None
 
 
 @dataclass
@@ -243,14 +262,24 @@ class TimeStepper:
 
     # -- loads -------------------------------------------------------------------
 
-    def convection_load(self, pair: BulkSurfacePair, field_: VelocityField, t: float) -> np.ndarray:
-        """Transport load pair: integrals of (old field) * velocity . grad(test)."""
+    def convection_load(
+        self, pair: BulkSurfacePair, field_: VelocityField, t: float, bulk_velocity=None
+    ) -> np.ndarray:
+        """Transport load pair: integrals of (old field) * velocity . grad(test).
+
+        ``bulk_velocity``, when given, is the field's
+        :meth:`~bscahn.velocity.VelocityField.bulk_sampler` at the triangle
+        quadrature points.
+        """
         ops = self.ops
         out = np.zeros(ops.n_bulk + ops.n_surf)
         if field_.is_zero:
             return out
-        qc = ops.tri_qcoords
-        v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
+        if bulk_velocity is None:
+            qc = ops.tri_qcoords
+            v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
+        else:
+            v = bulk_velocity(t)
         if np.any(v):
             phi_q = ops.bulk_at_tri_quad(pair.bulk)
             # flux[a, t]: the load of triangle t on its local node a
@@ -276,14 +305,22 @@ class TimeStepper:
 
     # -- observables ---------------------------------------------------------------
 
-    def energy(self, pair: BulkSurfacePair) -> EnergyBreakdown:
-        """Free energy with the regularized potential; quadrature-exact gradients."""
+    def energy(self, pair: BulkSurfacePair, convex: ConvexTerms | None = None) -> EnergyBreakdown:
+        """Free energy with the regularized potential; quadrature-exact gradients.
+
+        ``convex``, when given, must be :func:`~bscahn.potentials.convex_terms`
+        at ``ops.to_vector(pair)``; its quadrature values and resolvents are
+        used instead of evaluating them again.
+        """
         ops, pot, yp, cp = self.ops, self.cfg.pot, self.cfg.yp, self.cfg.cp
-        qb = ops.bulk_at_tri_quad(pair.bulk)
-        qs = ops.surf_at_quad(pair.surf)
-        pot_b = ops.tri_quad_integral(yosida_value(qb, pot.theta, yp) + f2(qb, pot.theta_c))
+        if convex is None:
+            qb, qs = ops.bulk_at_tri_quad(pair.bulk), ops.surf_at_quad(pair.surf)
+            jb = js = None
+        else:
+            (qb, qs), (jb, js) = convex.r, convex.j
+        pot_b = ops.tri_quad_integral(yosida_value(qb, pot.theta, yp, jb) + f2(qb, pot.theta_c))
         pot_s = ops.surf_quad_integral(
-            yosida_value(qs, pot.theta_surf, yp) + f2(qs, pot.theta_c_surf)
+            yosida_value(qs, pot.theta_surf, yp, js) + f2(qs, pot.theta_c_surf)
         )
         coupling = 0.0
         if cp.sigma_K != 0.0:
@@ -348,41 +385,48 @@ class TimeStepper:
             self._jac_base = base
         return base
 
-    def _evaluate(self, u_red, w_red, explicit_A, diss, concave):
-        """Residual pair of the step system plus the curvature at the iterate."""
+    def _evaluate(self, u_red, w_red, explicit_A, diss, concave, convex=None):
+        """Residual pair of the step system, the convex terms at the phase
+        iterate, and the full iterate vectors.  ``convex``, when given, must be
+        :func:`convex_terms` at the prolonged phase iterate."""
         ops, dt = self.ops, self.cfg.dt
         u_full = ops.prolong(u_red, self.P_K)
         w_full = ops.prolong(w_red, self.P_L)
-        convex, curvature = convex_load(ops, u_full, self.cfg.pot, self.cfg.yp)
+        if convex is None:
+            convex = convex_terms(ops, u_full, self.cfg.pot, self.cfg.yp)
         res_a = ops.reduce(self.mass @ u_full + dt * (diss @ w_full) - explicit_A, self.P_L)
         res_b = ops.reduce(
-            self.mass @ w_full - self.stiff_K @ u_full - convex - concave, self.P_K
+            self.mass @ w_full - self.stiff_K @ u_full - convex.load - concave, self.P_K
         )
-        return res_a, res_b, curvature, u_full, w_full
+        return res_a, res_b, convex, u_full, w_full
 
     def step(
-        self, state: State, field_: VelocityField, energy_old: float | None = None
+        self, state: State, field_: VelocityField, record: StepRecord | None = None
     ) -> tuple[State, dict]:
         """Advance one implicit step; returns the new state and per-step data.
 
-        energy_old, when given, must be ``energy(state.phi_psi).total``; it
-        saves recomputing it.  The per-step data carries the new state's
-        energy breakdown under "energy", and under "factorizations" the step
-        Jacobian factorizations it made; the lagged factor is kept for the
-        next step until :meth:`run` ends.  A step that fails on a factor kept
-        from an earlier step is retried once on a fresh factor, so a raised
-        StepError is the one a fresh stepper raises from the same state; a
-        successful step matches it to the Newton tolerance, not bitwise.  The
-        accepted line-search trial is the next Newton iterate, residual and
-        curvature included.
+        record, when given, must be the "record" of the step that produced
+        ``state``, or before a first step ``StepRecord(energy(state.phi_psi))``;
+        what it holds is reused rather than computed again, with the same
+        result to the bit.  The per-step data carries the new state's energy
+        breakdown under "energy", the record for the next step under
+        "record", and under "factorizations" the step Jacobian factorizations
+        it made; the lagged factor is kept for the next step until :meth:`run`
+        ends.  A step that fails on a factor kept from an earlier step is
+        retried once on a fresh factor, from the same starting residual, so a
+        raised StepError is the one a fresh stepper raises from the same
+        state; a successful step matches it to the Newton tolerance, not
+        bitwise.  The accepted line-search trial is the next Newton iterate,
+        residual and convex terms included.
         """
         ops, cfg = self.ops, self.cfg
         dt = cfg.dt
         u_old = ops.to_vector(state.phi_psi)
         t_mid = state.t + 0.5 * dt
+        velocity = None if record is None else record.bulk_velocity
 
         diss = self.dissipation_matrix(state.phi_psi)
-        conv = self.convection_load(state.phi_psi, field_, t_mid)
+        conv = self.convection_load(state.phi_psi, field_, t_mid, velocity)
         concave = self._concave_load(state.phi_psi)
         explicit_A = self.mass @ u_old + dt * conv
 
@@ -392,63 +436,62 @@ class TimeStepper:
         nw = len(w_red)
         base = None
 
-        def evaluate(x):
-            res_a, res_b, curvature, u_full, w_full = self._evaluate(
-                x[nw:], x[:nw], explicit_A, diss, concave
+        def evaluate(x, convex=None):
+            res_a, res_b, convex, u_full, w_full = self._evaluate(
+                x[nw:], x[:nw], explicit_A, diss, concave, convex
             )
-            return np.concatenate([res_a, res_b]), (curvature, u_full, w_full)
+            return np.concatenate([res_a, res_b]), (convex, u_full, w_full)
 
         def direction(aux, rhs):
             nonlocal base
             if base is None:
                 base = self._jacobian_base(diss)
-            return self._jac.solve(base, aux[0], rhs)
+            return self._jac.solve(base, aux[0].curvature, rhs)
+
+        start = evaluate(x, None if record is None else record.convex)
 
         def newton():
             history = []
-            _, (_, u_full, w_full), iters, _ = damped_newton(
+            _, (convex, u_full, w_full), iters, _ = damped_newton(
                 evaluate, direction, x, cfg.newton_tol, cfg.newton_max_iter, 20,
-                lambda message, hist: StepError("step " + message, hist), history,
+                lambda message, hist: StepError("step " + message, hist), history, start,
             )
-            return u_full, w_full, iters, history[-1]
+            return convex, u_full, w_full, iters, history[-1]
 
         factors_before = self._factorizations()
         inherited = self._jac is not None and self._jac.factor.lu is not None
         try:
-            u_full, w_full, iters, resid = newton()
+            convex, u_full, w_full, iters, resid = newton()
         except StepError:
             if not inherited:
                 raise
             # retry on a factor of this step's own matrix, so that a failure
             # depends on (state, field, dt) alone, as on a fresh stepper
             self._jac.factor.drop()
-            u_full, w_full, iters, resid = newton()
+            convex, u_full, w_full, iters, resid = newton()
         new_state = State(
             phi_psi=ops.from_vector(u_full), mu_theta=ops.from_vector(w_full), t=state.t + dt
         )
-        info = self._step_info(state, new_state, conv, diss, iters, resid, energy_old)
-        info["factorizations"] = self._factorizations() - factors_before
+        energy = self.energy(new_state.phi_psi, convex)
+        energy_old = self.energy(state.phi_psi) if record is None else record.energy
+        w = ops.to_vector(new_state.mu_theta)
+        dissipation = float(w @ (diss @ w))
+        conv_work = float(conv @ w)
+        info = {
+            "newton_iters": iters,
+            "residual": resid,
+            "dissipation": dissipation,
+            "convection_work": conv_work,
+            "balance_residual": (energy.total - energy_old.total) / dt + dissipation - conv_work,
+            "energy": energy,
+            "factorizations": self._factorizations() - factors_before,
+            "record": StepRecord(energy, convex, velocity),
+        }
         return new_state, info
 
     def _factorizations(self) -> int:
         """Step Jacobian factorizations made so far by this stepper."""
         return 0 if self._jac is None else self._jac.factor.factorizations
-
-    def _step_info(self, old: State, new: State, conv, diss, iters, resid, energy_old) -> dict:
-        w = self.ops.to_vector(new.mu_theta)
-        dissipation = float(w @ (diss @ w))
-        conv_work = float(conv @ w)
-        e_new = self.energy(new.phi_psi)
-        if energy_old is None:
-            energy_old = self.energy(old.phi_psi).total
-        return {
-            "newton_iters": iters,
-            "residual": resid,
-            "dissipation": dissipation,
-            "convection_work": conv_work,
-            "balance_residual": (e_new.total - energy_old) / self.cfg.dt + dissipation - conv_work,
-            "energy": e_new,
-        }
 
     # -- trajectories ------------------------------------------------------------------
 
@@ -459,7 +502,11 @@ class TimeStepper:
         t_end: float,
         observers=(),
     ) -> Trajectory:
-        """March from t = 0 to t_end, collecting states and diagnostics rows."""
+        """March from t = 0 to t_end, collecting states and diagnostics rows.
+
+        Each step hands the next its :class:`StepRecord`; the quadrature
+        points never move, so the bulk velocity is sampled once per run.
+        """
         self.ops.check_initial_data(initial, self.cfg.cp)
         n_steps = int(round(t_end / self.cfg.dt))
         state = State(phi_psi=initial.copy(), mu_theta=self.initial_mu_theta(initial), t=0.0)
@@ -467,10 +514,15 @@ class TimeStepper:
         energy = self.energy(state.phi_psi)
         rows = [self._row(0, state, energy, {"newton_iters": 0, "dissipation": 0.0,
                                              "balance_residual": 0.0})]
+        velocity = None
+        if n_steps > 0 and not field_.is_zero:
+            qc = self.ops.tri_qcoords
+            velocity = field_.bulk_sampler(qc[..., 0], qc[..., 1])
+        record = StepRecord(energy, bulk_velocity=velocity)
         try:
             for k in range(1, n_steps + 1):
                 try:
-                    state, info = self.step(state, field_, energy_old=energy.total)
+                    state, info = self.step(state, field_, record)
                 except StepError as exc:
                     return Trajectory(
                         states=states,
@@ -478,8 +530,8 @@ class TimeStepper:
                         failure={"step": k, "error": str(exc), "history": exc.history},
                     )
                 states.append(state)
-                energy = info["energy"]
-                rows.append(self._row(k, state, energy, info))
+                record = info["record"]
+                rows.append(self._row(k, state, record.energy, info))
                 for obs in observers:
                     obs(state, info)
             return Trajectory(states=states, rows=rows)

@@ -136,6 +136,10 @@ class VelocityField:
         """Velocity Jacobian d v_i / d x_j, shape (..., 2, 2)."""
         raise NotImplementedError
 
+    def bulk_sampler(self, x, y):
+        """The map t -> sample_bulk(x, y, t) for points (x, y) that stay fixed."""
+        return functools.partial(self.sample_bulk, x, y)
+
     def sample_surface(self, s, t: float):
         """Tangential slip speed at arc-length position(s) s."""
         raise NotImplementedError
@@ -180,6 +184,12 @@ class ZeroVelocity(VelocityField):
         return True
 
 
+def _rotated(px, py, amp: float) -> np.ndarray:
+    """The velocity (amp d psi/dy, -amp d psi/dx) of a unit-amplitude stream
+    function's partials."""
+    return np.stack([amp * py, -amp * px], axis=-1)
+
+
 def _check_in_domain(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -219,42 +229,60 @@ class StreamFunctionVelocity(VelocityField):
             out = out + c * (sx * sy if self.profile == "sine" else sx**2 * sy**2)
         return self._envelope_amp(t) * out
 
-    def _partials(self, x, y):
-        """d psi/dx, d psi/dy and the three second partials, unit amplitude."""
+    def _first_partials(self, x, y):
+        """d psi/dx and d psi/dy at unit amplitude."""
         x, y = _check_in_domain(x, y)
         shape = np.broadcast_shapes(x.shape, y.shape)
         px = np.zeros(shape)
         py = np.zeros(shape)
+        for j, k, c in self.modes:
+            a, b = j * np.pi, k * np.pi
+            sx, sy = np.sin(a * x), np.sin(b * y)
+            if self.profile == "sine":
+                px += c * a * np.cos(a * x) * sy
+                py += c * b * sx * np.cos(b * y)
+            else:
+                # d/dx sin^2(ax) = a sin(2ax)
+                px += c * a * np.sin(2 * a * x) * sy**2
+                py += c * b * sx**2 * np.sin(2 * b * y)
+        return px, py
+
+    def _second_partials(self, x, y):
+        """The second partials of psi (xx, xy, yy) at unit amplitude."""
+        x, y = _check_in_domain(x, y)
+        shape = np.broadcast_shapes(x.shape, y.shape)
         pxx = np.zeros(shape)
         pxy = np.zeros(shape)
         pyy = np.zeros(shape)
         for j, k, c in self.modes:
             a, b = j * np.pi, k * np.pi
-            sx, cx = np.sin(a * x), np.cos(a * x)
-            sy, cy = np.sin(b * y), np.cos(b * y)
+            sx, sy = np.sin(a * x), np.sin(b * y)
             if self.profile == "sine":
-                px += c * a * cx * sy
-                py += c * b * sx * cy
+                cx, cy = np.cos(a * x), np.cos(b * y)
                 pxx += -c * a * a * sx * sy
                 pyy += -c * b * b * sx * sy
                 pxy += c * a * b * cx * cy
             else:
-                # d/dx sin^2(ax) = a sin(2ax)
                 s2x, s2y = np.sin(2 * a * x), np.sin(2 * b * y)
-                px += c * a * s2x * sy**2
-                py += c * b * sx**2 * s2y
                 pxx += c * 2 * a * a * np.cos(2 * a * x) * sy**2
                 pyy += c * 2 * b * b * sx**2 * np.cos(2 * b * y)
                 pxy += c * a * b * s2x * s2y
-        return px, py, pxx, pxy, pyy
+        return pxx, pxy, pyy
 
     def sample_bulk(self, x, y, t: float) -> np.ndarray:
-        px, py, *_ = self._partials(x, y)
-        amp = self._envelope_amp(t)
-        return np.stack([amp * py, -amp * px], axis=-1)
+        px, py = self._first_partials(x, y)
+        return _rotated(px, py, self._envelope_amp(t))
+
+    def bulk_sampler(self, x, y):
+        """The map t -> sample_bulk(x, y, t), from one sample_bulk call of the
+        unit-amplitude, time-constant field at (x, y); each call scales it."""
+        unit = replace(self, amplitude=1.0, envelope=ConstantEnvelope())
+        v = unit.sample_bulk(x, y, 0.0)
+        px, py = -v[..., 1], v[..., 0]  # exact: the unit samples are (py, -px)
+        return lambda t: _rotated(px, py, self._envelope_amp(t))
 
     def bulk_gradient(self, x, y, t: float) -> np.ndarray:
-        _, _, pxx, pxy, pyy = self._partials(x, y)
+        pxx, pxy, pyy = self._second_partials(x, y)
         amp = self._envelope_amp(t)
         row1 = np.stack([amp * pxy, amp * pyy], axis=-1)
         row2 = np.stack([-amp * pxx, -amp * pxy], axis=-1)

@@ -4,6 +4,8 @@ Everything here is deliberately simple and independent of the package's fast
 paths: scalar bisection instead of vectorized Newton, dense pseudoinverse
 instead of sparse saddle factorizations, dense eigensolves instead of inverse
 iteration, and plain per-element Python loops instead of einsum assembly.
+The one exception is the resolvent kernel in its earlier whole-array form,
+kept as the bit-for-bit reference of the active-set kernel.
 """
 
 import math
@@ -13,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from bscahn.assembly import BulkSurfacePair
-from bscahn.potentials import f1, f2
+from bscahn.potentials import _SATURATION, _TINY_GAP, ResolventError, f1, f2
 
 
 def log_prime(s: float, theta: float) -> float:
@@ -40,6 +42,84 @@ def resolvent_bisect(r: float, theta: float, lam: float, iters: int = 200) -> fl
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def yosida_resolvent_reference(r, theta: float, yp):
+    """The resolvent kernel as it stood before it iterated on active sets:
+    every entry of each branch is updated in every iteration, converged ones
+    frozen in place.  The package kernel must agree with it bit for bit."""
+    r_arr = np.asarray(r, dtype=float)
+    scalar = r_arr.ndim == 0
+    rv = np.atleast_1d(r_arr).astype(float).copy()
+    lam = yp.lam
+    if theta == 0.0:
+        out = rv.copy()
+        return float(out[0]) if scalar else out
+
+    half = theta / 2.0
+    sign = np.where(rv < 0, -1.0, 1.0)
+    ra = np.abs(rv)
+
+    s_hi = 1.0 - _SATURATION
+    r_switch = s_hi + lam * half * np.log((2.0 - _SATURATION) / _SATURATION)
+    interior = ra < r_switch
+
+    out = np.empty_like(rv)
+
+    # interior entries: Newton with bisection fallback on a fixed bracket
+    if np.any(interior):
+        ri = ra[interior]
+        lo = np.zeros_like(ri)  # g(0) = -ri <= 0
+        hi = np.full_like(ri, 1.0 - _TINY_GAP)
+        s = np.clip(ri, 0.0, 1.0 - 1e-6)
+        converged = np.zeros(ri.shape, dtype=bool)
+        for _ in range(yp.resolvent_max_iter):
+            g = s + lam * half * np.log((1.0 + s) / (1.0 - s)) - ri
+            converged = np.abs(g) <= yp.resolvent_tol
+            if np.all(converged):
+                break
+            lo = np.where(g < 0, s, lo)
+            hi = np.where(g > 0, s, hi)
+            gp = 1.0 + lam * theta / (1.0 - s * s)
+            s_new = s - g / gp
+            outside = (s_new <= lo) | (s_new >= hi)
+            s_new = np.where(outside, 0.5 * (lo + hi), s_new)
+            s = np.where(converged, s, s_new)
+        else:
+            if not np.all(converged):
+                k = int(np.argmin(converged.ravel()))
+                raise ResolventError(
+                    f"resolvent did not reach tol {yp.resolvent_tol:g} in "
+                    f"{yp.resolvent_max_iter} iterations",
+                    bracket=(float(lo.ravel()[k]), float(hi.ravel()[k])),
+                )
+        out[interior] = s
+
+    # saturated entries: solve for u = ln t, t = 1 - s, with a u-bracket
+    sat = ~interior
+    if np.any(sat):
+        rs = ra[sat]
+        c = lam * half
+        u_lo = np.full_like(rs, np.log(5e-324))  # h(u_lo) > 0 or t underflows
+        u_hi = np.full_like(rs, np.log(_SATURATION))
+        u = np.clip((1.0 - rs + c * np.log(2.0)) / c, u_lo, u_hi)
+        for _ in range(yp.resolvent_max_iter):
+            t = np.exp(u)
+            h = (1.0 - t) + c * (np.log(2.0 - t) - u) - rs
+            done = np.abs(h) <= yp.resolvent_tol * np.maximum(1.0, np.abs(rs))
+            if np.all(done):
+                break
+            u_lo = np.where(h > 0, u, u_lo)  # h decreasing in u
+            u_hi = np.where(h < 0, u, u_hi)
+            hp = -t - c * (t / (2.0 - t) + 1.0)
+            u_new = u - h / hp
+            outside = (u_new <= u_lo) | (u_new >= u_hi)
+            u_new = np.where(outside, 0.5 * (u_lo + u_hi), u_new)
+            u = np.where(done, u, u_new)
+        out[sat] = 1.0 - np.exp(u)
+
+    out *= sign
+    return float(out[0]) if scalar else out
 
 
 def dense_solve_S(ops, cp, a: BulkSurfacePair) -> BulkSurfacePair:

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from bscahn import cli
-from bscahn.assembly import SolverError, SolverFailure
+from bscahn.assembly import SolverError, SolverFailure, assemble
 from bscahn.diagnostics import StudyRunError
 from bscahn.elliptic import EllipticSolveError
 from bscahn.potentials import ResolventError
@@ -130,6 +131,51 @@ class TestCommands:
         assert run_cli("mesh", "--config", cfg_path("steady.cfg"), "--out", str(out)) == 0
         assert (out / "mesh.txt").exists()
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_mesh_coordinate_is_one_config_error(self, token, tmp_path, capsys):
+        mesh = tmp_path / "square.txt"
+        mesh.write_text(f"bsmesh 1\n4 2\n0 0\n1 0\n{token} 1\n0 1\n0 1 2\n0 2 3\n")
+        cfg = tmp_path / "square.cfg"
+        cfg.write_text(f"[mesh]\npath = {mesh}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("mesh", "--config", str(cfg), "--out", str(tmp_path / "m"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config:")
+        assert "line 5, column 1: bad coordinate" in lines[0]
+        assert [str(w.message) for w in caught] == []
+
+    def test_regimes_study_leaves_the_shared_operators_as_built(self, tmp_path, monkeypatch):
+        # the (sig, weight) form and coupling matrices and the prolongators
+        # are built once per operator set and shared by every stepper of the
+        # study; none of them may be changed in place
+        setups = []
+
+        def recording(*args, **kwargs):
+            setups.append(build_setup(*args, **kwargs))
+            return setups[-1]
+
+        monkeypatch.setattr(cli, "build_setup", recording)
+        assert run_cli("study", "regimes", "--config", cfg_path("regimes.cfg"),
+                       "--out", str(tmp_path / "r")) == 0
+        ops = setups[0].ops
+        fresh = assemble(ops.mesh)
+        shared = [key for key in ops._cache
+                  if key[0] in ("form_matrix", "coupling_matrix", "prol")]
+        assert {key[0] for key in shared} == {"form_matrix", "coupling_matrix", "prol"}
+        for name, *args in shared:
+            if name == "prol":
+                built, ref = ops.prolongator(*args), fresh.prolongator(*args)
+                pairs = [(built, ref), (ops._cache[("prol.T", id(built))], ref.T)]
+            else:
+                pairs = [(getattr(ops, name)(*args), getattr(fresh, name)(*args))]
+            for a, b in pairs:
+                assert a.format == b.format
+                for attr in ("data", "indices", "indptr"):
+                    assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes(), (name, attr)
+
     def test_steady_simulation_energy_constant(self, tmp_path, capsys):
         out = tmp_path / "s"
         code = run_cli("simulate", "--config", cfg_path("steady.cfg"), "--out", str(out))
@@ -237,7 +283,7 @@ class TestCommands:
         # line, not as a traceback
         from bscahn.stepper import TimeStepper
 
-        def failing_step(self, state, field_, energy_old=None):
+        def failing_step(self, state, field_, record=None):
             raise StepError("forced step failure", [1.0])
 
         monkeypatch.setattr(TimeStepper, "step", failing_step)

@@ -263,3 +263,12 @@ def test_mesh_too_small_points_at_the_count(counts, column, tmp_path):
     with pytest.raises(MeshFormatError, match="mesh too small") as err:
         load_mesh(str(path))
     assert (err.value.line, err.value.column) == (2, column)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_coordinate_is_a_format_error(token, tmp_path):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"bsmesh 1\n3 1\n0 0\n1 0\n{token} 1\n0 1 2\n")
+    with pytest.raises(MeshFormatError, match="bad coordinate") as err:
+        load_mesh(str(path))
+    assert (err.value.line, err.value.column) == (5, 1)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bscahn.potentials import (
+    _SATURATION,
     DominationReport,
     PotentialDomainError,
     PotentialSpec,
@@ -21,7 +25,7 @@ from bscahn.potentials import (
     yosida_value,
 )
 
-from _oracles import resolvent_bisect
+from _oracles import resolvent_bisect, yosida_resolvent_reference
 
 
 class TestLogPotential:
@@ -272,3 +276,80 @@ class TestDomination:
             alpha=1.0,
         )
         assert transferred.passed
+
+
+# -- the kernel against its whole-array reference ------------------------------
+
+KERNEL_SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def resolvent_inputs(draw, max_iter=st.just(100)):
+    """(r, theta, YosidaParams): r a scalar or an array of any shape up to 3-d,
+    empty included, mixing signed zeros, NaN, +-inf, |r| up to 1e3 and values
+    a few ulps either side of the interior/saturated switch."""
+    lam = draw(st.floats(1e-6, 0.999))
+    theta = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    yp = YosidaParams(lam=lam, resolvent_max_iter=draw(max_iter))
+    r_switch = (1.0 - _SATURATION) + lam * (theta / 2.0) * np.log(
+        (2.0 - _SATURATION) / _SATURATION
+    )
+    near_switch = st.tuples(st.integers(-4, 4), st.sampled_from([-1.0, 1.0])).map(
+        lambda ks: ks[1] * float(r_switch + ks[0] * np.spacing(r_switch))
+    )
+    elements = st.one_of(
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+        st.floats(-1e3, 1e3),
+        st.floats(-2.0, 2.0),
+        near_switch,
+    )
+    # mostly saturated or NaN: entries that never converge keep the others
+    # from leaving the arrays, so converged ones must stay frozen in place
+    saturated = st.one_of(st.just(np.nan), st.floats(0.9, 3.0), st.floats(-3.0, -0.9))
+    r = draw(st.one_of(
+        elements,
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=7),
+                   elements=elements),
+        hnp.arrays(np.float64, st.integers(3, 9), elements=saturated),
+    ))
+    return r, theta, yp
+
+
+def _outcome(kernel, r, theta, yp):
+    try:
+        out = kernel(r, theta, yp)
+    except ResolventError as exc:
+        return "error", str(exc), exc.bracket
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+class TestResolventKernel:
+    @KERNEL_SETTINGS
+    @given(resolvent_inputs())
+    def test_bitwise_equal_to_the_whole_array_kernel(self, case):
+        r, theta, yp = case
+        assert _outcome(yosida_resolvent, r, theta, yp) == _outcome(
+            yosida_resolvent_reference, r, theta, yp
+        )
+
+    @KERNEL_SETTINGS
+    @given(resolvent_inputs(max_iter=st.integers(1, 4)))
+    def test_iteration_cap_raises_as_the_whole_array_kernel(self, case):
+        # same message and the bracket of the first unconverged entry in
+        # array order, or the same values when the cap is not reached
+        r, theta, yp = case
+        assert _outcome(yosida_resolvent, r, theta, yp) == _outcome(
+            yosida_resolvent_reference, r, theta, yp
+        )
+
+    @pytest.mark.parametrize("r", [[0.0, 0.9, 0.5, 0.0], [0.0, 0.9, 0.5]])
+    def test_iteration_cap_reports_the_first_unconverged_entry(self, r):
+        # the zeros converge at once, 0.9 and 0.5 do not; the bracket is 0.9's
+        yp = YosidaParams(lam=0.1, resolvent_max_iter=2, resolvent_tol=1e-15)
+        r = np.array(r)
+        with pytest.raises(ResolventError) as err:
+            yosida_resolvent(r, 0.8, yp)
+        with pytest.raises(ResolventError) as ref:
+            yosida_resolvent_reference(r, 0.8, yp)
+        assert str(err.value) == str(ref.value)
+        assert err.value.bracket == ref.value.bracket

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bscahn import potentials
+from bscahn import potentials, stepper
 from bscahn.assembly import BulkSurfacePair, CouplingParams
 from bscahn.config import ConfigError, build_initial, parse_config_text
 from bscahn.potentials import (
@@ -25,7 +25,12 @@ from bscahn.stepper import (
     StepperConfig,
     TimeStepper,
 )
-from bscahn.velocity import StreamFunctionVelocity, SurfaceSlipVelocity, ZeroVelocity
+from bscahn.velocity import (
+    SineEnvelope,
+    StreamFunctionVelocity,
+    SurfaceSlipVelocity,
+    ZeroVelocity,
+)
 
 from _oracles import energy_by_loops
 
@@ -516,7 +521,8 @@ class TestStepJacobian:
         concave = st._concave_load(old)
         u_red = ops.to_reduced(iterate, st.P_K)
         w_red = ops.to_reduced(st.initial_mu_theta(old), st.P_L)
-        res_a, res_b, curv, _, _ = st._evaluate(u_red, w_red, explicit_A, diss, concave)
+        res_a, res_b, convex, _, _ = st._evaluate(u_red, w_red, explicit_A, diss, concave)
+        curv = convex.curvature
         rhs = -np.concatenate([res_a, res_b])
         base = st._jacobian_base(diss)
         delta = st._jac.solve(base, curv, rhs)
@@ -543,16 +549,25 @@ class TestStepJacobian:
             assert all(a is b for a, b in zip(entry, seen[0]))
 
     def test_one_resolvent_evaluation_per_trial_and_energy(self, ops8, rng, monkeypatch):
-        # per step: one call per field for the starting residual and for each
-        # accepted line-search trial, and one per field for the new energy
-        calls = []
+        # from the second step on, one call per field for each line-search
+        # trial and none else: the starting residual reuses the convex terms
+        # of the previous step's accepted iterate, and the new energy those of
+        # this step's
+        calls, trials = [], []
         resolvent = potentials.yosida_resolvent
+        newton = stepper.damped_newton
 
         def counting(*args, **kwargs):
             calls.append(1)
             return resolvent(*args, **kwargs)
 
+        def counting_newton(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            trials.append(out[3])
+            return out
+
         monkeypatch.setattr(potentials, "yosida_resolvent", counting)
+        monkeypatch.setattr(stepper, "damped_newton", counting_newton)
         cfg = make_config()
         st = TimeStepper(ops8, cfg)
         per_step, iters = [], []
@@ -568,7 +583,9 @@ class TestStepJacobian:
             1e-2,
             observers=[observe],
         )
-        assert per_step[1:] == [2 * (2 + it) for it in iters[1:]]
+        assert len(trials) == len(per_step) == 10
+        assert all(t >= it > 0 for t, it in zip(trials, iters))
+        assert per_step[1:] == [2 * t for t in trials[1:]]
 
     def test_one_factorization_per_trajectory(self, ops8, rng):
         cfg = make_config()
@@ -641,3 +658,56 @@ class TestStepJacobian:
             assert row["energy_total"] == e.total
             assert row["energy_pot_bulk"] == e.pot_bulk
             assert row["energy_coupling"] == e.coupling
+
+
+def state_bits(state):
+    return (state.phi_psi.bulk.tobytes(), state.phi_psi.surf.tobytes(),
+            state.mu_theta.bulk.tobytes(), state.mu_theta.surf.tobytes(), state.t)
+
+
+def same_trajectory(a, b) -> bool:
+    return (a.failure == b.failure and a.rows == b.rows
+            and [state_bits(s) for s in a.states] == [state_bits(s) for s in b.states])
+
+
+class TestStepRecord:
+    """What run carries from step to step is reused, never kept past the run."""
+
+    # time-dependent, so that the run's velocity samples are rescaled per step
+    FIELD = StreamFunctionVelocity(amplitude=3.0, envelope=SineEnvelope(omega=300.0))
+
+    @pytest.mark.parametrize("mobility", [None, QuadraticMobility()])
+    def test_standalone_steps_reproduce_the_run_bitwise(self, ops4, rng, mobility):
+        # each standalone step evaluates everything afresh; on a fresh stepper
+        # a chain of them makes the run's factorizations, so it must give the
+        # run's states and diagnostics to the bit
+        cfg = make_config(mobility=mobility)
+        traj = TimeStepper(ops4, cfg).run(admissible_random(ops4, cfg.cp, rng), self.FIELD, 5e-3)
+        assert traj.failure is None
+        st = TimeStepper(ops4, cfg)
+        state = traj.states[0]
+        for expected, row in zip(traj.states[1:], traj.rows[1:]):
+            state, info = st.step(state, self.FIELD)
+            assert state_bits(state) == state_bits(expected)
+            assert info["energy"].total == row["energy_total"]
+            assert info["balance_residual"] == row["balance_residual"]
+
+    def test_a_second_run_matches_a_fresh_stepper(self, ops4, rng):
+        cfg = make_config()
+        init = admissible_random(ops4, cfg.cp, rng)
+        st = TimeStepper(ops4, cfg)
+        first = st.run(init, self.FIELD, 5e-3)
+        second = st.run(init, self.FIELD, 5e-3)
+        fresh = TimeStepper(ops4, cfg).run(init, self.FIELD, 5e-3)
+        assert same_trajectory(first, fresh)
+        assert same_trajectory(second, fresh)
+
+    def test_each_run_samples_its_own_field(self, ops4, rng):
+        cfg = make_config()
+        init = admissible_random(ops4, cfg.cp, rng)
+        other = StreamFunctionVelocity(amplitude=2.0, profile="sine2", modes=((1, 2, 1.0),))
+        st = TimeStepper(ops4, cfg)
+        st.run(init, self.FIELD, 5e-3)
+        after = st.run(init, other, 5e-3)
+        assert same_trajectory(after, TimeStepper(ops4, cfg).run(init, other, 5e-3))
+        assert not same_trajectory(after, TimeStepper(ops4, cfg).run(init, self.FIELD, 5e-3))
