@@ -131,6 +131,7 @@ def _scatter(data: np.ndarray, entries: tuple[np.ndarray, np.ndarray], n: int) -
 
 
 _TRI_QPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+_TRI_QPAIRS = (_TRI_QPOINTS[:, :, None] * _TRI_QPOINTS[:, None, :]).reshape(3, 9)  # (q, ab)
 _GAUSS2 = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 
 
@@ -225,13 +226,19 @@ class FemOperators:
                 )
 
     # -- quadrature evaluation -------------------------------------------------
+    #
+    # The triangle rule's basis values are 1/2 and 0, so each product is exact
+    # and a matmul rounds every entry as the term-by-term sum does.  The Gauss
+    # basis is not exact and a matmul may fuse multiply-adds, so the surface
+    # adds its two products per entry (point or node 0, then 1) explicitly.
 
     def bulk_at_tri_quad(self, v: np.ndarray) -> np.ndarray:
         """Values of the P1 field at the triangle quadrature points, (T, q)."""
-        return np.einsum("qa,ta->tq", self.tri_qbasis, v[self.mesh.triangles])
+        return v[self.mesh.triangles] @ self.tri_qbasis.T
 
     def surf_at_quad(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("qa,ea->eq", self.surf_qbasis, v[self.surf_elems])
+        g, b = v[self.surf_elems], self.surf_qbasis
+        return g[:, :1] * b[:, 0] + g[:, 1:] * b[:, 1]
 
     def tri_quad_integral(self, qvals: np.ndarray) -> float:
         return float(np.sum(self.tri_qweights * qvals))
@@ -246,22 +253,25 @@ class FemOperators:
 
     def tri_quad_load(self, qvals: np.ndarray) -> np.ndarray:
         """Nodal load of a quadrature-sampled integrand against P1 test functions."""
-        contrib = np.einsum("tq,qa->ta", self.tri_qweights * qvals, self.tri_qbasis)
+        contrib = (self.tri_qweights * qvals) @ self.tri_qbasis
         return self.to_nodes(self.mesh.triangles, contrib, self.n_bulk)
 
     def surf_quad_load(self, qvals: np.ndarray) -> np.ndarray:
-        contrib = np.einsum("eq,qa->ea", self.surf_qweights * qvals, self.surf_qbasis)
+        wq, b = self.surf_qweights * qvals, self.surf_qbasis
+        contrib = wq[:, :1] * b[0] + wq[:, 1:] * b[1]
         return self.to_nodes(self.surf_elems, contrib, self.n_surf)
 
     def tri_weighted_mass_data(self, qweights: np.ndarray) -> np.ndarray:
         """Element matrices (T, 3, 3) of :meth:`tri_weighted_mass`, in the
         order of ``tri_entries``."""
-        return np.einsum("tq,qa,qb->tab", self.tri_qweights * qweights, self.tri_qbasis, self.tri_qbasis)
+        return ((self.tri_qweights * qweights) @ _TRI_QPAIRS).reshape(-1, 3, 3)
 
     def surf_weighted_mass_data(self, qweights: np.ndarray) -> np.ndarray:
         """Element matrices (M, 2, 2) of :meth:`surf_weighted_mass`, in the
         order of ``surf_entries``."""
-        return np.einsum("eq,qa,qb->eab", self.surf_qweights * qweights, self.surf_qbasis, self.surf_qbasis)
+        b = self.surf_qbasis
+        wb = (self.surf_qweights * qweights)[:, :, None, None] * b[:, :, None]  # (M, q, a, 1)
+        return wb[:, 0] * b[0] + wb[:, 1] * b[1]
 
     def tri_weighted_mass(self, qweights: np.ndarray) -> sp.csr_matrix:
         """Mass matrix with an extra quadrature-sampled nonnegative weight (T, q)."""
@@ -278,6 +288,14 @@ class FemOperators:
     def surf_weighted_stiffness(self, elem_weights: np.ndarray) -> sp.csr_matrix:
         w = elem_weights / self.surf_h
         return _scatter(np.stack([w, -w, -w, w], axis=1), self.surf_entries, self.n_surf)
+
+    def transport_matrix(self, v: np.ndarray) -> sp.csr_matrix:
+        """Bulk matrix C[a, b] = sum_q w_q (v_q . grad l_a) l_b(x_q) for samples v (T, q, 2)
+        at the triangle quadrature points: C @ field is the load of field * v . grad(test)."""
+        g = self.tri_grads
+        vg = v[..., 0:1] * g[:, None, :, 0] + v[..., 1:2] * g[:, None, :, 1]  # (T, q, a)
+        flux = (self.tri_qweights[..., None] * vg).transpose(0, 2, 1).reshape(-1, 3)
+        return _scatter(flux @ self.tri_qbasis, self.tri_entries, self.n_bulk)
 
     # -- coupled bilinear forms -------------------------------------------------
 

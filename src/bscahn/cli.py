@@ -22,7 +22,6 @@ from .config import ConfigError, build_setup, parse_config, _float_list, _get
 from .elliptic import solve_singular
 from .mesh import MeshError, save_mesh
 from .stepper import DIAGNOSTIC_COLUMNS, TimeStepper
-from .potentials import YosidaParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

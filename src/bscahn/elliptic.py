@@ -32,7 +32,7 @@ from .assembly import (
 from .potentials import (
     PotentialSpec,
     YosidaParams,
-    convex_load,
+    convex_terms,
     f2_prime,
     yosida_prime,
     yosida_resolvent,
@@ -114,11 +114,11 @@ class _System:
         """Reduced residual and quadrature curvature (bulk, surface) at an iterate."""
         ops = self.ops
         full = ops.prolong(red, self.P)
-        convex, curvature = convex_load(ops, full, self.prob.pot, self.prob.yp)
-        out = self.stiff @ full + convex - self.rhs_load
+        convex = convex_terms(ops, full, self.prob.pot, self.prob.yp)
+        out = self.stiff @ full + convex.load - self.rhs_load
         if self.shifted:
             out += ops.block_mass @ full
-        return ops.reduce(out, self.P), curvature
+        return ops.reduce(out, self.P), convex.curvature
 
     def residual_norm(self, pair: BulkSurfacePair) -> float:
         """Max-norm of the reduced residual at a pair."""

@@ -116,15 +116,6 @@ def f1_prime(s, theta: float):
     return (theta / 2.0) * np.log((1.0 + s) / (1.0 - s))
 
 
-def f1_second(s, theta: float):
-    s = np.asarray(s, dtype=float)
-    if np.any(np.abs(s) >= 1.0):
-        raise PotentialDomainError("f1_second requires |s| < 1")
-    if theta == 0.0:
-        return np.zeros_like(s)
-    return theta / (1.0 - s * s)
-
-
 def f2(s, theta_c: float):
     s = np.asarray(s, dtype=float)
     return -(theta_c / 2.0) * s * s
@@ -323,13 +314,6 @@ def convex_terms(ops, full: np.ndarray, pot: PotentialSpec, yp: YosidaParams) ->
     prime_s, second_s = yosida_derivatives(qs, pot.theta_surf, yp, js)
     load = np.concatenate([ops.tri_quad_load(prime_b), ops.surf_quad_load(prime_s)])
     return ConvexTerms((qb, qs), (jb, js), (second_b, second_s), load)
-
-
-def convex_load(ops, full: np.ndarray, pot: PotentialSpec, yp: YosidaParams):
-    """Nodal load of the regularized convex part at a full pair vector, with
-    its quadrature curvature (bulk, surface); see :func:`convex_terms`."""
-    terms = convex_terms(ops, full, pot, yp)
-    return terms.load, terms.curvature
 
 
 # -- domination diagnostic ---------------------------------------------------

@@ -18,7 +18,6 @@ points (see assembly module notes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,10 +36,8 @@ from .potentials import (
     ConvexTerms,
     PotentialSpec,
     YosidaParams,
-    convex_load,
     convex_terms,
     f2,
-    f2_prime,
     yosida_value,
 )
 from .velocity import VelocityField
@@ -139,14 +136,13 @@ class StepRecord:
 
     ``energy`` is the energy of the state the next step starts from, and
     ``convex`` the convex terms at that state's phase vector as the step's
-    Newton solve accepted it (None before the first step).  ``bulk_velocity``
-    maps a time to the run's bulk velocity at the triangle quadrature points
-    (None: the step samples its field).
+    Newton solve accepts it (None: the step evaluates them).  ``transport``
+    is the field's :meth:`TimeStepper.bulk_transport` (None: the step builds it).
     """
 
     energy: EnergyBreakdown
     convex: ConvexTerms | None = None
-    bulk_velocity: Callable | None = None
+    transport: tuple | None = None
 
 
 @dataclass
@@ -175,8 +171,9 @@ class _StepJacobian:
     union of the mass and stiffness blocks, every element pair of the mesh in
     both diagonal blocks, and the potential exchange coupling, so a new
     mobility or curvature only rewrites the data vector.  The curvature part
-    is the pattern's reduced weighted mass in the du block.  Its lagged
-    factor serves every Newton iteration of every step of one run.
+    is the pattern's reduced weighted mass in the du block.  One matrix is
+    held and refilled per Newton direction; its lagged factor serves every
+    Newton iteration of every step of one run.
     """
 
     def __init__(self, ts: "TimeStepper"):
@@ -198,18 +195,16 @@ class _StepJacobian:
             blocks.append((q.row, q.col))
         self.pattern = JacobianPattern(ops, nw + nu, ts.P_K, nw, fixed, blocks)
         self.factor = LaggedFactor()
+        self._matrix = self.pattern.matrix(np.zeros(len(self.pattern.indices)))
 
-    def base(self, dt_diss: sp.csr_matrix) -> np.ndarray:
-        """Data of everything but the curvature, given the reduced dt*D."""
-        d = dt_diss.tocoo()
-        return self.pattern.fixed + self.pattern.scatter(d.row, d.col, d.data)
-
-    def matrix(self, base: np.ndarray, curv_bulk: np.ndarray, curv_surf: np.ndarray):
-        """The Newton matrix for quadrature curvature values (bulk, surface)."""
+    def matrix(self, base: sp.csc_matrix, curv_bulk: np.ndarray, curv_surf: np.ndarray):
+        """The Newton matrix for quadrature curvature values (bulk, surface),
+        written into the one held matrix."""
         weighted = self.pattern.weighted_mass(self.ops, curv_bulk, curv_surf)
-        return self.pattern.matrix(base - weighted)
+        np.subtract(base.data, weighted, out=self._matrix.data)
+        return self._matrix
 
-    def solve(self, base: np.ndarray, curvature, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, base: sp.csc_matrix, curvature, rhs: np.ndarray) -> np.ndarray:
         """Newton direction (dw, du) through the lagged factor."""
         return self.factor.solve(self.matrix(base, *curvature), rhs)
 
@@ -231,7 +226,7 @@ class TimeStepper:
         if cfg.mobility.is_constant:
             self._diss_const = self._dissipation_matrix(None)
         # the step Jacobian's fixed pattern, lagged factor and, for constant
-        # mobility, its curvature-free data; all built at the first Newton solve
+        # mobility, its curvature-free part; all built at the first step
         self._jac = None
         self._jac_base = None
 
@@ -263,28 +258,19 @@ class TimeStepper:
     # -- loads -------------------------------------------------------------------
 
     def convection_load(
-        self, pair: BulkSurfacePair, field_: VelocityField, t: float, bulk_velocity=None
+        self, pair: BulkSurfacePair, field_: VelocityField, t: float, transport=None
     ) -> np.ndarray:
         """Transport load pair: integrals of (old field) * velocity . grad(test).
 
-        ``bulk_velocity``, when given, is the field's
-        :meth:`~bscahn.velocity.VelocityField.bulk_sampler` at the triangle
-        quadrature points.
+        ``transport``, when given, must be the field's :meth:`bulk_transport`.
         """
         ops = self.ops
         out = np.zeros(ops.n_bulk + ops.n_surf)
         if field_.is_zero:
             return out
-        if bulk_velocity is None:
-            qc = ops.tri_qcoords
-            v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
-        else:
-            v = bulk_velocity(t)
-        if np.any(v):
-            phi_q = ops.bulk_at_tri_quad(pair.bulk)
-            # flux[a, t]: the load of triangle t on its local node a
-            flux = np.einsum("tq,tqd,tad->at", ops.tri_qweights * phi_q, v, ops.tri_grads)
-            out[: ops.n_bulk] = ops.to_nodes(ops.mesh.triangles.T, flux, ops.n_bulk)
+        unit, scale = transport or self.bulk_transport(field_)
+        if unit is not None:
+            out[: ops.n_bulk] = scale(t) * (unit @ pair.bulk)
         speeds = np.asarray(field_.sample_surface(ops.surf_qarcs[:, 0], t))
         if np.any(speeds):
             # per element: speed * int psi * d(test)/ds, the integral of the
@@ -294,13 +280,22 @@ class TimeStepper:
             out[ops.n_bulk :] = ops.to_nodes(ops.surf_elems.T, np.stack([-seg, seg]), ops.n_surf)
         return out
 
+    def bulk_transport(self, field_: VelocityField) -> tuple | None:
+        """(unit, scale), from one velocity sample at the triangle quadrature
+        points: the bulk transport load at time t is scale(t) * (unit @ field),
+        unit None when no bulk moves.  None for a zero field."""
+        if field_.is_zero:
+            return None
+        qc = self.ops.tri_qcoords
+        unit, scale = field_.bulk_separation(qc[..., 0], qc[..., 1])
+        return (self.ops.transport_matrix(unit) if np.any(unit) else None), scale
+
     def _concave_load(self, pair: BulkSurfacePair) -> np.ndarray:
+        """Load of f2'(s) = -theta_c s; the quadrature integrates it exactly,
+        so it is -theta_c times the mass matrix times each field."""
         ops, pot = self.ops, self.cfg.pot
         return np.concatenate(
-            [
-                ops.tri_quad_load(f2_prime(ops.bulk_at_tri_quad(pair.bulk), pot.theta_c)),
-                ops.surf_quad_load(f2_prime(ops.surf_at_quad(pair.surf), pot.theta_c_surf)),
-            ]
+            [-pot.theta_c * (ops.M_bulk @ pair.bulk), -pot.theta_c_surf * (ops.M_surf @ pair.surf)]
         )
 
     # -- observables ---------------------------------------------------------------
@@ -341,17 +336,21 @@ class TimeStepper:
 
     # -- one implicit step -----------------------------------------------------------
 
-    def initial_mu_theta(self, pair: BulkSurfacePair) -> BulkSurfacePair:
+    def initial_mu_theta(
+        self, pair: BulkSurfacePair, convex: ConvexTerms | None = None
+    ) -> BulkSurfacePair:
         """Compatibility projection of the potential equation at the initial data.
 
         Uses the full (unsplit) potential derivative.  With an eliminated
         phase-field trace the tested equation under-determines the result;
-        the minimal-mass-norm representative is returned then.
+        the minimal-mass-norm representative is returned then.  ``convex``,
+        when given, must be :func:`convex_terms` at ``ops.to_vector(pair)``.
         """
         ops = self.ops
         full = ops.to_vector(pair)
-        convex, _ = convex_load(ops, full, self.cfg.pot, self.cfg.yp)
-        g = self.stiff_K @ full + convex + self._concave_load(pair)
+        if convex is None:
+            convex = convex_terms(ops, full, self.cfg.pot, self.cfg.yp)
+        g = self.stiff_K @ full + convex.load + self._concave_load(pair)
         if self.P_K is None and self.P_L is None:
             w = np.concatenate(
                 [
@@ -370,8 +369,9 @@ class TimeStepper:
         red = spla.spsolve(mat, ops.reduce(g, test_p))
         return ops.from_vector(ops.prolong(red, sol_p))
 
-    def _jacobian_base(self, diss: sp.csr_matrix) -> np.ndarray:
-        """Step Jacobian data without the curvature term, on the fixed pattern.
+    def _jacobian_base(self, diss: sp.csr_matrix) -> sp.csc_matrix:
+        """Step Jacobian without the curvature term, on the fixed pattern: the
+        step residual's linear part.
 
         Fixed for constant mobility; otherwise the dissipation block follows
         the mobility frozen at each step's old state.
@@ -380,25 +380,41 @@ class TimeStepper:
             self._jac = _StepJacobian(self)
         if self._jac_base is not None:
             return self._jac_base
-        base = self._jac.base(self.ops.project(self.cfg.dt * diss, self.P_L, self.P_L))
+        d = self.ops.project(self.cfg.dt * diss, self.P_L, self.P_L).tocoo()
+        pattern = self._jac.pattern
+        base = pattern.matrix(pattern.fixed + pattern.scatter(d.row, d.col, d.data))
         if self.cfg.mobility.is_constant:
             self._jac_base = base
         return base
 
+    def _system(self, diss: sp.csr_matrix, explicit_A: np.ndarray, concave: np.ndarray):
+        """(base, evaluate): the curvature-free Jacobian, and the residual at
+        x = [w_red, u_red], base @ x - [P_L^T explicit_A, P_K^T (concave +
+        convex load)], with (convex terms, full phase vector).  ``convex``,
+        when given, must be :func:`convex_terms` at the prolonged phase iterate."""
+        ops, pot, yp = self.ops, self.cfg.pot, self.cfg.yp
+        base = self._jacobian_base(diss)
+        rhs_w = ops.reduce(explicit_A, self.P_L)
+        rhs = np.concatenate([rhs_w, ops.reduce(concave, self.P_K)])
+        nw = len(rhs_w)
+
+        def evaluate(x, convex=None):
+            u_full = ops.prolong(x[nw:], self.P_K)
+            if convex is None:
+                convex = convex_terms(ops, u_full, pot, yp)
+            r = base @ x - rhs
+            r[nw:] -= ops.reduce(convex.load, self.P_K)
+            return r, (convex, u_full)
+
+        return base, evaluate
+
     def _evaluate(self, u_red, w_red, explicit_A, diss, concave, convex=None):
         """Residual pair of the step system, the convex terms at the phase
-        iterate, and the full iterate vectors.  ``convex``, when given, must be
-        :func:`convex_terms` at the prolonged phase iterate."""
-        ops, dt = self.ops, self.cfg.dt
-        u_full = ops.prolong(u_red, self.P_K)
-        w_full = ops.prolong(w_red, self.P_L)
-        if convex is None:
-            convex = convex_terms(ops, u_full, self.cfg.pot, self.cfg.yp)
-        res_a = ops.reduce(self.mass @ u_full + dt * (diss @ w_full) - explicit_A, self.P_L)
-        res_b = ops.reduce(
-            self.mass @ w_full - self.stiff_K @ u_full - convex.load - concave, self.P_K
-        )
-        return res_a, res_b, convex, u_full, w_full
+        iterate, and the full iterate vectors; see :meth:`_system`."""
+        nw = len(w_red)
+        evaluate = self._system(diss, explicit_A, concave)[1]
+        r, (convex, u_full) = evaluate(np.concatenate([w_red, u_red]), convex)
+        return r[:nw], r[nw:], convex, u_full, self.ops.prolong(w_red, self.P_L)
 
     def step(
         self, state: State, field_: VelocityField, record: StepRecord | None = None
@@ -422,61 +438,51 @@ class TimeStepper:
         ops, cfg = self.ops, self.cfg
         dt = cfg.dt
         u_old = ops.to_vector(state.phi_psi)
-        t_mid = state.t + 0.5 * dt
-        velocity = None if record is None else record.bulk_velocity
+        transport = None if record is None else record.transport
 
         diss = self.dissipation_matrix(state.phi_psi)
-        conv = self.convection_load(state.phi_psi, field_, t_mid, velocity)
-        concave = self._concave_load(state.phi_psi)
-        explicit_A = self.mass @ u_old + dt * conv
+        conv = self.convection_load(state.phi_psi, field_, state.t + 0.5 * dt, transport)
+        base, evaluate = self._system(
+            diss, self.mass @ u_old + dt * conv, self._concave_load(state.phi_psi)
+        )
 
         # the unknown is [w_red, u_red], in the Jacobian's (dw, du) order
         w_red = ops.to_reduced(state.mu_theta, self.P_L)
         x = np.concatenate([w_red, ops.to_reduced(state.phi_psi, self.P_K)])
         nw = len(w_red)
-        base = None
-
-        def evaluate(x, convex=None):
-            res_a, res_b, convex, u_full, w_full = self._evaluate(
-                x[nw:], x[:nw], explicit_A, diss, concave, convex
-            )
-            return np.concatenate([res_a, res_b]), (convex, u_full, w_full)
 
         def direction(aux, rhs):
-            nonlocal base
-            if base is None:
-                base = self._jacobian_base(diss)
             return self._jac.solve(base, aux[0].curvature, rhs)
 
         start = evaluate(x, None if record is None else record.convex)
 
         def newton():
             history = []
-            _, (convex, u_full, w_full), iters, _ = damped_newton(
+            x_new, (convex, u_full), iters, _ = damped_newton(
                 evaluate, direction, x, cfg.newton_tol, cfg.newton_max_iter, 20,
                 lambda message, hist: StepError("step " + message, hist), history, start,
             )
-            return convex, u_full, w_full, iters, history[-1]
+            return x_new, convex, u_full, iters, history[-1]
 
         factors_before = self._factorizations()
-        inherited = self._jac is not None and self._jac.factor.lu is not None
+        inherited = self._jac.factor.lu is not None
         try:
-            convex, u_full, w_full, iters, resid = newton()
+            x_new, convex, u_full, iters, resid = newton()
         except StepError:
             if not inherited:
                 raise
             # retry on a factor of this step's own matrix, so that a failure
             # depends on (state, field, dt) alone, as on a fresh stepper
             self._jac.factor.drop()
-            convex, u_full, w_full, iters, resid = newton()
+            x_new, convex, u_full, iters, resid = newton()
+        w_full = ops.prolong(x_new[:nw], self.P_L)
         new_state = State(
             phi_psi=ops.from_vector(u_full), mu_theta=ops.from_vector(w_full), t=state.t + dt
         )
         energy = self.energy(new_state.phi_psi, convex)
         energy_old = self.energy(state.phi_psi) if record is None else record.energy
-        w = ops.to_vector(new_state.mu_theta)
-        dissipation = float(w @ (diss @ w))
-        conv_work = float(conv @ w)
+        dissipation = float(w_full @ (diss @ w_full))
+        conv_work = float(conv @ w_full)
         info = {
             "newton_iters": iters,
             "residual": resid,
@@ -485,7 +491,7 @@ class TimeStepper:
             "balance_residual": (energy.total - energy_old.total) / dt + dissipation - conv_work,
             "energy": energy,
             "factorizations": self._factorizations() - factors_before,
-            "record": StepRecord(energy, convex, velocity),
+            "record": StepRecord(energy, convex, transport),
         }
         return new_state, info
 
@@ -504,21 +510,22 @@ class TimeStepper:
     ) -> Trajectory:
         """March from t = 0 to t_end, collecting states and diagnostics rows.
 
-        Each step hands the next its :class:`StepRecord`; the quadrature
-        points never move, so the bulk velocity is sampled once per run.
+        Each step hands the next its :class:`StepRecord`.  The initial data's
+        convex terms serve its potential, its energy and, when no phase trace
+        is eliminated, the first step's starting residual; the quadrature
+        points never move, so the bulk transport is built once per run.
         """
-        self.ops.check_initial_data(initial, self.cfg.cp)
-        n_steps = int(round(t_end / self.cfg.dt))
-        state = State(phi_psi=initial.copy(), mu_theta=self.initial_mu_theta(initial), t=0.0)
+        ops, cfg = self.ops, self.cfg
+        ops.check_initial_data(initial, cfg.cp)
+        n_steps = int(round(t_end / cfg.dt))
+        convex = convex_terms(ops, ops.to_vector(initial), cfg.pot, cfg.yp)
+        state = State(initial.copy(), self.initial_mu_theta(initial, convex), t=0.0)
         states = [state]
-        energy = self.energy(state.phi_psi)
+        energy = self.energy(state.phi_psi, convex)
         rows = [self._row(0, state, energy, {"newton_iters": 0, "dissipation": 0.0,
                                              "balance_residual": 0.0})]
-        velocity = None
-        if n_steps > 0 and not field_.is_zero:
-            qc = self.ops.tri_qcoords
-            velocity = field_.bulk_sampler(qc[..., 0], qc[..., 1])
-        record = StepRecord(energy, bulk_velocity=velocity)
+        transport = self.bulk_transport(field_) if n_steps > 0 else None
+        record = StepRecord(energy, convex if self.P_K is None else None, transport)
         try:
             for k in range(1, n_steps + 1):
                 try:
@@ -564,9 +571,10 @@ class TimeStepper:
     def energy_balance_residuals(self, traj: Trajectory, field_: VelocityField) -> np.ndarray:
         """Recompute the per-step energy-balance residuals from stored states."""
         out = []
+        transport = self.bulk_transport(field_)
         for old, new in zip(traj.states, traj.states[1:]):
             diss = self.dissipation_matrix(old.phi_psi)
-            conv = self.convection_load(old.phi_psi, field_, old.t + 0.5 * self.cfg.dt)
+            conv = self.convection_load(old.phi_psi, field_, old.t + 0.5 * self.cfg.dt, transport)
             w = self.ops.to_vector(new.mu_theta)
             r = (
                 (self.energy(new.phi_psi).total - self.energy(old.phi_psi).total) / self.cfg.dt

@@ -136,9 +136,9 @@ class VelocityField:
         """Velocity Jacobian d v_i / d x_j, shape (..., 2, 2)."""
         raise NotImplementedError
 
-    def bulk_sampler(self, x, y):
-        """The map t -> sample_bulk(x, y, t) for points (x, y) that stay fixed."""
-        return functools.partial(self.sample_bulk, x, y)
+    def bulk_separation(self, x, y):
+        """(unit, scale) at fixed points (x, y): sample_bulk(x, y, t) = scale(t) * unit."""
+        raise NotImplementedError
 
     def sample_surface(self, s, t: float):
         """Tangential slip speed at arc-length position(s) s."""
@@ -157,9 +157,8 @@ class VelocityField:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ZeroVelocity(VelocityField):
-    envelope: object = field(default_factory=ConstantEnvelope)
+class _NoBulkFlow(VelocityField):
+    """A field with zero bulk velocity."""
 
     def sample_bulk(self, x, y, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -168,6 +167,14 @@ class ZeroVelocity(VelocityField):
     def bulk_gradient(self, x, y, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.zeros(np.broadcast_shapes(x.shape, np.shape(y)) + (2, 2))
+
+    def bulk_separation(self, x, y):
+        return self.sample_bulk(x, y, 0.0), self.envelope
+
+
+@dataclass(frozen=True)
+class ZeroVelocity(_NoBulkFlow):
+    envelope: object = field(default_factory=ConstantEnvelope)
 
     def sample_surface(self, s, t: float):
         return np.zeros_like(np.asarray(s, dtype=float))
@@ -182,12 +189,6 @@ class ZeroVelocity(VelocityField):
     @property
     def trace_matches_surface(self) -> bool:
         return True
-
-
-def _rotated(px, py, amp: float) -> np.ndarray:
-    """The velocity (amp d psi/dy, -amp d psi/dx) of a unit-amplitude stream
-    function's partials."""
-    return np.stack([amp * py, -amp * px], axis=-1)
 
 
 def _check_in_domain(x, y):
@@ -271,15 +272,13 @@ class StreamFunctionVelocity(VelocityField):
 
     def sample_bulk(self, x, y, t: float) -> np.ndarray:
         px, py = self._first_partials(x, y)
-        return _rotated(px, py, self._envelope_amp(t))
+        amp = self._envelope_amp(t)
+        return np.stack([amp * py, -amp * px], axis=-1)
 
-    def bulk_sampler(self, x, y):
-        """The map t -> sample_bulk(x, y, t), from one sample_bulk call of the
-        unit-amplitude, time-constant field at (x, y); each call scales it."""
+    def bulk_separation(self, x, y):
+        """The unit-amplitude, constant field at (x, y), and amplitude * envelope(t)."""
         unit = replace(self, amplitude=1.0, envelope=ConstantEnvelope())
-        v = unit.sample_bulk(x, y, 0.0)
-        px, py = -v[..., 1], v[..., 0]  # exact: the unit samples are (py, -px)
-        return lambda t: _rotated(px, py, self._envelope_amp(t))
+        return unit.sample_bulk(x, y, 0.0), self._envelope_amp
 
     def bulk_gradient(self, x, y, t: float) -> np.ndarray:
         pxx, pxy, pyy = self._second_partials(x, y)
@@ -306,19 +305,11 @@ class StreamFunctionVelocity(VelocityField):
 
 
 @dataclass(frozen=True)
-class SurfaceSlipVelocity(VelocityField):
+class SurfaceSlipVelocity(_NoBulkFlow):
     """Zero bulk velocity; tangential slip w = g(t) tau at constant speed in s."""
 
     speed: float = 1.0
     envelope: object = field(default_factory=ConstantEnvelope)
-
-    def sample_bulk(self, x, y, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape, np.shape(y)) + (2,))
-
-    def bulk_gradient(self, x, y, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape, np.shape(y)) + (2, 2))
 
     def sample_surface(self, s, t: float):
         s = np.asarray(s, dtype=float)
@@ -412,11 +403,11 @@ def discrete_admissibility(
         index, values = np.stack([heads, tails], axis=1), np.stack([vals, -vals], axis=1)
         div_residual = ops.to_nodes(index, values, ops.n_bulk)
     elif not field_.is_zero and not isinstance(field_, SurfaceSlipVelocity):
-        # generic fallback: triangle quadrature of -int v . grad(zeta)
+        # generic fallback: triangle quadrature of -int v . grad(zeta), the
+        # transport load of the constant 1
         qc = ops.tri_qcoords
         v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
-        flux = np.einsum("tq,tqd,tad->at", ops.tri_qweights, v, ops.tri_grads)
-        div_residual = ops.to_nodes(mesh.triangles.T, -flux, ops.n_bulk)
+        div_residual = -(ops.transport_matrix(v) @ np.ones(ops.n_bulk))
         mode += "-quadrature"
 
     div_max = float(np.abs(div_residual[interior]).max()) if len(interior) else 0.0

@@ -3,9 +3,10 @@
 Everything here is deliberately simple and independent of the package's fast
 paths: scalar bisection instead of vectorized Newton, dense pseudoinverse
 instead of sparse saddle factorizations, dense eigensolves instead of inverse
-iteration, and plain per-element Python loops instead of einsum assembly.
-The one exception is the resolvent kernel in its earlier whole-array form,
-kept as the bit-for-bit reference of the active-set kernel.
+iteration, and plain per-element Python loops instead of vectorized assembly.
+The exceptions are kernels the package replaced, kept as references: the
+resolvent kernel in its earlier whole-array form, the einsum quadrature
+kernels, and the transport and concave loads summed at quadrature points.
 """
 
 import math
@@ -15,11 +16,29 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from bscahn.assembly import BulkSurfacePair
-from bscahn.potentials import _SATURATION, _TINY_GAP, ResolventError, f1, f2
+from bscahn.potentials import (
+    _SATURATION,
+    _TINY_GAP,
+    PotentialDomainError,
+    ResolventError,
+    f1,
+    f2,
+    f2_prime,
+)
 
 
 def log_prime(s: float, theta: float) -> float:
     return 0.5 * theta * math.log((1.0 + s) / (1.0 - s))
+
+
+def f1_second(s, theta: float):
+    """f1''(s) = theta / (1 - s^2) on |s| < 1."""
+    s = np.asarray(s, dtype=float)
+    if np.any(np.abs(s) >= 1.0):
+        raise PotentialDomainError("f1_second requires |s| < 1")
+    if theta == 0.0:
+        return np.zeros_like(s)
+    return theta / (1.0 - s * s)
 
 
 def resolvent_bisect(r: float, theta: float, lam: float, iters: int = 200) -> float:
@@ -269,3 +288,61 @@ def p1_operators_by_blocks(mesh, w_surf):
         "M_surf": surface(h / 3.0, h / 6.0),
         "surf_weighted_stiffness": surface(w, -w),
     }
+
+
+# -- the einsum quadrature kernels and the loads summed at quadrature points --
+
+
+def bulk_at_tri_quad_einsum(ops, v):
+    return np.einsum("qa,ta->tq", ops.tri_qbasis, v[ops.mesh.triangles])
+
+
+def surf_at_quad_einsum(ops, v):
+    return np.einsum("qa,ea->eq", ops.surf_qbasis, v[ops.surf_elems])
+
+
+def tri_quad_load_einsum(ops, qvals):
+    contrib = np.einsum("tq,qa->ta", ops.tri_qweights * qvals, ops.tri_qbasis)
+    return ops.to_nodes(ops.mesh.triangles, contrib, ops.n_bulk)
+
+
+def surf_quad_load_einsum(ops, qvals):
+    contrib = np.einsum("eq,qa->ea", ops.surf_qweights * qvals, ops.surf_qbasis)
+    return ops.to_nodes(ops.surf_elems, contrib, ops.n_surf)
+
+
+def tri_weighted_mass_data_einsum(ops, qweights):
+    return np.einsum("tq,qa,qb->tab", ops.tri_qweights * qweights, ops.tri_qbasis, ops.tri_qbasis)
+
+
+def surf_weighted_mass_data_einsum(ops, qweights):
+    return np.einsum(
+        "eq,qa,qb->eab", ops.surf_qweights * qweights, ops.surf_qbasis, ops.surf_qbasis
+    )
+
+
+def convection_load_by_quadrature(ops, field_, pair, t):
+    """Transport load pair of pair * v . grad(test) at time t: the bulk part
+    summed at the triangle quadrature points with v sampled there, the
+    surface part per segment, both scattered by np.add.at."""
+    qc = ops.tri_qcoords
+    v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
+    phi_q = bulk_at_tri_quad_einsum(ops, pair.bulk)
+    flux = np.einsum("tq,tqd,tad->ta", ops.tri_qweights * phi_q, v, ops.tri_grads)
+    bulk = np.zeros(ops.n_bulk)
+    np.add.at(bulk, ops.mesh.triangles, flux)
+    speeds = np.asarray(field_.sample_surface(ops.surf_qarcs[:, 0], t))
+    i, j = ops.surf_elems[:, 0], ops.surf_elems[:, 1]
+    seg = 0.5 * (pair.surf[i] + pair.surf[j]) * speeds
+    surf = np.zeros(ops.n_surf)
+    np.add.at(surf, i, -seg)
+    np.add.at(surf, j, seg)
+    return np.concatenate([bulk, surf])
+
+
+def concave_load_by_quadrature(ops, pair, pot):
+    """Load of f2' summed at the quadrature points of both fields."""
+    return np.concatenate([
+        tri_quad_load_einsum(ops, f2_prime(bulk_at_tri_quad_einsum(ops, pair.bulk), pot.theta_c)),
+        surf_quad_load_einsum(ops, f2_prime(surf_at_quad_einsum(ops, pair.surf), pot.theta_c_surf)),
+    ])

@@ -17,7 +17,17 @@ from bscahn.assembly import (
 
 from bscahn.mesh import generate_unit_square
 
-from _oracles import dense_poincare, dense_solve_S, p1_operators_by_blocks
+from _oracles import (
+    bulk_at_tri_quad_einsum,
+    dense_poincare,
+    dense_solve_S,
+    p1_operators_by_blocks,
+    surf_at_quad_einsum,
+    surf_quad_load_einsum,
+    surf_weighted_mass_data_einsum,
+    tri_quad_load_einsum,
+    tri_weighted_mass_data_einsum,
+)
 
 CP = CouplingParams(K=1.0, L=1.0, alpha=0.5, beta=2.0)
 
@@ -92,23 +102,30 @@ class TestOperators:
         assert quad_s == pytest.approx(float(v @ (ops4.M_surf @ v)), rel=1e-13)
 
 
-class TestQuadratureLoads:
-    def test_loads_are_the_add_at_scatter_bitwise(self, ops4, rng):
-        # to_nodes sums in the order np.add.at did, so no bit moves
-        qb = rng.standard_normal(ops4.tri_qweights.shape)
-        qs = rng.standard_normal(ops4.surf_qweights.shape)
-        ref_b = np.zeros(ops4.n_bulk)
-        np.add.at(
-            ref_b, ops4.mesh.triangles,
-            np.einsum("tq,qa->ta", ops4.tri_qweights * qb, ops4.tri_qbasis),
-        )
-        ref_s = np.zeros(ops4.n_surf)
-        np.add.at(
-            ref_s, ops4.surf_elems,
-            np.einsum("eq,qa->ea", ops4.surf_qweights * qs, ops4.surf_qbasis),
-        )
-        assert np.array_equal(ops4.tri_quad_load(qb), ref_b)
-        assert np.array_equal(ops4.surf_quad_load(qs), ref_s)
+class TestQuadratureKernels:
+    """Each quadrature kernel against its einsum form in ``_oracles``, bitwise:
+    the triangle basis values 1/2 and 0 make every product exact, and the
+    surface sums its products term by term as einsum does."""
+
+    def test_evaluation(self, oracle_ops, rng):
+        ops = oracle_ops
+        v, w = rng.standard_normal(ops.n_bulk), rng.standard_normal(ops.n_surf)
+        assert np.array_equal(ops.bulk_at_tri_quad(v), bulk_at_tri_quad_einsum(ops, v))
+        assert np.array_equal(ops.surf_at_quad(w), surf_at_quad_einsum(ops, w))
+
+    def test_weighted_mass_data(self, oracle_ops, rng):
+        ops = oracle_ops
+        qb = rng.uniform(0.1, 2.0, ops.tri_qweights.shape)
+        qs = rng.uniform(0.1, 2.0, ops.surf_qweights.shape)
+        assert np.array_equal(ops.tri_weighted_mass_data(qb), tri_weighted_mass_data_einsum(ops, qb))
+        assert np.array_equal(ops.surf_weighted_mass_data(qs), surf_weighted_mass_data_einsum(ops, qs))
+
+    def test_loads(self, oracle_ops, rng):
+        ops = oracle_ops
+        qb = rng.standard_normal(ops.tri_qweights.shape)
+        qs = rng.standard_normal(ops.surf_qweights.shape)
+        assert np.array_equal(ops.tri_quad_load(qb), tri_quad_load_einsum(ops, qb))
+        assert np.array_equal(ops.surf_quad_load(qs), surf_quad_load_einsum(ops, qs))
 
 
 class TestElementScatter:

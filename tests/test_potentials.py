@@ -16,7 +16,6 @@ from bscahn.potentials import (
     check_domination,
     f1,
     f1_prime,
-    f1_second,
     f2,
     f2_prime,
     yosida_prime,
@@ -25,7 +24,7 @@ from bscahn.potentials import (
     yosida_value,
 )
 
-from _oracles import resolvent_bisect, yosida_resolvent_reference
+from _oracles import f1_second, resolvent_bisect, yosida_resolvent_reference
 
 
 class TestLogPotential:

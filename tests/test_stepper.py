@@ -13,7 +13,7 @@ from bscahn.config import ConfigError, build_initial, parse_config_text
 from bscahn.potentials import (
     PotentialSpec,
     YosidaParams,
-    convex_load,
+    convex_terms,
     f1_prime,
     f2_prime,
     yosida_second,
@@ -32,7 +32,7 @@ from bscahn.velocity import (
     ZeroVelocity,
 )
 
-from _oracles import energy_by_loops
+from _oracles import concave_load_by_quadrature, convection_load_by_quadrature, energy_by_loops
 
 POT = PotentialSpec()
 REGIMES = list(itertools.product([0.0, 1.0, math.inf], repeat=2))
@@ -219,30 +219,37 @@ class TestSingleStep:
         assert capped.rows[1]["newton_iters"] == 3
         assert np.array_equal(capped.final.phi_psi.bulk, free.final.phi_psi.bulk)
 
+
+class TestLinearLoads:
+    """The per-run transport operator and the concave load, which skip the
+    quadrature, against the loads summed at quadrature points in
+    ``_oracles``: to 1e-15 of the reference's max-norm."""
+
     @pytest.mark.parametrize(
         "field",
-        [StreamFunctionVelocity(amplitude=1.0, profile="sine2"), SurfaceSlipVelocity(speed=1.0)],
+        [
+            StreamFunctionVelocity(amplitude=3.0, profile="sine2", envelope=SineEnvelope(5.0)),
+            StreamFunctionVelocity(modes=((1, 2, 1.0), (2, 1, -0.5))),
+            SurfaceSlipVelocity(speed=1.0),
+        ],
     )
-    def test_convection_load_is_the_add_at_scatter_bitwise(self, ops4, field, rng):
-        st = TimeStepper(ops4, make_config())
-        pair = admissible_random(ops4, st.cfg.cp, rng)
-        t = 0.3
-        ref = np.zeros(ops4.n_bulk + ops4.n_surf)
-        qc = ops4.tri_qcoords
-        v = field.sample_bulk(qc[..., 0], qc[..., 1], t)
-        if np.any(v):
-            common = ops4.tri_qweights * ops4.bulk_at_tri_quad(pair.bulk)
-            for a in range(3):
-                flux = np.einsum("tq,tqd,td->t", common, v, ops4.tri_grads[:, a, :])
-                np.add.at(ref[: ops4.n_bulk], ops4.mesh.triangles[:, a], flux)
-        speeds = np.asarray(field.sample_surface(ops4.surf_qarcs[:, 0], t))
-        iS, jS = ops4.surf_elems[:, 0], ops4.surf_elems[:, 1]
-        seg = 0.5 * (pair.surf[iS] + pair.surf[jS]) * speeds
-        np.add.at(ref[ops4.n_bulk :], iS, -seg)
-        np.add.at(ref[ops4.n_bulk :], jS, seg)
-        out = st.convection_load(pair, field, t)
-        assert np.any(out)
-        assert np.array_equal(out, ref)
+    def test_convection_load(self, oracle_ops, field, rng):
+        ops = oracle_ops
+        st = TimeStepper(ops, make_config())
+        pair = admissible_random(ops, st.cfg.cp, rng)
+        ref = convection_load_by_quadrature(ops, field, pair, 0.3)
+        nb = ops.n_bulk
+        for transport in (None, st.bulk_transport(field)):
+            out = st.convection_load(pair, field, 0.3, transport)
+            assert np.any(out)
+            assert np.abs(out[:nb] - ref[:nb]).max() <= 1e-15 * np.abs(ref[:nb]).max()
+            assert np.array_equal(out[nb:], ref[nb:])
+
+    def test_concave_load(self, oracle_ops, rng):
+        st = TimeStepper(oracle_ops, make_config())
+        pair = admissible_random(oracle_ops, st.cfg.cp, rng)
+        ref = concave_load_by_quadrature(oracle_ops, pair, POT)
+        assert np.abs(st._concave_load(pair) - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestRun:
@@ -329,7 +336,7 @@ class TestRun:
             w = st.initial_mu_theta(pair)
             g = (
                 st.stiff_K @ ops4.to_vector(pair)
-                + convex_load(ops4, ops4.to_vector(pair), POT, cfg.yp)[0]
+                + convex_terms(ops4, ops4.to_vector(pair), POT, cfg.yp).load
                 + st._concave_load(pair)
             )
             resid = st.mass @ ops4.to_vector(w) - g
@@ -587,6 +594,24 @@ class TestStepJacobian:
         assert all(t >= it > 0 for t, it in zip(trials, iters))
         assert per_step[1:] == [2 * t for t in trials[1:]]
 
+    def test_a_zero_step_run_evaluates_the_initial_data_once(self, ops8, rng, monkeypatch):
+        # the initial potential and the initial energy share one resolvent
+        # call per field
+        calls = []
+        resolvent = potentials.yosida_resolvent
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return resolvent(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "yosida_resolvent", counting)
+        cfg = make_config()
+        traj = TimeStepper(ops8, cfg).run(
+            admissible_random(ops8, cfg.cp, rng), StreamFunctionVelocity(profile="sine2"), 0.0
+        )
+        assert len(traj.states) == 1
+        assert len(calls) == 2
+
     def test_one_factorization_per_trajectory(self, ops8, rng):
         cfg = make_config()
         st = TimeStepper(ops8, cfg)
@@ -691,6 +716,17 @@ class TestStepRecord:
             assert state_bits(state) == state_bits(expected)
             assert info["energy"].total == row["energy_total"]
             assert info["balance_residual"] == row["balance_residual"]
+
+    def test_first_step_takes_the_initial_terms_only_at_its_own_iterate(self, ops4, rng):
+        # with K = 0 the first iterate sets the boundary bulk values from the
+        # surface, so data off the trace constraint by less than the validator
+        # allows must not lend the first step their convex terms
+        cfg = make_config(K=0.0)
+        init = admissible_random(ops4, cfg.cp, rng)
+        init.bulk[ops4.mesh.surface_nodes] += 1e-11
+        traj = TimeStepper(ops4, cfg).run(init, self.FIELD, 1e-3)
+        state, _ = TimeStepper(ops4, cfg).step(traj.states[0], self.FIELD)
+        assert state_bits(state) == state_bits(traj.final)
 
     def test_a_second_run_matches_a_fresh_stepper(self, ops4, rng):
         cfg = make_config()
