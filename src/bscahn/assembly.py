@@ -683,8 +683,9 @@ class JacobianPattern:
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
-_REFINE_TOL = 1e-10  # relative 2-norm residual a lagged solve must reach
+_REFINE_TOL = 1e-10  # relative 2-norm residual a held solve must reach
 _REFINE_SWEEPS = 8  # refinement sweeps before the current matrix is factored
+_PCG_ITERATIONS = 30  # conjugate-gradient iterations before it is factored
 
 
 class LaggedFactor:
@@ -706,7 +707,7 @@ class LaggedFactor:
 
     def solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
         if self.lu is not None:
-            x = self._refine(A, b)
+            x = self._held_solve(A, b)
             if x is not None:
                 return x
         self.lu = spla.splu(
@@ -715,7 +716,7 @@ class LaggedFactor:
         self.factorizations += 1
         return self.lu.solve(b)
 
-    def _refine(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
+    def _held_solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
         """The refined solution with the held factor, or None where it stalls."""
         target = _REFINE_TOL * float(np.linalg.norm(b))
         x = self.lu.solve(b)
@@ -733,6 +734,72 @@ class LaggedFactor:
 
     def drop(self) -> None:
         self.lu = None
+
+    def retried(self, attempt, error):
+        """attempt(), run once more on a fresh factor when it raises ``error``
+        on a factor held from an earlier solve, so that the error raised is
+        the one a fresh factor gives."""
+        inherited = self.lu is not None
+        try:
+            return attempt()
+        except error:
+            if not inherited:
+                raise
+            self.drop()
+            return attempt()
+
+
+class SPDLaggedFactor(LaggedFactor):
+    """A held factor for symmetric positive definite Newton matrices.
+
+    A later solve runs conjugate gradients on the current matrix A,
+    preconditioned with the held factor and started from x = LU^{-1} b, and
+    accepts x once the recomputed ||b - A x||_2 is at most 1e-10 ||b||_2.  A
+    non-positive r.z or p.Ap (A or the held factor is not SPD), a non-finite
+    value, or 30 iterations without the target factor A instead.  Stationary
+    refinement stalls on these systems as the curvature moves between
+    Newton iterates; the Krylov iteration does not.  ``held_iterations``
+    counts the conjugate-gradient iterations.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.held_iterations = 0
+
+    def _held_solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
+        """The conjugate-gradient solution on the held factor, or None on a breakdown.
+
+        Written out rather than ``spla.cg``, which has no r.z or p.Ap
+        breakdown test: on a matrix that is not SPD it would run all 30
+        iterations before the matrix is factored.
+        """
+        target = _REFINE_TOL * float(np.linalg.norm(b))
+        x = self.lu.solve(b)
+        r = b - A @ x
+        if float(np.linalg.norm(r)) <= target:
+            return x
+        z = self.lu.solve(r)
+        p, rz = z, float(r @ z)
+        for _ in range(_PCG_ITERATIONS):
+            if not 0.0 < rz < math.inf:  # also catches NaN
+                return None
+            Ap = A @ p
+            pAp = float(p @ Ap)
+            if not 0.0 < pAp < math.inf:
+                return None
+            alpha = rz / pAp
+            x = x + alpha * p
+            r = r - alpha * Ap
+            self.held_iterations += 1
+            if float(np.linalg.norm(r)) <= target:
+                # accept on the true residual; on a miss, go on from it
+                r = b - A @ x
+                if float(np.linalg.norm(r)) <= target:
+                    return x
+            z = self.lu.solve(r)
+            rz, previous = float(r @ z), rz
+            p = z + (rz / previous) * p
+        return None
 
 
 def assemble(mesh: Mesh) -> FemOperators:

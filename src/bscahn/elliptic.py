@@ -25,7 +25,7 @@ from .assembly import (
     CouplingParams,
     FemOperators,
     JacobianPattern,
-    LaggedFactor,
+    SPDLaggedFactor,
     SolverFailure,
     damped_newton,
 )
@@ -94,21 +94,22 @@ def _newton_pattern(ops: FemOperators, cp: CouplingParams, shifted: bool):
 
 
 class _System:
-    """Reduced residual and Newton direction shared by the elliptic solvers.
+    """Reduced residual, Newton direction and contraction map of one elliptic solve.
 
-    One system serves one solve, at one regularization parameter, and counts
-    its factorizations.  Every Newton matrix is factored afresh: the studies
-    difference solutions whose Newton solves end at the roundoff floor, and a
-    lagged factor moves those differences by up to 1e-10 relative.
+    One system serves one solve at one regularization parameter.  Its Newton
+    matrices are SPD (the curvature weight is at least theta/(1+theta)), so
+    the directions after the first are conjugate-gradient solves on the held
+    ``factor``, which a continuation hands from solve to solve.
     """
 
-    def __init__(self, prob: EllipticProblem, shifted: bool):
+    def __init__(self, prob: EllipticProblem, shifted: bool, factor=None):
         self.prob = prob
         self.shifted = shifted
         ops = self.ops = prob.ops
         self.P, self.stiff = _operators(ops, prob.cp)
         self.rhs_load = ops.block_mass @ ops.to_vector(prob.rhs)
-        self.factor = LaggedFactor()
+        self.factor = SPDLaggedFactor() if factor is None else factor
+        self._counted = (self.factor.factorizations, self.factor.held_iterations)
 
     def evaluate(self, red: np.ndarray):
         """Reduced residual and quadrature curvature (bulk, surface) at an iterate."""
@@ -128,9 +129,55 @@ class _System:
         """Solve the SPD Newton system for the given quadrature curvature."""
         pattern = _newton_pattern(self.ops, self.prob.cp, self.shifted)
         mat = pattern.matrix(pattern.fixed + pattern.weighted_mass(self.ops, *curvature))
-        direction = self.factor.solve(mat, rhs)
-        self.factor.drop()
-        return direction
+        return self.factor.solve(mat, rhs)
+
+    def newton(self, red: np.ndarray, tol: float, max_iter: int, history: list):
+        """Damped Newton from red; returns (red, iterations, line-search trials).
+
+        A failure on a factor inherited from an earlier solve is retried once
+        from red on a fresh factor, with the history cut back to its entries
+        before the first attempt, so a raised EllipticSolveError is the one a
+        solve on its own factor raises.
+        """
+        kept = len(history)
+
+        def attempt():
+            del history[kept:]
+            x, _, its, trials = damped_newton(
+                self.evaluate, self.newton_direction, red, tol, max_iter, 40,
+                EllipticSolveError, history,
+            )
+            return x, its, trials
+
+        return self.factor.retried(attempt, EllipticSolveError)
+
+    def counts(self) -> dict:
+        """Factorizations and held-factor iterations made since the system was built."""
+        return {
+            "factorizations": self.factor.factorizations - self._counted[0],
+            "held_solve_iterations": self.factor.held_iterations - self._counted[1],
+        }
+
+    def contract(self, current: BulkSurfacePair) -> BulkSurfacePair:
+        """One application of the contraction map; see :func:`fixed_point_step`."""
+        ops, cp, pot, yp = self.ops, self.prob.cp, self.prob.pot, self.prob.yp
+        lam = yp.lam
+        key = ("tlam", cp.K, cp.alpha, lam)
+        if key not in ops._cache:
+            mat = (1.0 + lam) * ops.block_mass + lam * self.stiff
+            ops._cache[key] = spla.splu(ops.project(mat, self.P, self.P).tocsc())
+        lu = ops._cache[key]
+
+        qb = ops.bulk_at_tri_quad(current.bulk)
+        qs = ops.surf_at_quad(current.surf)
+        load = np.concatenate(
+            [
+                ops.tri_quad_load(yosida_resolvent(qb, pot.theta, yp)),
+                ops.surf_quad_load(yosida_resolvent(qs, pot.theta_surf, yp)),
+            ]
+        )
+        red = lu.solve(ops.reduce(lam * self.rhs_load + load, self.P))
+        return ops.from_vector(ops.prolong(red, self.P))
 
 
 def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSurfacePair:
@@ -141,26 +188,7 @@ def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSur
     in the constrained weak form and returns the new pair.  The map contracts
     in the discrete L2 norm with factor at most 1/sqrt(1+lam).
     """
-    ops, cp, pot, yp = prob.ops, prob.cp, prob.pot, prob.yp
-    sysm = _System(prob, shifted=True)
-    lam = yp.lam
-
-    key = ("tlam", cp.K, cp.alpha, lam)
-    if key not in ops._cache:
-        mat = (1.0 + lam) * ops.block_mass + lam * sysm.stiff
-        ops._cache[key] = spla.splu(ops.project(mat, sysm.P, sysm.P).tocsc())
-    lu = ops._cache[key]
-
-    qb = ops.bulk_at_tri_quad(current.bulk)
-    qs = ops.surf_at_quad(current.surf)
-    load = np.concatenate(
-        [
-            ops.tri_quad_load(yosida_resolvent(qb, pot.theta, yp)),
-            ops.surf_quad_load(yosida_resolvent(qs, pot.theta_surf, yp)),
-        ]
-    )
-    red = lu.solve(ops.reduce(lam * sysm.rhs_load + load, sysm.P))
-    return ops.from_vector(ops.prolong(red, sysm.P))
+    return _System(prob, shifted=True).contract(current)
 
 
 def solve_shifted_regularized(
@@ -184,7 +212,7 @@ def solve_shifted_regularized(
     history: list[float] = []
     fp_iters = 0
     while True:
-        new = fixed_point_step(u, prob)
+        new = sysm.contract(u)
         fp_iters += 1
         diff = (new - u).max_abs()
         u = new
@@ -200,7 +228,7 @@ def solve_shifted_regularized(
                     residual_norm=sysm.residual_norm(u),
                     iterations=fp_iters,
                     lambda_used=prob.yp.lam,
-                    extras={"fp_iterations": fp_iters, "factorizations": 0},
+                    extras={"fp_iterations": fp_iters, **sysm.counts()},
                 )
             if fp_iters >= max_fp_iter:
                 raise EllipticSolveError(
@@ -208,27 +236,23 @@ def solve_shifted_regularized(
                     history,
                 )
 
-    red, _, its, _ = damped_newton(
-        sysm.evaluate, sysm.newton_direction, ops.to_reduced(u, sysm.P), tol,
-        newton_max_iter, 40, EllipticSolveError, history,
-    )
+    red, its, _ = sysm.newton(ops.to_reduced(u, sysm.P), tol, newton_max_iter, history)
     return EllipticSolution(
         uv=ops.from_vector(ops.prolong(red, sysm.P)),
         residual_norm=history[-1],
         iterations=fp_iters + its,
         lambda_used=prob.yp.lam,
-        extras={
-            "fp_iterations": fp_iters,
-            "newton_iterations": its,
-            "factorizations": sysm.factor.factorizations,
-        },
+        extras={"fp_iterations": fp_iters, "newton_iterations": its, **sysm.counts()},
     )
+
+
+_NEWTON_MAX_ITER = 60  # Newton iterations of one regularized solve
 
 
 def solve_regularized(
     prob: EllipticProblem,
     tol: float = 1e-10,
-    max_iter: int = 60,
+    max_iter: int = _NEWTON_MAX_ITER,
     start: BulkSurfacePair | None = None,
 ) -> EllipticSolution:
     """Damped Newton for -Lap u + F'_lam(u) = f with the coupling rows.
@@ -237,23 +261,22 @@ def solve_regularized(
     definite (lower bound theta/(1+theta) on the weight), so no mean
     constraint is needed despite the pure-flux boundary conditions.
     """
+    return _solve_regularized(prob, tol, max_iter, start, SPDLaggedFactor())
+
+
+def _solve_regularized(prob, tol, max_iter, start, factor: SPDLaggedFactor) -> EllipticSolution:
+    """:func:`solve_regularized` with its Newton directions on the given held factor."""
     ops = prob.ops
-    sysm = _System(prob, shifted=False)
+    sysm = _System(prob, shifted=False, factor=factor)
     history: list[float] = []
     red = ops.to_reduced(start if start is not None else ops.zero_pair(), sysm.P)
-    red, _, its, trials = damped_newton(
-        sysm.evaluate, sysm.newton_direction, red, tol, max_iter, 40, EllipticSolveError, history
-    )
+    red, its, trials = sysm.newton(red, tol, max_iter, history)
     return EllipticSolution(
         uv=ops.from_vector(ops.prolong(red, sysm.P)),
         residual_norm=history[-1],
         iterations=its,
         lambda_used=prob.yp.lam,
-        extras={
-            "history": history,
-            "line_search_trials": trials,
-            "factorizations": sysm.factor.factorizations,
-        },
+        extras={"history": history, "line_search_trials": trials, **sysm.counts()},
     )
 
 
@@ -271,8 +294,9 @@ def solve_singular(
     Solves at each value of the decreasing schedule, warm-starting from the
     previous solution, and certifies a Cauchy tail: the last successive H1
     difference must fall below cauchy_tol.  Records the measured separation
-    1 - max nodal |value| of the final solution; its iterations and
-    factorizations are summed over the schedule.
+    1 - max nodal |value| of the final solution; its iterations,
+    factorizations and held-factor iterations are summed over the schedule,
+    whose Newton directions share one held factor.
     """
     schedule = list(schedule)
     if any(b >= a for a, b in zip(schedule, schedule[1:])) or not schedule:
@@ -280,18 +304,14 @@ def solve_singular(
     if schedule[-1] < 1e-6:
         raise ValueError("final regularization parameter below the 1e-6 floor")
 
-    diffs: list[float] = []
-    sol = None
-    total_iters = total_factors = 0
+    factor = SPDLaggedFactor()
+    sols: list[EllipticSolution] = []
     for lam in schedule:
         prob = EllipticProblem(ops=ops, cp=cp, pot=pot, yp=YosidaParams(lam=lam), rhs=rhs)
-        prev = sol.uv if sol is not None else None
-        sol = solve_regularized(prob, tol=newton_tol, start=prev)
-        total_iters += sol.iterations
-        total_factors += sol.extras["factorizations"]
-        if prev is not None:
-            diffs.append(ops.h1_norm(sol.uv - prev))
-
+        start = sols[-1].uv if sols else None
+        sols.append(_solve_regularized(prob, newton_tol, _NEWTON_MAX_ITER, start, factor))
+    diffs = [ops.h1_norm(b.uv - a.uv) for a, b in zip(sols, sols[1:])]
+    sol = sols[-1]
     separation = 1.0 - sol.uv.max_abs()
     converged = len(diffs) == 0 or diffs[-1] <= cauchy_tol
     if not converged:
@@ -299,11 +319,12 @@ def solve_singular(
             f"continuation tail {diffs[-1]:.3e} above Cauchy tolerance {cauchy_tol:g}",
             diffs,
         )
-    sol.iterations = total_iters
+    sol.iterations = sum(s.iterations for s in sols)
     sol.extras.update(
-        {"h1_differences": diffs, "separation": separation, "schedule": schedule,
-         "factorizations": total_factors}
+        {"h1_differences": diffs, "separation": separation, "schedule": schedule}
     )
+    for key in ("factorizations", "held_solve_iterations"):
+        sol.extras[key] = sum(s.extras[key] for s in sols)
     return sol
 
 

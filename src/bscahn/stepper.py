@@ -465,16 +465,9 @@ class TimeStepper:
             return x_new, convex, u_full, iters, history[-1]
 
         factors_before = self._factorizations()
-        inherited = self._jac.factor.lu is not None
-        try:
-            x_new, convex, u_full, iters, resid = newton()
-        except StepError:
-            if not inherited:
-                raise
-            # retry on a factor of this step's own matrix, so that a failure
-            # depends on (state, field, dt) alone, as on a fresh stepper
-            self._jac.factor.drop()
-            x_new, convex, u_full, iters, resid = newton()
+        # a failure on a kept factor is retried on one of this step's own
+        # matrix, so that it depends on (state, field, dt) alone
+        x_new, convex, u_full, iters, resid = self._jac.factor.retried(newton, StepError)
         w_full = ops.prolong(x_new[:nw], self.P_L)
         new_state = State(
             phi_psi=ops.from_vector(u_full), mu_theta=ops.from_vector(w_full), t=state.t + dt
@@ -569,17 +562,23 @@ class TimeStepper:
         }
 
     def energy_balance_residuals(self, traj: Trajectory, field_: VelocityField) -> np.ndarray:
-        """Recompute the per-step energy-balance residuals from stored states."""
+        """Recompute the per-step energy-balance residuals from stored states.
+
+        Each state's energy is evaluated once and carried to the next step.
+        """
         out = []
         transport = self.bulk_transport(field_)
+        energy_old = self.energy(traj.states[0].phi_psi).total
         for old, new in zip(traj.states, traj.states[1:]):
             diss = self.dissipation_matrix(old.phi_psi)
             conv = self.convection_load(old.phi_psi, field_, old.t + 0.5 * self.cfg.dt, transport)
             w = self.ops.to_vector(new.mu_theta)
+            energy_new = self.energy(new.phi_psi).total
             r = (
-                (self.energy(new.phi_psi).total - self.energy(old.phi_psi).total) / self.cfg.dt
+                (energy_new - energy_old) / self.cfg.dt
                 + float(w @ (diss @ w))
                 - float(conv @ w)
             )
             out.append(r)
+            energy_old = energy_new
         return np.array(out)

@@ -7,11 +7,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bscahn import potentials
-from bscahn.assembly import BulkSurfacePair, CouplingParams, assemble, damped_newton
+from bscahn.assembly import (
+    BulkSurfacePair,
+    CouplingParams,
+    SPDLaggedFactor,
+    assemble,
+    damped_newton,
+)
 from bscahn.elliptic import (
     EllipticProblem,
     EllipticSolveError,
     _newton_pattern,
+    _solve_regularized,
     _System,
     fixed_point_step,
     principal_part_bound_check,
@@ -157,30 +164,104 @@ class TestNewtonSystem:
 
 
     def test_solve_regularized_same_on_fresh_and_used_operators(self, mesh4, rng):
-        # a solve keeps no factor past its own Newton directions, so an
-        # earlier solve on the same operators cannot change a later one
+        # a solve, or a continuation, keeps no factor past its own Newton
+        # directions, so an earlier solve on the same operators cannot
+        # change a later one
         ops = assemble(mesh4)
         rhs, other = random_pair(ops, rng, 3.0), random_pair(ops, rng, 3.0)
+        bounded, bounded_other = bounded_pair(mesh4, rng), bounded_pair(mesh4, rng)
         fresh = solve_regularized(problem(ops, rhs=rhs, lam=1e-3))
+        fresh_singular = solve_singular(bounded, ops, CP, POT)
         used = assemble(mesh4)
         solve_regularized(problem(used, rhs=other, lam=1e-2))
+        solve_singular(bounded_other, used, CP, POT)
         again = solve_regularized(problem(used, rhs=rhs, lam=1e-3))
-        assert np.array_equal(fresh.uv.bulk, again.uv.bulk)
-        assert np.array_equal(fresh.uv.surf, again.uv.surf)
-        assert fresh.iterations == again.iterations
-        assert 1 <= fresh.extras["factorizations"] == again.extras["factorizations"]
+        again_singular = solve_singular(bounded, used, CP, POT)
+        for a, b in ((fresh, again), (fresh_singular, again_singular)):
+            assert np.array_equal(a.uv.bulk, b.uv.bulk)
+            assert np.array_equal(a.uv.surf, b.uv.surf)
+            assert a.iterations == b.iterations
+            assert 1 <= a.extras["factorizations"] == b.extras["factorizations"]
+            assert a.extras["held_solve_iterations"] == b.extras["held_solve_iterations"]
+        assert fresh_singular.extras["h1_differences"] == again_singular.extras["h1_differences"]
 
-    def test_each_newton_direction_is_factored(self, ops4, rng):
-        # elliptic directions are direct solves, so the continuation's
-        # successive-lambda differences keep the rounding of a fresh factor
+
+def bounded_pair(mesh, rng):
+    return BulkSurfacePair(
+        rng.uniform(-1, 1, mesh.num_nodes), rng.uniform(-1, 1, mesh.num_surface_nodes)
+    )
+
+
+class TestHeldFactor:
+    """Elliptic Newton directions after a solve's first are conjugate-gradient
+    solves preconditioned with one held factor."""
+
+    def test_a_continuation_factors_once_when_every_held_solve_meets_its_target(
+        self, ops4, rng
+    ):
+        sol = solve_singular(bounded_pair(ops4.mesh, rng), ops4, CP, POT)
+        assert sol.extras["factorizations"] == 1
+        assert sol.iterations > len(sol.extras["schedule"])
+        assert sol.extras["held_solve_iterations"] > 0
+
+    def test_shifted_polish_holds_its_factor_and_contraction_makes_none(self, ops4, rng):
         rhs = random_pair(ops4, rng)
         shifted = solve_shifted_regularized(problem(ops4, rhs=rhs, lam=0.1))
-        assert 1 <= shifted.extras["factorizations"] == shifted.extras["newton_iterations"]
+        assert shifted.extras["factorizations"] == 1 < shifted.extras["newton_iterations"]
+        assert shifted.extras["held_solve_iterations"] > 0
         contraction = solve_shifted_regularized(problem(ops4, rhs=rhs, lam=0.1), use_newton=False)
         assert contraction.extras["factorizations"] == 0
-        bounded = BulkSurfacePair(rng.uniform(-1, 1, ops4.n_bulk), rng.uniform(-1, 1, ops4.n_surf))
-        sol = solve_singular(bounded, ops4, CP, POT)
-        assert len(sol.extras["schedule"]) <= sol.extras["factorizations"] == sol.iterations
+        assert contraction.extras["held_solve_iterations"] == 0
+
+    @staticmethod
+    def newton_matrix(ops, scale):
+        """The unshifted Newton matrix at a curvature of the given size."""
+        pattern = _newton_pattern(ops, CP, False)
+        q_bulk = scale * (1.0 + ops.tri_qcoords[..., 0] ** 2)
+        q_surf = scale * (1.0 + ops.surf_qcoords[..., 1] ** 2)
+        return pattern.matrix(pattern.fixed + pattern.weighted_mass(ops, q_bulk, q_surf))
+
+    def test_spd_matrix_of_another_curvature_is_solved_on_the_held_factor(self, ops4, rng):
+        factor = SPDLaggedFactor()
+        factored = self.newton_matrix(ops4, 1.0)
+        factor.solve(factored, rng.standard_normal(factored.shape[0]))
+        held = factor.lu
+        current = self.newton_matrix(ops4, 20.0)
+        b = rng.standard_normal(current.shape[0])
+        x = factor.solve(current, b)
+        assert factor.factorizations == 1 and factor.lu is held
+        assert factor.held_iterations > 0
+        assert np.linalg.norm(b - current @ x) <= 1e-10 * np.linalg.norm(b)
+        ref = spla.spsolve(current, b)
+        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_indefinite_matrix_on_a_held_spd_factor_is_factored(self, ops4, rng):
+        factor = SPDLaggedFactor()
+        factored = self.newton_matrix(ops4, 1.0)
+        factor.solve(factored, rng.standard_normal(factored.shape[0]))
+        current = self.newton_matrix(ops4, -20.0)
+        eigenvalues = np.linalg.eigvalsh(current.toarray())
+        assert eigenvalues.min() < 0.0 < eigenvalues.max()
+        b = rng.standard_normal(current.shape[0])
+        x = factor.solve(current, b)
+        assert factor.factorizations == 2
+        assert np.array_equal(x, factor.lu.solve(b))
+        ref = spla.spsolve(current, b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_a_failure_on_an_inherited_factor_is_the_one_a_fresh_solve_raises(self, ops4, rng):
+        prob = problem(ops4, rhs=random_pair(ops4, rng, 50.0), lam=1e-3)
+        with pytest.raises(EllipticSolveError) as fresh:
+            solve_regularized(prob, max_iter=1)
+        factor = SPDLaggedFactor()
+        _solve_regularized(problem(ops4, rhs=random_pair(ops4, rng), lam=1e-2), 1e-10, 60, None,
+                           factor)
+        before = factor.factorizations
+        with pytest.raises(EllipticSolveError) as held:
+            _solve_regularized(prob, 1e-10, 1, None, factor)
+        assert str(held.value) == str(fresh.value)
+        assert held.value.history == fresh.value.history
+        assert factor.factorizations == before + 1  # the retry's own factor
 
 
 class TestShiftedSolve:

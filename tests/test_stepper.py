@@ -389,6 +389,37 @@ class TestEnergyBalance:
         stored = [r["balance_residual"] for r in traj.rows[1:]]
         assert np.allclose(stored, recomputed, atol=1e-12)
 
+    def test_recomputation_evaluates_each_state_energy_once(self, ops4, rng, monkeypatch):
+        # five steps have six states, so one resolvent call per field and
+        # state; the carried energy gives the two-sided formula's residuals
+        cfg = make_config()
+        st = TimeStepper(ops4, cfg)
+        field = StreamFunctionVelocity(amplitude=0.5, profile="sine2")
+        traj = st.run(admissible_random(ops4, cfg.cp, rng), field, 5 * cfg.dt)
+        assert len(traj.states) == 6
+        transport = st.bulk_transport(field)
+        expected = []
+        for old, new in zip(traj.states, traj.states[1:]):
+            diss = st.dissipation_matrix(old.phi_psi)
+            conv = st.convection_load(old.phi_psi, field, old.t + 0.5 * cfg.dt, transport)
+            w = ops4.to_vector(new.mu_theta)
+            expected.append(
+                (st.energy(new.phi_psi).total - st.energy(old.phi_psi).total) / cfg.dt
+                + float(w @ (diss @ w))
+                - float(conv @ w)
+            )
+        calls = []
+        resolvent = potentials.yosida_resolvent
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return resolvent(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "yosida_resolvent", counting)
+        resid = st.energy_balance_residuals(traj, field)
+        assert len(calls) == 12
+        assert np.array_equal(resid, np.array(expected))
+
 
 class TestUnusualCouplingWeights:
     @pytest.mark.parametrize(
