@@ -5,8 +5,8 @@ on the 1D periodic boundary loop, the coupling-weighted bilinear forms, the
 generalized bulk-surface mean, constrained subspaces (trace elimination for
 the zero-coupling regimes), the inverse elliptic solution operator with its
 dual norm, and the discrete Poincare constant.  Also holds what the two
-Newton solvers (elliptic and time step) share: the damped Newton loop and the
-fixed-pattern Newton matrix with its lagged factorization.
+Newton solvers (elliptic and time step) share: one Newton system with its
+fixed-pattern matrix, damped line search and lagged factorization.
 
 Quadrature convention: nonlinear integrands are evaluated with the 3-point
 edge-midpoint rule on triangles and 2-point Gauss on boundary segments.  Both
@@ -597,45 +597,6 @@ class FemOperators:
         )
 
 
-def damped_newton(evaluate, direction, x, tol, max_iter, max_trials, error, history, start=None):
-    """Damped Newton with a halving line search from x; returns (x, aux, iterations, trials).
-
-    ``evaluate(x)`` gives (residual, aux), ``direction(aux, rhs)`` the Newton
-    step at the iterate aux belongs to; ``start``, when given, is
-    ``evaluate(x)`` already computed.  It stops once the residual max-norm,
-    appended to history per iterate, is at most tol.  A trial is accepted
-    when it lowers the 2-norm or meets tol, and becomes the next iterate with
-    its aux.  A stalled line search or a miss after max_iter updates raises
-    ``error(message, history)``.
-    """
-    r, aux = evaluate(x) if start is None else start
-    trials = 0
-    for it in range(max_iter + 1):
-        rnorm = float(np.abs(r).max(initial=0.0))
-        history.append(rnorm)
-        if rnorm <= tol:
-            return x, aux, it, trials
-        if it == max_iter:
-            break
-        delta = direction(aux, -r)
-        base = float(np.linalg.norm(r))
-        step = 1.0
-        for _ in range(max_trials):
-            trials += 1
-            trial = x + step * delta
-            r_trial, aux_trial = evaluate(trial)
-            if float(np.linalg.norm(r_trial)) < base or float(np.abs(r_trial).max()) <= tol:
-                x, r, aux = trial, r_trial, aux_trial
-                break
-            step *= 0.5
-        else:
-            raise error(f"Newton line search stalled at residual {rnorm:.3e}", history)
-    raise error(
-        f"Newton did not reach tol {tol:g} in {max_iter} iterations (residual {rnorm:.3e})",
-        history,
-    )
-
-
 class JacobianPattern:
     """A Newton matrix with a reduced quadrature-weighted mass, on one CSC pattern.
 
@@ -644,12 +605,13 @@ class JacobianPattern:
     prolongator P and shifted by offset on both axes.  A matrix on it is a
     data vector: ``fixed`` holds the fixed blocks, :meth:`weighted_mass` is
     P^T diag(M_w(bulk), M_w(surf)) P as a bincount of the element matrices
-    through precomputed positions.  No reference to the operators is kept,
-    so their ``_cache`` can hold a pattern without a reference cycle.
+    through precomputed positions.  ``held`` is the one matrix a
+    :class:`NewtonSystem` refills in place.  No reference to the operators
+    is kept, so their ``_cache`` can hold a pattern without a reference cycle.
     """
 
     def __init__(self, ops: FemOperators, n: int, P, offset=0, fixed=(), blocks=()):
-        self.n = n
+        self.n, self.P, self.offset = n, P, offset
         rows, cols, self._mass_weight = ops.reduced_element_entries(P)
         mass_keys = self._key(offset + rows, offset + cols)
         keys = [mass_keys] + [self._key(b[0], b[1]) for b in [*fixed, *blocks]]
@@ -659,6 +621,7 @@ class JacobianPattern:
         np.cumsum(np.bincount(self._keys // n, minlength=n), out=self.indptr[1:])
         self._mass_pos = np.searchsorted(self._keys, mass_keys)
         self.fixed = sum(self.scatter(*block) for block in fixed)
+        self.held = self.matrix(np.zeros(len(self._keys)))
 
     def _key(self, rows, cols) -> np.ndarray:
         """Column-major linear index, so that sorted keys follow the CSC order."""
@@ -698,12 +661,14 @@ class LaggedFactor:
     ||b - A x||_2 <= 1e-10 ||b||_2.  When the refinement residual stops
     falling, or 8 sweeps do not reach the target, A is factored and solved
     directly.  The rule counts sweeps only, so solves are deterministic.
-    ``factorizations`` counts the factors made; :meth:`drop` frees the held one.
+    ``factorizations`` counts the factors made, ``held_iterations`` the
+    sweeps on held ones; :meth:`drop` frees the held factor.
     """
 
     def __init__(self):
         self.lu = None
         self.factorizations = 0
+        self.held_iterations = 0
 
     def solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
         if self.lu is not None:
@@ -726,6 +691,7 @@ class LaggedFactor:
             if rnorm <= target:
                 return x
             x = x + self.lu.solve(r)
+            self.held_iterations += 1
             r = b - A @ x
             previous, rnorm = rnorm, float(np.linalg.norm(r))
             if not rnorm < previous:  # also catches NaN
@@ -734,19 +700,6 @@ class LaggedFactor:
 
     def drop(self) -> None:
         self.lu = None
-
-    def retried(self, attempt, error):
-        """attempt(), run once more on a fresh factor when it raises ``error``
-        on a factor held from an earlier solve, so that the error raised is
-        the one a fresh factor gives."""
-        inherited = self.lu is not None
-        try:
-            return attempt()
-        except error:
-            if not inherited:
-                raise
-            self.drop()
-            return attempt()
 
 
 class SPDLaggedFactor(LaggedFactor):
@@ -761,10 +714,6 @@ class SPDLaggedFactor(LaggedFactor):
     Newton iterates; the Krylov iteration does not.  ``held_iterations``
     counts the conjugate-gradient iterations.
     """
-
-    def __init__(self):
-        super().__init__()
-        self.held_iterations = 0
 
     def _held_solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
         """The conjugate-gradient solution on the held factor, or None on a breakdown.
@@ -800,6 +749,110 @@ class SPDLaggedFactor(LaggedFactor):
             rz, previous = float(r @ z), rz
             p = z + (rz / previous) * p
         return None
+
+
+class NewtonSystem:
+    """Damped Newton on the residual B x - b + sign P^T load(P x[offset:]).
+
+    B is a matrix on ``pattern``, whose prolongator P and offset the load
+    term takes, and sign is +1 or -1.  ``convex(u)`` gives the convex terms
+    at a full phase vector u: their nodal ``load`` and quadrature
+    ``curvature``.  The Newton matrix B + sign P^T M_c P, with M_c the
+    curvature-weighted mass, is written into the pattern's held matrix and
+    solved through the caller's ``factor``, a :class:`LaggedFactor` or
+    :class:`SPDLaggedFactor`.  Failures raise ``error(message, history)``
+    with a message that starts with ``name``.
+    """
+
+    def __init__(self, ops, pattern, B, b, convex, sign, factor, error, name="Newton",
+                 max_trials=40):
+        self.ops, self.pattern, self.B, self.b, self.convex = ops, pattern, B, b, convex
+        self._apply = np.add if sign > 0 else np.subtract
+        self.factor, self.error, self.name, self.max_trials = factor, error, name, max_trials
+        self._counted = (factor.factorizations, factor.held_iterations)
+
+    def evaluate(self, x: np.ndarray, terms=None):
+        """(residual, convex terms, full phase vector) at x; ``terms``, when
+        given, must be the convex terms at that phase vector."""
+        P, k = self.pattern.P, self.pattern.offset
+        u = self.ops.prolong(x[k:], P)
+        if terms is None:
+            terms = self.convex(u)
+        r = self.B @ x - self.b
+        tail = r[k:]
+        self._apply(tail, self.ops.reduce(terms.load, P), out=tail)
+        return r, terms, u
+
+    def matrix(self, curvature) -> sp.csc_matrix:
+        """The Newton matrix at quadrature curvature values (bulk, surface)."""
+        weighted = self.pattern.weighted_mass(self.ops, *curvature)
+        held = self.pattern.held
+        self._apply(self.B.data, weighted, out=held.data)
+        return held
+
+    def direction(self, terms, rhs: np.ndarray) -> np.ndarray:
+        """The Newton step for ``rhs`` at the iterate the convex terms belong to."""
+        return self.factor.solve(self.matrix(terms.curvature), rhs)
+
+    def counts(self) -> dict:
+        """Factorizations and held-factor iterations since the system was built."""
+        f, (factored, held) = self.factor, self._counted
+        return {"factorizations": f.factorizations - factored,
+                "held_solve_iterations": f.held_iterations - held}
+
+    def solve(self, x: np.ndarray, tol: float, max_iter: int, history: list, terms=None):
+        """Damped Newton from x; returns (x, terms, u, iterations, trials).
+
+        ``terms``, when given, are the convex terms at x.  It stops once the
+        residual max-norm, appended to history per iterate, is at most tol.
+        Each update halves its step at most ``max_trials`` times; a trial is
+        accepted when it lowers the 2-norm or meets tol, and becomes the next
+        iterate with its convex terms and full phase vector u.  A stalled
+        line search or a miss after max_iter updates raises ``error``.  A
+        failure on a factor held from an earlier solve is retried once from
+        x on a fresh factor, with the history cut back to its entries before
+        the first attempt, so the error raised is the one a fresh factor gives.
+        """
+        start = self.evaluate(x, terms)
+        kept, inherited = len(history), self.factor.lu is not None
+        try:
+            return self._damped(x, start, tol, max_iter, history)
+        except self.error:
+            if not inherited:
+                raise
+            self.factor.drop()
+            del history[kept:]
+            return self._damped(x, start, tol, max_iter, history)
+
+    def _damped(self, x, start, tol, max_iter, history):
+        (r, terms, u), trials = start, 0
+        for it in range(max_iter + 1):
+            rnorm = float(np.abs(r).max(initial=0.0))
+            history.append(rnorm)
+            if rnorm <= tol:
+                return x, terms, u, it, trials
+            if it == max_iter:
+                break
+            delta = self.direction(terms, -r)
+            base = float(np.linalg.norm(r))
+            step = 1.0
+            for _ in range(self.max_trials):
+                trials += 1
+                trial = x + step * delta
+                state = self.evaluate(trial)
+                r_trial = state[0]
+                if float(np.linalg.norm(r_trial)) < base or float(np.abs(r_trial).max()) <= tol:
+                    x, (r, terms, u) = trial, state
+                    break
+                step *= 0.5
+            else:
+                message = f"{self.name} line search stalled at residual {rnorm:.3e}"
+                raise self.error(message, history)
+        raise self.error(
+            f"{self.name} did not reach tol {tol:g} in {max_iter} iterations "
+            f"(residual {rnorm:.3e})",
+            history,
+        )
 
 
 def assemble(mesh: Mesh) -> FemOperators:

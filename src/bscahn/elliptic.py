@@ -25,9 +25,9 @@ from .assembly import (
     CouplingParams,
     FemOperators,
     JacobianPattern,
+    NewtonSystem,
     SPDLaggedFactor,
     SolverFailure,
-    damped_newton,
 )
 from .potentials import (
     PotentialSpec,
@@ -93,70 +93,40 @@ def _newton_pattern(ops: FemOperators, cp: CouplingParams, shifted: bool):
     return ops._cache[key]
 
 
-class _System:
-    """Reduced residual, Newton direction and contraction map of one elliptic solve.
+def _newton_system(prob: EllipticProblem, shifted: bool, factor) -> NewtonSystem:
+    """The reduced Newton system P^T(stiff [+ mass])P x - P^T mass rhs + P^T load(P x).
 
-    One system serves one solve at one regularization parameter.  Its Newton
-    matrices are SPD (the curvature weight is at least theta/(1+theta)), so
-    the directions after the first are conjugate-gradient solves on the held
-    ``factor``, which a continuation hands from solve to solve.
+    Its Newton matrices are SPD (the curvature weight is at least
+    theta/(1+theta)), so the directions after the first are conjugate-gradient
+    solves on the held ``factor``, which a continuation hands from solve to
+    solve.
     """
+    ops = prob.ops
+    pattern = _newton_pattern(ops, prob.cp, shifted)
+    b = ops.reduce(ops.block_mass @ ops.to_vector(prob.rhs), pattern.P)
+    return NewtonSystem(
+        ops, pattern, pattern.matrix(pattern.fixed), b,
+        lambda u: convex_terms(ops, u, prob.pot, prob.yp), 1, factor, EllipticSolveError,
+    )
 
-    def __init__(self, prob: EllipticProblem, shifted: bool, factor=None):
+
+class _System:
+    """The contraction map of one shifted solve, its set-up built once."""
+
+    def __init__(self, prob: EllipticProblem):
         self.prob = prob
-        self.shifted = shifted
         ops = self.ops = prob.ops
         self.P, self.stiff = _operators(ops, prob.cp)
         self.rhs_load = ops.block_mass @ ops.to_vector(prob.rhs)
-        self.factor = SPDLaggedFactor() if factor is None else factor
-        self._counted = (self.factor.factorizations, self.factor.held_iterations)
-
-    def evaluate(self, red: np.ndarray):
-        """Reduced residual and quadrature curvature (bulk, surface) at an iterate."""
-        ops = self.ops
-        full = ops.prolong(red, self.P)
-        convex = convex_terms(ops, full, self.prob.pot, self.prob.yp)
-        out = self.stiff @ full + convex.load - self.rhs_load
-        if self.shifted:
-            out += ops.block_mass @ full
-        return ops.reduce(out, self.P), convex.curvature
 
     def residual_norm(self, pair: BulkSurfacePair) -> float:
-        """Max-norm of the reduced residual at a pair."""
-        return float(np.abs(self.evaluate(self.ops.to_reduced(pair, self.P))[0]).max())
-
-    def newton_direction(self, curvature, rhs: np.ndarray) -> np.ndarray:
-        """Solve the SPD Newton system for the given quadrature curvature."""
-        pattern = _newton_pattern(self.ops, self.prob.cp, self.shifted)
-        mat = pattern.matrix(pattern.fixed + pattern.weighted_mass(self.ops, *curvature))
-        return self.factor.solve(mat, rhs)
-
-    def newton(self, red: np.ndarray, tol: float, max_iter: int, history: list):
-        """Damped Newton from red; returns (red, iterations, line-search trials).
-
-        A failure on a factor inherited from an earlier solve is retried once
-        from red on a fresh factor, with the history cut back to its entries
-        before the first attempt, so a raised EllipticSolveError is the one a
-        solve on its own factor raises.
-        """
-        kept = len(history)
-
-        def attempt():
-            del history[kept:]
-            x, _, its, trials = damped_newton(
-                self.evaluate, self.newton_direction, red, tol, max_iter, 40,
-                EllipticSolveError, history,
-            )
-            return x, its, trials
-
-        return self.factor.retried(attempt, EllipticSolveError)
-
-    def counts(self) -> dict:
-        """Factorizations and held-factor iterations made since the system was built."""
-        return {
-            "factorizations": self.factor.factorizations - self._counted[0],
-            "held_solve_iterations": self.factor.held_iterations - self._counted[1],
-        }
+        """Max-norm of the reduced shifted residual at a pair, which lets the
+        contraction stop without building a Newton system."""
+        ops = self.ops
+        full = ops.prolong(ops.to_reduced(pair, self.P), self.P)
+        convex = convex_terms(ops, full, self.prob.pot, self.prob.yp)
+        out = self.stiff @ full + convex.load - self.rhs_load + ops.block_mass @ full
+        return float(np.abs(ops.reduce(out, self.P)).max())
 
     def contract(self, current: BulkSurfacePair) -> BulkSurfacePair:
         """One application of the contraction map; see :func:`fixed_point_step`."""
@@ -188,27 +158,26 @@ def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSur
     in the constrained weak form and returns the new pair.  The map contracts
     in the discrete L2 norm with factor at most 1/sqrt(1+lam).
     """
-    return _System(prob, shifted=True).contract(current)
+    return _System(prob).contract(current)
 
 
-def solve_shifted_regularized(
-    prob: EllipticProblem,
-    tol: float = 1e-10,
-    fp_switch: float = 1e-4,
-    use_newton: bool = True,
-    max_fp_iter: int = 100000,
-    newton_max_iter: int = 50,
-    start: BulkSurfacePair | None = None,
-) -> EllipticSolution:
-    """Solve u - Lap u + F'_lam(u) = f (plus the surface/coupling rows).
+_TOL = 1e-10  # weak-residual tolerance of the shifted solve and of the continuation
+_FP_SWITCH = 1e-4  # residual at which the shifted solve hands over to Newton
+_MAX_FP_ITER = 100000  # contraction iterations of one shifted solve
+_SHIFTED_NEWTON_MAX_ITER = 50  # Newton iterations of its polish
+_NEWTON_MAX_ITER = 60  # Newton iterations of one regularized solve
+
+
+def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = True) -> EllipticSolution:
+    """Solve u - Lap u + F'_lam(u) = f (plus the surface/coupling rows) from zero.
 
     Contraction iterations carry the iterate into the Newton basin (or all
     the way down when use_newton is False, stopping on the step difference);
     Newton then polishes to the weak-residual tolerance.
     """
     ops = prob.ops
-    sysm = _System(prob, shifted=True)
-    u = start.copy() if start is not None else ops.zero_pair()
+    sysm = _System(prob)
+    u = ops.zero_pair()
     history: list[float] = []
     fp_iters = 0
     while True:
@@ -217,36 +186,33 @@ def solve_shifted_regularized(
         diff = (new - u).max_abs()
         u = new
         if use_newton:
-            rnorm = sysm.residual_norm(u)
-            history.append(rnorm)
-            if rnorm <= fp_switch or fp_iters >= max_fp_iter:
+            history.append(sysm.residual_norm(u))
+            if history[-1] <= _FP_SWITCH or fp_iters >= _MAX_FP_ITER:
                 break
-        else:
-            if diff <= tol:
-                return EllipticSolution(
-                    uv=u,
-                    residual_norm=sysm.residual_norm(u),
-                    iterations=fp_iters,
-                    lambda_used=prob.yp.lam,
-                    extras={"fp_iterations": fp_iters, **sysm.counts()},
-                )
-            if fp_iters >= max_fp_iter:
-                raise EllipticSolveError(
-                    f"contraction iteration did not reach {tol:g} in {max_fp_iter} steps",
-                    history,
-                )
+        elif diff <= _TOL:
+            return EllipticSolution(
+                uv=u,
+                residual_norm=sysm.residual_norm(u),
+                iterations=fp_iters,
+                lambda_used=prob.yp.lam,
+                extras={"fp_iterations": fp_iters, "factorizations": 0,
+                        "held_solve_iterations": 0},
+            )
+        elif fp_iters >= _MAX_FP_ITER:
+            raise EllipticSolveError(
+                f"contraction iteration did not reach {_TOL:g} in {_MAX_FP_ITER} steps", history
+            )
 
-    red, its, _ = sysm.newton(ops.to_reduced(u, sysm.P), tol, newton_max_iter, history)
+    system = _newton_system(prob, True, SPDLaggedFactor())
+    red = ops.to_reduced(u, sysm.P)
+    _, _, full, its, _ = system.solve(red, _TOL, _SHIFTED_NEWTON_MAX_ITER, history)
     return EllipticSolution(
-        uv=ops.from_vector(ops.prolong(red, sysm.P)),
+        uv=ops.from_vector(full),
         residual_norm=history[-1],
         iterations=fp_iters + its,
         lambda_used=prob.yp.lam,
-        extras={"fp_iterations": fp_iters, "newton_iterations": its, **sysm.counts()},
+        extras={"fp_iterations": fp_iters, "newton_iterations": its, **system.counts()},
     )
-
-
-_NEWTON_MAX_ITER = 60  # Newton iterations of one regularized solve
 
 
 def solve_regularized(
@@ -267,16 +233,16 @@ def solve_regularized(
 def _solve_regularized(prob, tol, max_iter, start, factor: SPDLaggedFactor) -> EllipticSolution:
     """:func:`solve_regularized` with its Newton directions on the given held factor."""
     ops = prob.ops
-    sysm = _System(prob, shifted=False, factor=factor)
+    system = _newton_system(prob, False, factor)
     history: list[float] = []
-    red = ops.to_reduced(start if start is not None else ops.zero_pair(), sysm.P)
-    red, its, trials = sysm.newton(red, tol, max_iter, history)
+    red = ops.to_reduced(start if start is not None else ops.zero_pair(), system.pattern.P)
+    _, _, full, its, trials = system.solve(red, tol, max_iter, history)
     return EllipticSolution(
-        uv=ops.from_vector(ops.prolong(red, sysm.P)),
+        uv=ops.from_vector(full),
         residual_norm=history[-1],
         iterations=its,
         lambda_used=prob.yp.lam,
-        extras={"history": history, "line_search_trials": trials, **sysm.counts()},
+        extras={"history": history, "line_search_trials": trials, **system.counts()},
     )
 
 
@@ -287,7 +253,6 @@ def solve_singular(
     pot: PotentialSpec,
     schedule=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
     cauchy_tol: float = 1e-3,
-    newton_tol: float = 1e-10,
 ) -> EllipticSolution:
     """Continuation in the regularization parameter toward the singular problem.
 
@@ -309,7 +274,7 @@ def solve_singular(
     for lam in schedule:
         prob = EllipticProblem(ops=ops, cp=cp, pot=pot, yp=YosidaParams(lam=lam), rhs=rhs)
         start = sols[-1].uv if sols else None
-        sols.append(_solve_regularized(prob, newton_tol, _NEWTON_MAX_ITER, start, factor))
+        sols.append(_solve_regularized(prob, _TOL, _NEWTON_MAX_ITER, start, factor))
     diffs = [ops.h1_norm(b.uv - a.uv) for a, b in zip(sols, sols[1:])]
     sol = sols[-1]
     separation = 1.0 - sol.uv.max_abs()

@@ -149,10 +149,13 @@ def _build(nodes: np.ndarray, triangles: np.ndarray) -> Mesh:
     triangles = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(nodes):
         raise MeshError("triangle refers to a nonexistent node")
-    areas = _signed_areas(nodes, triangles)
-    bad = np.nonzero(areas <= 0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # finite coordinates may overflow
+        areas = _signed_areas(nodes, triangles)
+    bad = np.nonzero(~(np.isfinite(areas) & (areas > 0)))[0]
     if bad.size:
-        raise MeshError(f"triangle {int(bad[0])} has non-positive signed area {areas[bad[0]]:g}")
+        area = areas[bad[0]]
+        kind = "non-positive" if np.isfinite(area) else "non-finite"
+        raise MeshError(f"triangle {int(bad[0])} has {kind} signed area {area:g}")
 
     loop = _boundary_loop(nodes, triangles)
     pts = nodes[loop]

@@ -29,8 +29,8 @@ from .assembly import (
     FemOperators,
     JacobianPattern,
     LaggedFactor,
+    NewtonSystem,
     SolverFailure,
-    damped_newton,
 )
 from .potentials import (
     ConvexTerms,
@@ -163,52 +163,6 @@ DIAGNOSTIC_COLUMNS = (
 ).split(",")
 
 
-class _StepJacobian:
-    """The step Newton matrix [[dt D, M_UW], [M_WU, -H(u)]] on one fixed CSC pattern.
-
-    Unknowns are ordered (dw, du); D is reduced by the potential prolongator,
-    H(u) = stiffness + curvature mass by the phase one.  The pattern is the
-    union of the mass and stiffness blocks, every element pair of the mesh in
-    both diagonal blocks, and the potential exchange coupling, so a new
-    mobility or curvature only rewrites the data vector.  The curvature part
-    is the pattern's reduced weighted mass in the du block.  One matrix is
-    held and refilled per Newton direction; its lagged factor serves every
-    Newton iteration of every step of one run.
-    """
-
-    def __init__(self, ts: "TimeStepper"):
-        ops = self.ops = ts.ops
-        nw, nu = ts.mass_UW.shape
-        mass = ts.mass_UW.tocoo()
-        stiff = ops.project(ts.stiff_K, ts.P_K, ts.P_K).tocoo()
-        # (rows, cols, data) of the blocks that never change; M_WU is written
-        # as the transpose of M_UW, so the matrix is symmetric to the last bit
-        # in the mass blocks
-        fixed = [
-            (mass.row, nw + mass.col, mass.data),
-            (nw + mass.col, mass.row, mass.data),
-            (nw + stiff.row, nw + stiff.col, -stiff.data),
-        ]
-        blocks = [ops.reduced_element_entries(ts.P_L)[:2]]
-        if ts.cfg.cp.sigma_L != 0.0:
-            q = ts.Q_L.tocoo()
-            blocks.append((q.row, q.col))
-        self.pattern = JacobianPattern(ops, nw + nu, ts.P_K, nw, fixed, blocks)
-        self.factor = LaggedFactor()
-        self._matrix = self.pattern.matrix(np.zeros(len(self.pattern.indices)))
-
-    def matrix(self, base: sp.csc_matrix, curv_bulk: np.ndarray, curv_surf: np.ndarray):
-        """The Newton matrix for quadrature curvature values (bulk, surface),
-        written into the one held matrix."""
-        weighted = self.pattern.weighted_mass(self.ops, curv_bulk, curv_surf)
-        np.subtract(base.data, weighted, out=self._matrix.data)
-        return self._matrix
-
-    def solve(self, base: sp.csc_matrix, curvature, rhs: np.ndarray) -> np.ndarray:
-        """Newton direction (dw, du) through the lagged factor."""
-        return self.factor.solve(self.matrix(base, *curvature), rhs)
-
-
 class TimeStepper:
     """Owns the assembled operators plus one coupling/potential configuration."""
 
@@ -225,9 +179,11 @@ class TimeStepper:
         self.mass_UW = ops.project(self.mass, self.P_L, self.P_K)
         if cfg.mobility.is_constant:
             self._diss_const = self._dissipation_matrix(None)
-        # the step Jacobian's fixed pattern, lagged factor and, for constant
-        # mobility, its curvature-free part; all built at the first step
-        self._jac = None
+        # the step Jacobian's lagged factor, kept across the steps of a run,
+        # and its fixed pattern and, for constant mobility, curvature-free
+        # part, both built at the first step
+        self.factor = LaggedFactor()
+        self._pattern = None
         self._jac_base = None
 
     # -- element mobility weights and the dissipation operator -----------------
@@ -369,52 +325,57 @@ class TimeStepper:
         red = spla.spsolve(mat, ops.reduce(g, test_p))
         return ops.from_vector(ops.prolong(red, sol_p))
 
-    def _jacobian_base(self, diss: sp.csr_matrix) -> sp.csc_matrix:
-        """Step Jacobian without the curvature term, on the fixed pattern: the
-        step residual's linear part.
+    def _jacobian_pattern(self) -> JacobianPattern:
+        """The pattern of the step Jacobian [[dt D, M_UW], [M_WU, -H(u)]].
 
-        Fixed for constant mobility; otherwise the dissipation block follows
-        the mobility frozen at each step's old state.
+        Unknowns are ordered (dw, du); D is reduced by the potential
+        prolongator, H(u) = stiffness + curvature mass by the phase one.  The
+        pattern is the union of the mass and stiffness blocks, every element
+        pair of the mesh in both diagonal blocks, and the potential exchange
+        coupling, so a new mobility or curvature only rewrites the data vector.
         """
-        if self._jac is None:
-            self._jac = _StepJacobian(self)
-        if self._jac_base is not None:
-            return self._jac_base
-        d = self.ops.project(self.cfg.dt * diss, self.P_L, self.P_L).tocoo()
-        pattern = self._jac.pattern
-        base = pattern.matrix(pattern.fixed + pattern.scatter(d.row, d.col, d.data))
-        if self.cfg.mobility.is_constant:
-            self._jac_base = base
-        return base
+        ops = self.ops
+        nw, nu = self.mass_UW.shape
+        mass = self.mass_UW.tocoo()
+        stiff = ops.project(self.stiff_K, self.P_K, self.P_K).tocoo()
+        # (rows, cols, data) of the blocks that never change; M_WU is written
+        # as the transpose of M_UW, so the matrix is symmetric to the last bit
+        # in the mass blocks
+        fixed = [
+            (mass.row, nw + mass.col, mass.data),
+            (nw + mass.col, mass.row, mass.data),
+            (nw + stiff.row, nw + stiff.col, -stiff.data),
+        ]
+        blocks = [ops.reduced_element_entries(self.P_L)[:2]]
+        if self.cfg.cp.sigma_L != 0.0:
+            q = self.Q_L.tocoo()
+            blocks.append((q.row, q.col))
+        return JacobianPattern(ops, nw + nu, self.P_K, nw, fixed, blocks)
 
-    def _system(self, diss: sp.csr_matrix, explicit_A: np.ndarray, concave: np.ndarray):
-        """(base, evaluate): the curvature-free Jacobian, and the residual at
-        x = [w_red, u_red], base @ x - [P_L^T explicit_A, P_K^T (concave +
-        convex load)], with (convex terms, full phase vector).  ``convex``,
-        when given, must be :func:`convex_terms` at the prolonged phase iterate."""
-        ops, pot, yp = self.ops, self.cfg.pot, self.cfg.yp
-        base = self._jacobian_base(diss)
-        rhs_w = ops.reduce(explicit_A, self.P_L)
-        rhs = np.concatenate([rhs_w, ops.reduce(concave, self.P_K)])
-        nw = len(rhs_w)
+    def _newton_system(
+        self, diss: sp.csr_matrix, explicit_A: np.ndarray, concave: np.ndarray
+    ) -> NewtonSystem:
+        """The step's Newton system in x = [w_red, u_red], the Jacobian's (dw, du) order.
 
-        def evaluate(x, convex=None):
-            u_full = ops.prolong(x[nw:], self.P_K)
-            if convex is None:
-                convex = convex_terms(ops, u_full, pot, yp)
-            r = base @ x - rhs
-            r[nw:] -= ops.reduce(convex.load, self.P_K)
-            return r, (convex, u_full)
-
-        return base, evaluate
-
-    def _evaluate(self, u_red, w_red, explicit_A, diss, concave, convex=None):
-        """Residual pair of the step system, the convex terms at the phase
-        iterate, and the full iterate vectors; see :meth:`_system`."""
-        nw = len(w_red)
-        evaluate = self._system(diss, explicit_A, concave)[1]
-        r, (convex, u_full) = evaluate(np.concatenate([w_red, u_red]), convex)
-        return r[:nw], r[nw:], convex, u_full, self.ops.prolong(w_red, self.P_L)
+        Its residual is B x - [P_L^T explicit_A, P_K^T (concave + convex
+        load)], B the step Jacobian without the curvature term: fixed for
+        constant mobility; otherwise its dissipation block follows the
+        mobility frozen at each step's old state.
+        """
+        ops, cfg = self.ops, self.cfg
+        if self._pattern is None:
+            self._pattern = self._jacobian_pattern()
+        pattern, base = self._pattern, self._jac_base
+        if base is None:
+            d = ops.project(cfg.dt * diss, self.P_L, self.P_L).tocoo()
+            base = pattern.matrix(pattern.fixed + pattern.scatter(d.row, d.col, d.data))
+            if cfg.mobility.is_constant:
+                self._jac_base = base
+        rhs = np.concatenate([ops.reduce(explicit_A, self.P_L), ops.reduce(concave, self.P_K)])
+        return NewtonSystem(
+            ops, pattern, base, rhs, lambda u: convex_terms(ops, u, cfg.pot, cfg.yp), -1,
+            self.factor, StepError, "step Newton", max_trials=20,
+        )
 
     def step(
         self, state: State, field_: VelocityField, record: StepRecord | None = None
@@ -426,14 +387,15 @@ class TimeStepper:
         what it holds is reused rather than computed again, with the same
         result to the bit.  The per-step data carries the new state's energy
         breakdown under "energy", the record for the next step under
-        "record", and under "factorizations" the step Jacobian factorizations
-        it made; the lagged factor is kept for the next step until :meth:`run`
-        ends.  A step that fails on a factor kept from an earlier step is
-        retried once on a fresh factor, from the same starting residual, so a
-        raised StepError is the one a fresh stepper raises from the same
-        state; a successful step matches it to the Newton tolerance, not
-        bitwise.  The accepted line-search trial is the next Newton iterate,
-        residual and convex terms included.
+        "record", under "factorizations" and "held_solve_iterations" the step
+        Jacobian factorizations and refinement sweeps it made, and under
+        "line_search_trials" its line-search trials; the lagged factor is kept
+        for the next step until :meth:`run` ends.  A step that fails on a
+        factor kept from an earlier step is retried once on a fresh factor,
+        from the same starting residual, so a raised StepError is the one a
+        fresh stepper raises from the same state; a successful step matches it
+        to the Newton tolerance, not bitwise.  The accepted line-search trial
+        is the next Newton iterate, residual and convex terms included.
         """
         ops, cfg = self.ops, self.cfg
         dt = cfg.dt
@@ -442,33 +404,17 @@ class TimeStepper:
 
         diss = self.dissipation_matrix(state.phi_psi)
         conv = self.convection_load(state.phi_psi, field_, state.t + 0.5 * dt, transport)
-        base, evaluate = self._system(
+        system = self._newton_system(
             diss, self.mass @ u_old + dt * conv, self._concave_load(state.phi_psi)
         )
-
-        # the unknown is [w_red, u_red], in the Jacobian's (dw, du) order
         w_red = ops.to_reduced(state.mu_theta, self.P_L)
         x = np.concatenate([w_red, ops.to_reduced(state.phi_psi, self.P_K)])
-        nw = len(w_red)
-
-        def direction(aux, rhs):
-            return self._jac.solve(base, aux[0].curvature, rhs)
-
-        start = evaluate(x, None if record is None else record.convex)
-
-        def newton():
-            history = []
-            x_new, (convex, u_full), iters, _ = damped_newton(
-                evaluate, direction, x, cfg.newton_tol, cfg.newton_max_iter, 20,
-                lambda message, hist: StepError("step " + message, hist), history, start,
-            )
-            return x_new, convex, u_full, iters, history[-1]
-
-        factors_before = self._factorizations()
-        # a failure on a kept factor is retried on one of this step's own
-        # matrix, so that it depends on (state, field, dt) alone
-        x_new, convex, u_full, iters, resid = self._jac.factor.retried(newton, StepError)
-        w_full = ops.prolong(x_new[:nw], self.P_L)
+        history = []
+        start = None if record is None else record.convex
+        x_new, convex, u_full, iters, trials = system.solve(
+            x, cfg.newton_tol, cfg.newton_max_iter, history, start
+        )
+        w_full = ops.prolong(x_new[: len(w_red)], self.P_L)
         new_state = State(
             phi_psi=ops.from_vector(u_full), mu_theta=ops.from_vector(w_full), t=state.t + dt
         )
@@ -478,19 +424,16 @@ class TimeStepper:
         conv_work = float(conv @ w_full)
         info = {
             "newton_iters": iters,
-            "residual": resid,
+            "residual": history[-1],
             "dissipation": dissipation,
             "convection_work": conv_work,
             "balance_residual": (energy.total - energy_old.total) / dt + dissipation - conv_work,
             "energy": energy,
-            "factorizations": self._factorizations() - factors_before,
+            "line_search_trials": trials,
+            **system.counts(),
             "record": StepRecord(energy, convex, transport),
         }
         return new_state, info
-
-    def _factorizations(self) -> int:
-        """Step Jacobian factorizations made so far by this stepper."""
-        return 0 if self._jac is None else self._jac.factor.factorizations
 
     # -- trajectories ------------------------------------------------------------------
 
@@ -537,8 +480,7 @@ class TimeStepper:
             return Trajectory(states=states, rows=rows)
         finally:
             # the factor is worth keeping across steps, not across runs
-            if self._jac is not None:
-                self._jac.factor.drop()
+            self.factor.drop()
 
     def _row(self, k: int, state: State, e: EnergyBreakdown, info: dict) -> dict:
         weighted, mb, ms = self.mass_of(state.phi_psi)

@@ -11,11 +11,15 @@ from bscahn.assembly import (
     CouplingParams,
     JacobianPattern,
     LaggedFactor,
+    NewtonSystem,
+    SolverFailure,
+    SPDLaggedFactor,
     assemble,
     sigma,
 )
 
 from bscahn.mesh import generate_unit_square
+from bscahn.potentials import PotentialSpec, YosidaParams, convex_terms
 
 from _oracles import (
     bulk_at_tri_quad_einsum,
@@ -390,3 +394,62 @@ class TestLaggedFactor:
         assert factor.lu is None
         assert factor.factorizations == 1
 
+
+class NewtonFailure(SolverFailure):
+    def __init__(self, message, history):
+        super().__init__(message)
+        self.history = list(history)
+
+
+class TestNewtonSystem:
+    """sign * (the shifted elliptic system): B = sign (S + M), b = sign M f,
+    whose Newton matrices are SPD for sign +1 and negative definite for -1."""
+
+    @pytest.fixture
+    def pattern(self, ops4):
+        lin = (ops4.form_matrix(1.0, 0.5) + ops4.block_mass).tocoo()
+        return JacobianPattern(ops4, lin.shape[0], None, fixed=[(lin.row, lin.col, lin.data)])
+
+    @staticmethod
+    def system(ops, pattern, sign, factor, rhs):
+        b = sign * (ops.block_mass @ ops.to_vector(rhs))
+        yp = YosidaParams(lam=1e-3)
+        return NewtonSystem(
+            ops, pattern, pattern.matrix(sign * pattern.fixed), b,
+            lambda u: convex_terms(ops, u, PotentialSpec(), yp), sign, factor, NewtonFailure,
+        )
+
+    @pytest.mark.parametrize("sign,kind", [(1, SPDLaggedFactor), (-1, LaggedFactor)])
+    def test_a_failure_on_an_inherited_factor_is_the_one_a_fresh_factor_raises(
+        self, ops4, pattern, sign, kind, rng
+    ):
+        rhs, start = random_pair(ops4, rng, 50.0), np.zeros(pattern.n)
+        with pytest.raises(NewtonFailure) as fresh:
+            self.system(ops4, pattern, sign, kind(), rhs).solve(start, 1e-10, 1, [])
+        # a factor held from a solve near, not at, the failing solve's start:
+        # refined on it, the first direction differs from the fresh one in
+        # its last bits, and so does the failure's history
+        factor, near = kind(), rng.uniform(-0.05, 0.05, pattern.n)
+        self.system(ops4, pattern, sign, factor, random_pair(ops4, rng, 0.01)).solve(
+            near, 1e-10, 60, []
+        )
+        before = factor.factorizations
+        history = [1.0]
+        with pytest.raises(NewtonFailure) as held:
+            self.system(ops4, pattern, sign, factor, rhs).solve(start, 1e-10, 1, history)
+        assert str(held.value) == str(fresh.value)
+        assert held.value.history == [1.0] + fresh.value.history
+        assert factor.factorizations == before + 1  # the retry's own factor
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_two_signs_take_the_same_newton_steps(self, ops4, pattern, sign, rng):
+        rhs = random_pair(ops4, rng, 5.0)
+        x, _, u, its, trials = self.system(ops4, pattern, sign, LaggedFactor(), rhs).solve(
+            np.zeros(pattern.n), 1e-10, 60, []
+        )
+        ref = self.system(ops4, pattern, 1, LaggedFactor(), rhs).solve(
+            np.zeros(pattern.n), 1e-10, 60, []
+        )
+        assert (its, trials) == ref[3:]
+        assert np.linalg.norm(x - ref[0]) <= 1e-12 * np.linalg.norm(ref[0])
+        assert np.array_equal(u, x)  # no prolongator: the phase vector is the unknown

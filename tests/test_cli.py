@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -145,6 +146,23 @@ class TestCommands:
         assert len(lines) == 1
         assert lines[0].startswith("error: config:")
         assert "line 5, column 1: bad coordinate" in lines[0]
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("corner,area", [("1e308 0", "inf"), ("-1e308 0", "-inf")])
+    def test_overflowing_triangle_area_is_one_config_error(self, corner, area, tmp_path, capsys):
+        # finite coordinates whose signed area overflows
+        mesh = tmp_path / "square.txt"
+        mesh.write_text(f"bsmesh 1\n4 2\n0 0\n{corner}\n1e308 1e308\n0 1e308\n0 1 2\n0 2 3\n")
+        cfg = tmp_path / "square.cfg"
+        cfg.write_text(f"[mesh]\npath = {mesh}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("mesh", "--config", str(cfg), "--out", str(tmp_path / "m"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config:")
+        assert lines[0].endswith(f"triangle 0 has non-finite signed area {area}")
         assert [str(w.message) for w in caught] == []
 
     def test_regimes_study_leaves_the_shared_operators_as_built(self, tmp_path, monkeypatch):
@@ -333,6 +351,25 @@ class TestCommands:
         assert len(lines) == 1
         assert lines[0].startswith("error: solver:")
         assert "Gronwall weight exp(" in lines[0]
+
+    def test_damped_newton_running_out_of_iterations_is_one_solver_error(self, tmp_path,
+                                                                          capsys):
+        # a near-singular potential, a long step and a strong flow: the step
+        # Newton ends at its roundoff floor, above the absolute tolerance
+        cfg = tmp_path / "strong.cfg"
+        cfg.write_text(edited_config("strong.cfg", {
+            ("time", "lambda"): "1e-6", ("time", "dt"): "0.2", ("time", "t_end"): "0.4",
+            ("velocity", "amplitude"): "200",
+        }))
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "s"))
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"error: solver: step 2: step Newton did not reach tol 1e-12 in 30 iterations "
+            r"\(residual [0-9.e+-]+\) \(advice: halve dt and retry\)",
+            lines[0],
+        ), lines[0]
 
     def test_python_dash_m_runs_the_cli(self):
         src = os.path.join(os.path.dirname(__file__), "..", "src")

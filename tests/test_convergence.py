@@ -6,6 +6,7 @@ order, so that a discretization of a different PDE cannot pass.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse.linalg as spla
 
 from bscahn.assembly import BulkSurfacePair, CouplingParams, assemble
@@ -74,6 +75,56 @@ def test_regularized_elliptic_solve_converges_at_second_order():
         rhs = BulkSurfacePair(
             2.0 * np.pi**2 * u + yosida_prime(u, pot.theta, yp),
             np.pi**2 * psi + yosida_prime(psi, pot.theta_surf, yp),
+        )
+        sol = solve_regularized(EllipticProblem(ops=ops, cp=cp, pot=pot, yp=yp, rhs=rhs))
+        errors.append(ops.l2_norm(sol.uv - BulkSurfacePair(u, psi)))
+    rates = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(1.9 <= r <= 2.1 for r in rates), (errors, rates)
+
+
+@pytest.mark.parametrize("K", [1.0, 0.0])
+def test_elliptic_solve_with_a_coupling_flux_converges_at_second_order(K):
+    """Manufactured solution with a nonzero normal derivative and alpha != 1.
+
+    The system is the one above, at theta = 0.8, lam = 1e-2, L = beta = 1
+    and alpha = 0.7; K = 0 replaces the coupling rows by the trace
+    constraint u = alpha psi, and the bulk flux enters the surface equation
+    as alpha d_n u.  Take
+        u = 0.4 cos(pi x) cos(pi y) + 0.1 sin^4(pi x) (y - 1/2).
+    On x = 0 and x = 1 both sin(pi x) and its derivative vanish, so
+    d_n u = 0 there; on y = 0 and y = 1 the first term is flat in y, so
+    d_n u = -+0.1 sin^4(pi x).  One formula covers the loop:
+    d_n u = 0.1 sin^4(pi x) (2y - 1).  The coupling law K d_n u = alpha psi - u
+    gives psi = (u + K d_n u) / alpha, which is C^1 through the corners,
+    since every term's tangential derivative vanishes there, and
+        f = -Lap u + F'_lam(u),    g = -psi_ss + G'_lam(psi) + alpha d_n u.
+    With (sin^4)'' = 4 pi^2 (3 sin^2 cos^2 - sin^4) in pi x, psi_ss is
+    (u_xx + K (d_n u)_xx) / alpha on the horizontal sides and u_yy / alpha on
+    the vertical ones.  The L2 errors against the nodal interpolants are
+    about 8.41e-2 ... 3.50e-4 (K = 1) and 7.50e-2 ... 3.02e-4 (K = 0) at
+    n = 4, ..., 64, rates 1.95 to 2.00.  Unlike the test above, the deficit
+    alpha psi - u and the flux alpha d_n u are nonzero, so a wrong alpha or
+    1/K in the coupling rows stalls the error.
+    """
+    cp = CouplingParams(K=K, L=1.0, alpha=0.7, beta=1.0)
+    pot, yp = PotentialSpec(theta=0.8), YosidaParams(lam=1e-2)
+    errors = []
+    for n in (4, 8, 16, 32, 64):
+        ops = assemble(generate_unit_square(n))
+        x, y = ops.mesh.nodes.T
+        cx, cy, sx = np.cos(np.pi * x), np.cos(np.pi * y), np.sin(np.pi * x)
+        sin4_xx = 4.0 * np.pi**2 * (3.0 * sx**2 * cx**2 - sx**4)
+        u = 0.4 * cx * cy + 0.1 * sx**4 * (y - 0.5)
+        u_xx = -0.4 * np.pi**2 * cx * cy + 0.1 * sin4_xx * (y - 0.5)
+        u_yy = -0.4 * np.pi**2 * cx * cy
+        dn = 0.1 * sx**4 * (2.0 * y - 1.0)
+        horizontal = (y == 0.0) | (y == 1.0)
+        psi_ss = np.where(horizontal, u_xx + K * 0.1 * sin4_xx * (2.0 * y - 1.0), u_yy) / cp.alpha
+        b = ops.mesh.surface_nodes
+        psi = (u[b] + K * dn[b]) / cp.alpha
+        rhs = BulkSurfacePair(
+            -(u_xx + u_yy) + yosida_prime(u, pot.theta, yp),
+            -psi_ss[b] + yosida_prime(psi, pot.theta_surf, yp) + cp.alpha * dn[b],
         )
         sol = solve_regularized(EllipticProblem(ops=ops, cp=cp, pot=pot, yp=yp, rhs=rhs))
         errors.append(ops.l2_norm(sol.uv - BulkSurfacePair(u, psi)))

@@ -6,20 +6,19 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bscahn import potentials
+from bscahn import elliptic, potentials
 from bscahn.assembly import (
     BulkSurfacePair,
     CouplingParams,
     SPDLaggedFactor,
     assemble,
-    damped_newton,
 )
 from bscahn.elliptic import (
     EllipticProblem,
     EllipticSolveError,
     _newton_pattern,
+    _newton_system,
     _solve_regularized,
-    _System,
     fixed_point_step,
     principal_part_bound_check,
     project_initial_data,
@@ -89,39 +88,41 @@ def coupling(K):
 
 
 def newton_case(ops, K, shifted, rng, scale=1.0):
-    """A Newton system and a reduced iterate for one (K, shifted) case."""
-    sysm = _System(problem(ops, rhs=random_pair(ops, rng, scale), cp=coupling(K)), shifted)
-    return sysm, ops.to_reduced(random_pair(ops, rng, 0.6), sysm.P)
+    """A Newton system, its problem and a reduced iterate for one (K, shifted) case."""
+    prob = problem(ops, rhs=random_pair(ops, rng, scale), cp=coupling(K))
+    system = _newton_system(prob, shifted, SPDLaggedFactor())
+    return system, prob, ops.to_reduced(random_pair(ops, rng, 0.6), system.pattern.P)
 
 
-def assembled_newton_matrix(sysm, curv_bulk, curv_surf):
+def assembled_newton_matrix(prob, shifted, curv_bulk, curv_surf):
     """P^T(stiff [+ mass] + curvature mass)P from the COO-built weighted masses."""
-    ops = sysm.ops
+    ops, cp = prob.ops, prob.cp
     curv = sp.block_diag([ops.tri_weighted_mass(curv_bulk), ops.surf_weighted_mass(curv_surf)])
-    mat = sysm.stiff + curv
-    if sysm.shifted:
+    mat = ops.form_matrix(cp.sigma_K, cp.alpha) + curv
+    if shifted:
         mat = mat + sp.block_diag([ops.M_bulk, ops.M_surf])
-    return ops.project(mat, sysm.P, sysm.P).tocsc()
+    P = ops.reduction(cp.K, cp.alpha)
+    return ops.project(mat, P, P).tocsc()
 
 
 class TestNewtonSystem:
     @pytest.mark.parametrize("K,shifted", NEWTON_CASES)
     def test_fixed_pattern_matrix_is_the_assembled_one(self, ops4, K, shifted, rng):
-        sysm, red = newton_case(ops4, K, shifted, rng)
-        _, curv = sysm.evaluate(red)
-        pattern = _newton_pattern(ops4, sysm.prob.cp, shifted)
-        mat = pattern.matrix(pattern.fixed + pattern.weighted_mass(ops4, *curv))
-        ref = assembled_newton_matrix(sysm, *curv)
+        system, prob, red = newton_case(ops4, K, shifted, rng)
+        curv = system.evaluate(red)[1].curvature
+        mat = system.matrix(curv)
+        assert mat is _newton_pattern(ops4, prob.cp, shifted).held
+        ref = assembled_newton_matrix(prob, shifted, *curv)
         scale = abs(ref).max()
         assert abs(mat - ref).max() <= 1e-13 * scale
         assert abs(mat - mat.T).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("K,shifted", NEWTON_CASES)
     def test_newton_direction_matches_spsolve(self, ops4, K, shifted, rng):
-        sysm, red = newton_case(ops4, K, shifted, rng)
-        r, curv = sysm.evaluate(red)
-        delta = sysm.newton_direction(curv, -r)
-        ref = spla.spsolve(assembled_newton_matrix(sysm, *curv), -r)
+        system, prob, red = newton_case(ops4, K, shifted, rng)
+        r, terms, _ = system.evaluate(red)
+        delta = system.direction(terms, -r)
+        ref = spla.spsolve(assembled_newton_matrix(prob, shifted, *terms.curvature), -r)
         assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("K,shifted", NEWTON_CASES)
@@ -137,15 +138,12 @@ class TestNewtonSystem:
             return resolvent(*args, **kwargs)
 
         monkeypatch.setattr(potentials, "yosida_resolvent", counting)
-        sysm, _ = newton_case(ops4, K, shifted, rng, scale=5.0)
+        system, prob, _ = newton_case(ops4, K, shifted, rng, scale=5.0)
         if shifted:
-            start = ops4.to_reduced(ops4.zero_pair(), sysm.P)
-            _, _, its, trials = damped_newton(
-                sysm.evaluate, sysm.newton_direction, start, 1e-10, 60, 40,
-                EllipticSolveError, [],
-            )
+            start = ops4.to_reduced(ops4.zero_pair(), system.pattern.P)
+            _, _, _, its, trials = system.solve(start, 1e-10, 60, [])
         else:
-            sol = solve_regularized(sysm.prob)
+            sol = solve_regularized(prob)
             its, trials = sol.iterations, sol.extras["line_search_trials"]
         assert trials > its  # the line search backtracked
         assert len(calls) == 2 * (1 + trials)
@@ -286,10 +284,10 @@ class TestShiftedSolve:
         assert np.abs(sol.uv.surf - c).max() <= 1e-8
 
     def test_pure_contraction_iteration_count(self, ops4, rng):
-        lam, tol = 0.1, 1e-10
+        lam, tol = 0.1, elliptic._TOL  # the contraction stops on a step of at most tol
         rhs = random_pair(ops4, rng, 0.5)
         prob = problem(ops4, rhs=rhs, lam=lam)
-        sol = solve_shifted_regularized(prob, tol=tol, use_newton=False)
+        sol = solve_shifted_regularized(prob, use_newton=False)
         gap0 = ops4.l2_norm(fixed_point_step(ops4.zero_pair(), prob))
         bound = math.ceil(math.log(tol / gap0) / math.log(1.0 / math.sqrt(1.0 + lam)))
         assert sol.iterations <= bound

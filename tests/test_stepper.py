@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bscahn import potentials, stepper
+from bscahn import potentials
 from bscahn.assembly import BulkSurfacePair, CouplingParams
 from bscahn.config import ConfigError, build_initial, parse_config_text
 from bscahn.potentials import (
@@ -544,8 +544,9 @@ class TestStepJacobian:
         ref = bmat_jacobian(st, diss, *curv)
         nu = st.mass_UW.shape[1]
         swapped = sp.hstack([ref[:, nu:], ref[:, :nu]]).tocsc()
-        base = st._jacobian_base(diss)
-        mat = st._jac.matrix(base, *curv)
+        concave = st._concave_load(old)
+        mat = st._newton_system(diss, st.mass @ st.ops.to_vector(old), concave).matrix(curv)
+        assert mat is st._pattern.held
         scale = abs(swapped).max()
         assert abs(mat - swapped).max() <= 1e-13 * scale
         assert abs(mat - mat.T).max() <= 1e-13 * scale
@@ -559,12 +560,11 @@ class TestStepJacobian:
         concave = st._concave_load(old)
         u_red = ops.to_reduced(iterate, st.P_K)
         w_red = ops.to_reduced(st.initial_mu_theta(old), st.P_L)
-        res_a, res_b, convex, _, _ = st._evaluate(u_red, w_red, explicit_A, diss, concave)
-        curv = convex.curvature
-        rhs = -np.concatenate([res_a, res_b])
-        base = st._jacobian_base(diss)
-        delta = st._jac.solve(base, curv, rhs)
-        ref = spla.spsolve(bmat_jacobian(st, diss, *curv), rhs)
+        system = st._newton_system(diss, explicit_A, concave)
+        r, convex, _ = system.evaluate(np.concatenate([w_red, u_red]))
+        rhs = -r
+        delta = system.direction(convex, rhs)
+        ref = spla.spsolve(bmat_jacobian(st, diss, *convex.curvature), rhs)
         nu, nw = len(u_red), len(w_red)
         ref_swapped = np.concatenate([ref[nu:], ref[:nu]])
         assert len(delta) == nu + nw
@@ -574,13 +574,18 @@ class TestStepJacobian:
     def test_pattern_built_at_the_first_solve_and_kept(self, ops4, mobility, rng):
         cfg = make_config(mobility=mobility)
         st = TimeStepper(ops4, cfg)
-        assert st._jac is None
+        assert st._pattern is None
         seen = []
+
+        def observe(state, info):
+            pattern = st._pattern
+            seen.append((pattern, pattern.indices, pattern.indptr, pattern.held))
+
         st.run(
             admissible_random(ops4, cfg.cp, rng),
             StreamFunctionVelocity(amplitude=1.0, profile="sine2"),
             5e-3,
-            observers=[lambda state, info: seen.append((st._jac, st._jac.pattern.indices, st._jac.pattern.indptr))],
+            observers=[observe],
         )
         assert len(seen) == 5
         for entry in seen[1:]:
@@ -593,19 +598,12 @@ class TestStepJacobian:
         # this step's
         calls, trials = [], []
         resolvent = potentials.yosida_resolvent
-        newton = stepper.damped_newton
 
         def counting(*args, **kwargs):
             calls.append(1)
             return resolvent(*args, **kwargs)
 
-        def counting_newton(*args, **kwargs):
-            out = newton(*args, **kwargs)
-            trials.append(out[3])
-            return out
-
         monkeypatch.setattr(potentials, "yosida_resolvent", counting)
-        monkeypatch.setattr(stepper, "damped_newton", counting_newton)
         cfg = make_config()
         st = TimeStepper(ops8, cfg)
         per_step, iters = [], []
@@ -613,6 +611,7 @@ class TestStepJacobian:
         def observe(state, info):
             per_step.append(len(calls))
             iters.append(info["newton_iters"])
+            trials.append(info["line_search_trials"])
             calls.clear()
 
         st.run(
@@ -668,12 +667,12 @@ class TestStepJacobian:
         init = admissible_random(ops4, cfg.cp, rng)
         st = TimeStepper(ops4, cfg)
         st.run(init, field, 3e-3)
-        assert st._jac.factor.lu is None
+        assert st.factor.lu is None
         # a StepError ends the run with a failure record
         failing = TimeStepper(ops4, replace(cfg, newton_max_iter=1, newton_tol=1e-15))
         traj = failing.run(init, field, 3e-3)
         assert traj.failure is not None
-        assert failing._jac.factor.lu is None
+        assert failing.factor.lu is None
 
         # any other exception propagates out of run
         def stop(state, info):
@@ -681,8 +680,8 @@ class TestStepJacobian:
 
         with pytest.raises(RuntimeError, match="observer stop"):
             st.run(init, field, 3e-3, observers=[stop])
-        assert st._jac.factor.factorizations == 2
-        assert st._jac.factor.lu is None
+        assert st.factor.factorizations == 2
+        assert st.factor.lu is None
 
     def test_failing_step_rebuilds_on_a_fresh_stepper(self, ops4, rng):
         # a step that fails on a factor kept from an earlier step raises the
@@ -692,8 +691,8 @@ class TestStepJacobian:
         st = TimeStepper(ops4, cfg)
         state = st.run(admissible_random(ops4, cfg.cp, rng), ZeroVelocity(), 1e-3).states[0]
         state, _ = st.step(state, field)
-        assert st._jac.factor.lu is not None
-        before = st._jac.factor.factorizations
+        assert st.factor.lu is not None
+        before = st.factor.factorizations
         st.cfg = replace(cfg, newton_max_iter=1, newton_tol=1e-15)
         with pytest.raises(StepError) as lagged:
             st.step(state, field)
@@ -702,7 +701,7 @@ class TestStepJacobian:
             fresh.step(state, field)
         assert str(lagged.value) == str(direct.value)
         assert lagged.value.history == direct.value.history
-        assert st._jac.factor.factorizations == before + 1
+        assert st.factor.factorizations == before + 1
 
     def test_row_energies_are_the_stored_states_energies(self, ops4, rng):
         cfg = make_config()
