@@ -135,6 +135,12 @@ _TRI_QPAIRS = (_TRI_QPOINTS[:, :, None] * _TRI_QPOINTS[:, None, :]).reshape(3, 9
 _GAUSS2 = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 
 
+_COMPAT_TOL = 1e-8  # compatibility tolerance of S_{L,beta}'s right-hand side
+_POINCARE_TOL = 1e-12  # relative eigenvalue change that ends the Poincare iteration
+_POINCARE_SWEEPS = 200  # its sweeps before it fails
+_POINCARE_BLOCK = 4  # its block size
+
+
 class FemOperators:
     """Assembled sparse operators plus quadrature tables for one mesh.
 
@@ -508,24 +514,23 @@ class FemOperators:
         self._cache[key] = (lu, P, ncon)
         return self._cache[key]
 
-    def solve_S_lb(
-        self, a: BulkSurfacePair, cp: CouplingParams, compat_tol: float = 1e-8
-    ) -> BulkSurfacePair:
+    def solve_S_lb(self, a: BulkSurfacePair, cp: CouplingParams) -> BulkSurfacePair:
         """Mean-free solution S of (S, test)_{L,beta} = -<a, test> for all tests.
 
         The right-hand side must be compatible: weighted integral zero for
-        finite L, both component integrals zero for L = inf.
+        finite L, both component integrals zero for L = inf, to 1e-8 of
+        1 + its L2 norm.
         """
         self._check_shapes(a)
         ib, isurf = self.integrals(a)
         scale = 1.0 + self.l2_norm(a)
         if math.isinf(cp.L):
-            if abs(ib) > compat_tol * scale or abs(isurf) > compat_tol * scale:
+            if abs(ib) > _COMPAT_TOL * scale or abs(isurf) > _COMPAT_TOL * scale:
                 raise CompatibilityError(
                     f"rhs means not zero: bulk integral {ib:.3e}, surface integral {isurf:.3e}"
                 )
         else:
-            if abs(cp.beta * ib + isurf) > compat_tol * scale:
+            if abs(cp.beta * ib + isurf) > _COMPAT_TOL * scale:
                 raise CompatibilityError(
                     f"rhs weighted integral {cp.beta * ib + isurf:.3e} not zero"
                 )
@@ -534,22 +539,21 @@ class FemOperators:
         x = lu.solve(np.concatenate([b, np.zeros(ncon)]))[: len(b)]
         return self.from_vector(self.prolong(x, P))
 
-    def dual_norm(self, a: BulkSurfacePair, cp: CouplingParams, compat_tol: float = 1e-8) -> float:
-        s = self.solve_S_lb(a, cp, compat_tol=compat_tol)
+    def dual_norm(self, a: BulkSurfacePair, cp: CouplingParams) -> float:
+        s = self.solve_S_lb(a, cp)
         return math.sqrt(max(self.inner_lb(s, s, cp), 0.0))
 
     # -- the discrete Poincare constant ----------------------------------------------
 
-    def poincare_constant(
-        self, cp: CouplingParams, tol: float = 1e-12, max_iter: int = 200, block: int = 4
-    ) -> float:
+    def poincare_constant(self, cp: CouplingParams) -> float:
         """Optimal constant in ||pair||_{L2} <= C_P ||pair||_{K,alpha} on mean-free pairs.
 
         Blocked inverse power iteration (with a Rayleigh-Ritz rotation per
         sweep) on the (K, alpha)-form against the mass form, restricted to
-        zero generalized (beta-weighted) mean.  The block is needed because
-        the square's x/y symmetry makes the two smallest eigenvalues nearly
-        degenerate.
+        zero generalized (beta-weighted) mean.  The block of 4 is needed
+        because the square's x/y symmetry makes the two smallest eigenvalues
+        nearly degenerate.  It stops once two successive sweeps move the
+        eigenvalue by at most 1e-12 relative, and fails after 200 sweeps.
         """
         if math.isinf(cp.K):
             raise ValueError("Poincare constant requires K in [0, inf)")
@@ -559,7 +563,7 @@ class FemOperators:
         B = self.project(self.block_mass, P, P)
         g = self.reduce(np.concatenate([cp.beta * self.mass_vec_bulk, self.mass_vec_surf]), P)
         nred = C.shape[0]
-        block = min(block, nred - 1)
+        block = min(_POINCARE_BLOCK, nred - 1)
         saddle = sp.bmat(
             [[C, sp.csr_matrix(g[:, None])], [sp.csr_matrix(g[None, :]), None]], format="csc"
         )
@@ -570,7 +574,7 @@ class FemOperators:
         X -= np.outer(g, g @ X) / (g @ g)
         lam_old = math.inf
         hits = 0
-        for _ in range(max_iter):
+        for _ in range(_POINCARE_SWEEPS):
             Y = np.empty_like(X)
             for j in range(block):
                 Y[:, j] = lu.solve(np.concatenate([B @ X[:, j], [0.0]]))[:nred]
@@ -584,7 +588,7 @@ class FemOperators:
             wr, V = np.linalg.eigh(0.5 * (A_small + A_small.T))
             X = Y @ V
             lam = float(wr[0])
-            if abs(lam - lam_old) <= tol * max(abs(lam), 1e-30):
+            if abs(lam - lam_old) <= _POINCARE_TOL * max(abs(lam), 1e-30):
                 hits += 1
                 if hits >= 2:
                     return 1.0 / math.sqrt(lam)
@@ -592,7 +596,7 @@ class FemOperators:
                 hits = 0
             lam_old = lam
         raise SolverError(
-            f"Poincare inverse iteration did not settle in {max_iter} sweeps "
+            f"Poincare inverse iteration did not settle in {_POINCARE_SWEEPS} sweeps "
             f"(last eigenvalue {lam_old:g})"
         )
 
@@ -751,6 +755,11 @@ class SPDLaggedFactor(LaggedFactor):
         return None
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays of one dtype hold the same values bit for bit."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class NewtonSystem:
     """Damped Newton on the residual B x - b + sign P^T load(P x[offset:]).
 
@@ -771,13 +780,11 @@ class NewtonSystem:
         self.factor, self.error, self.name, self.max_trials = factor, error, name, max_trials
         self._counted = (factor.factorizations, factor.held_iterations)
 
-    def evaluate(self, x: np.ndarray, terms=None):
-        """(residual, convex terms, full phase vector) at x; ``terms``, when
-        given, must be the convex terms at that phase vector."""
+    def evaluate(self, x: np.ndarray):
+        """(residual, convex terms, full phase vector) at x."""
         P, k = self.pattern.P, self.pattern.offset
         u = self.ops.prolong(x[k:], P)
-        if terms is None:
-            terms = self.convex(u)
+        terms = self.convex(u)
         r = self.B @ x - self.b
         tail = r[k:]
         self._apply(tail, self.ops.reduce(terms.load, P), out=tail)
@@ -800,20 +807,20 @@ class NewtonSystem:
         return {"factorizations": f.factorizations - factored,
                 "held_solve_iterations": f.held_iterations - held}
 
-    def solve(self, x: np.ndarray, tol: float, max_iter: int, history: list, terms=None):
+    def solve(self, x: np.ndarray, tol: float, max_iter: int, history: list):
         """Damped Newton from x; returns (x, terms, u, iterations, trials).
 
-        ``terms``, when given, are the convex terms at x.  It stops once the
-        residual max-norm, appended to history per iterate, is at most tol.
-        Each update halves its step at most ``max_trials`` times; a trial is
-        accepted when it lowers the 2-norm or meets tol, and becomes the next
-        iterate with its convex terms and full phase vector u.  A stalled
-        line search or a miss after max_iter updates raises ``error``.  A
-        failure on a factor held from an earlier solve is retried once from
-        x on a fresh factor, with the history cut back to its entries before
-        the first attempt, so the error raised is the one a fresh factor gives.
+        It stops once the residual max-norm, appended to history per iterate,
+        is at most tol.  Each update halves its step at most ``max_trials``
+        times; a trial is accepted when it lowers the 2-norm or meets tol, and
+        becomes the next iterate with its convex terms and full phase vector
+        u.  A stalled line search or a miss after max_iter updates raises
+        ``error``.  A failure on a factor held from an earlier solve is
+        retried once from x on a fresh factor, with the history cut back to
+        its entries before the first attempt, so the error raised is the one
+        a fresh factor gives.
         """
-        start = self.evaluate(x, terms)
+        start = self.evaluate(x)
         kept, inherited = len(history), self.factor.lu is not None
         try:
             return self._damped(x, start, tol, max_iter, history)

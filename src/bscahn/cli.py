@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnostics as dg
 from . import output
 from .assembly import BulkSurfacePair, SolverFailure
-from .config import ConfigError, build_setup, parse_config, _float_list, _get
+from .config import ConfigError, build_initial, build_setup, parse_config, _float_list, _get
 from .elliptic import solve_singular
 from .mesh import MeshError, save_mesh
 from .stepper import DIAGNOSTIC_COLUMNS, TimeStepper
@@ -191,8 +191,6 @@ def _study_strong(data, setup):
 
 
 def _study_regimes(data, setup):
-    from .config import build_initial  # late import to avoid cycle at module load
-
     zero_vals = tuple(_float_list(data.get("study", {}).get("regime_zero", "1 0.1 0.01")))
     inf_vals = tuple(_float_list(data.get("study", {}).get("regime_inf", "1 10 100")))
 

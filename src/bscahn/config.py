@@ -251,8 +251,7 @@ def build_initial(
             mean + amp * rng.uniform(-1.0, 1.0, ops.n_bulk),
             mean + amp * rng.uniform(-1.0, 1.0, ops.n_surf),
         )
-        if cp.K == 0.0:
-            pair.bulk[mesh.surface_nodes] = cp.alpha * pair.surf
+        pair = ops.project_constraint(pair, cp, "K")
     elif kind == "bubble":
         cx = _get(data, "initial", "center_x", 0.5)
         cy = _get(data, "initial", "center_y", 0.5)

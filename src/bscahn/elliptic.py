@@ -28,6 +28,7 @@ from .assembly import (
     NewtonSystem,
     SPDLaggedFactor,
     SolverFailure,
+    same_bits,
 )
 from .potentials import (
     PotentialSpec,
@@ -69,7 +70,6 @@ class EllipticSolution:
     uv: BulkSurfacePair
     residual_norm: float
     iterations: int
-    lambda_used: float
     extras: dict = field(default_factory=dict)
 
 
@@ -118,6 +118,8 @@ class _System:
         ops = self.ops = prob.ops
         self.P, self.stiff = _operators(ops, prob.cp)
         self.rhs_load = ops.block_mass @ ops.to_vector(prob.rhs)
+        # the pair vector residual_norm evaluated last, with its resolvents
+        self._resolvents = (None, None)
 
     def residual_norm(self, pair: BulkSurfacePair) -> float:
         """Max-norm of the reduced shifted residual at a pair, which lets the
@@ -125,11 +127,15 @@ class _System:
         ops = self.ops
         full = ops.prolong(ops.to_reduced(pair, self.P), self.P)
         convex = convex_terms(ops, full, self.prob.pot, self.prob.yp)
+        self._resolvents = (full, convex.j)
         out = self.stiff @ full + convex.load - self.rhs_load + ops.block_mass @ full
         return float(np.abs(ops.reduce(out, self.P)).max())
 
     def contract(self, current: BulkSurfacePair) -> BulkSurfacePair:
-        """One application of the contraction map; see :func:`fixed_point_step`."""
+        """One application of the contraction map; see :func:`fixed_point_step`.
+
+        At the pair :meth:`residual_norm` evaluated last, its resolvents are used.
+        """
         ops, cp, pot, yp = self.ops, self.prob.cp, self.prob.pot, self.prob.yp
         lam = yp.lam
         key = ("tlam", cp.K, cp.alpha, lam)
@@ -138,14 +144,11 @@ class _System:
             ops._cache[key] = spla.splu(ops.project(mat, self.P, self.P).tocsc())
         lu = ops._cache[key]
 
-        qb = ops.bulk_at_tri_quad(current.bulk)
-        qs = ops.surf_at_quad(current.surf)
-        load = np.concatenate(
-            [
-                ops.tri_quad_load(yosida_resolvent(qb, pot.theta, yp)),
-                ops.surf_quad_load(yosida_resolvent(qs, pot.theta_surf, yp)),
-            ]
-        )
+        full, j = self._resolvents
+        if full is None or not same_bits(full, ops.to_vector(current)):
+            j = (yosida_resolvent(ops.bulk_at_tri_quad(current.bulk), pot.theta, yp),
+                 yosida_resolvent(ops.surf_at_quad(current.surf), pot.theta_surf, yp))
+        load = np.concatenate([ops.tri_quad_load(j[0]), ops.surf_quad_load(j[1])])
         red = lu.solve(ops.reduce(lam * self.rhs_load + load, self.P))
         return ops.from_vector(ops.prolong(red, self.P))
 
@@ -194,7 +197,6 @@ def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = True) ->
                 uv=u,
                 residual_norm=sysm.residual_norm(u),
                 iterations=fp_iters,
-                lambda_used=prob.yp.lam,
                 extras={"fp_iterations": fp_iters, "factorizations": 0,
                         "held_solve_iterations": 0},
             )
@@ -210,7 +212,6 @@ def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = True) ->
         uv=ops.from_vector(full),
         residual_norm=history[-1],
         iterations=fp_iters + its,
-        lambda_used=prob.yp.lam,
         extras={"fp_iterations": fp_iters, "newton_iterations": its, **system.counts()},
     )
 
@@ -241,7 +242,6 @@ def _solve_regularized(prob, tol, max_iter, start, factor: SPDLaggedFactor) -> E
         uv=ops.from_vector(full),
         residual_norm=history[-1],
         iterations=its,
-        lambda_used=prob.yp.lam,
         extras={"history": history, "line_search_trials": trials, **system.counts()},
     )
 

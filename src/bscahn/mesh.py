@@ -159,7 +159,13 @@ def _build(nodes: np.ndarray, triangles: np.ndarray) -> Mesh:
 
     loop = _boundary_loop(nodes, triangles)
     pts = nodes[loop]
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    with np.errstate(over="ignore"):  # finite coordinates may overflow
+        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    bad = np.nonzero(~np.isfinite(seg))[0]
+    if bad.size:
+        k = int(bad[0])
+        edge = (int(loop[k]), int(loop[(k + 1) % len(loop)]))
+        raise MeshError(f"boundary edge {edge} has non-finite length {seg[k]:g}")
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     return Mesh(nodes=nodes, triangles=triangles, surface_nodes=loop, arc_lengths=arc)
 

@@ -31,6 +31,7 @@ from .assembly import (
     LaggedFactor,
     NewtonSystem,
     SolverFailure,
+    same_bits,
 )
 from .potentials import (
     ConvexTerms,
@@ -61,12 +62,6 @@ class ConstantMobility:
             raise ValueError("mobilities must be positive")
 
     is_constant = True
-
-    def bulk(self, s):
-        return np.full_like(np.asarray(s, dtype=float), self.m_bulk)
-
-    def surf(self, s):
-        return np.full_like(np.asarray(s, dtype=float), self.m_surf)
 
 
 @dataclass(frozen=True)
@@ -130,19 +125,15 @@ class EnergyBreakdown:
         return self.grad_bulk + self.grad_surf + self.pot_bulk + self.pot_surf + self.coupling
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """What one step of :meth:`TimeStepper.run` hands to the next.
+@dataclass
+class _Evaluated:
+    """A full phase vector u as evaluated under ``cfg``: its convex terms
+    and, once asked, its energy."""
 
-    ``energy`` is the energy of the state the next step starts from, and
-    ``convex`` the convex terms at that state's phase vector as the step's
-    Newton solve accepts it (None: the step evaluates them).  ``transport``
-    is the field's :meth:`TimeStepper.bulk_transport` (None: the step builds it).
-    """
-
-    energy: EnergyBreakdown
-    convex: ConvexTerms | None = None
-    transport: tuple | None = None
+    u: np.ndarray
+    cfg: StepperConfig
+    convex: ConvexTerms
+    energy: EnergyBreakdown | None = None
 
 
 @dataclass
@@ -181,10 +172,14 @@ class TimeStepper:
             self._diss_const = self._dissipation_matrix(None)
         # the step Jacobian's lagged factor, kept across the steps of a run,
         # and its fixed pattern and, for constant mobility, curvature-free
-        # part, both built at the first step
+        # part with the dt it holds, both built at the first step
         self.factor = LaggedFactor()
         self._pattern = None
-        self._jac_base = None
+        self._jac_base = (None, None)
+        # the last phase vector evaluated, and the last field with its bulk
+        # transport; both are compared with what a caller passes
+        self._evaluated = None
+        self._transport = (None, None, None)
 
     # -- element mobility weights and the dissipation operator -----------------
 
@@ -213,18 +208,23 @@ class TimeStepper:
 
     # -- loads -------------------------------------------------------------------
 
-    def convection_load(
-        self, pair: BulkSurfacePair, field_: VelocityField, t: float, transport=None
-    ) -> np.ndarray:
+    def convection_load(self, pair: BulkSurfacePair, field_: VelocityField, t: float) -> np.ndarray:
         """Transport load pair: integrals of (old field) * velocity . grad(test).
 
-        ``transport``, when given, must be the field's :meth:`bulk_transport`.
+        The bulk load at time t is scale(t) * (unit @ field), from one
+        velocity sample at the triangle quadrature points (unit None when no
+        bulk moves); the last field's unit and scale are kept, so a run
+        samples its field once.
         """
         ops = self.ops
         out = np.zeros(ops.n_bulk + ops.n_surf)
         if field_.is_zero:
             return out
-        unit, scale = transport or self.bulk_transport(field_)
+        if self._transport[0] is not field_:
+            qc = ops.tri_qcoords
+            unit, scale = field_.bulk_separation(qc[..., 0], qc[..., 1])
+            self._transport = (field_, ops.transport_matrix(unit) if np.any(unit) else None, scale)
+        _, unit, scale = self._transport
         if unit is not None:
             out[: ops.n_bulk] = scale(t) * (unit @ pair.bulk)
         speeds = np.asarray(field_.sample_surface(ops.surf_qarcs[:, 0], t))
@@ -236,16 +236,6 @@ class TimeStepper:
             out[ops.n_bulk :] = ops.to_nodes(ops.surf_elems.T, np.stack([-seg, seg]), ops.n_surf)
         return out
 
-    def bulk_transport(self, field_: VelocityField) -> tuple | None:
-        """(unit, scale), from one velocity sample at the triangle quadrature
-        points: the bulk transport load at time t is scale(t) * (unit @ field),
-        unit None when no bulk moves.  None for a zero field."""
-        if field_.is_zero:
-            return None
-        qc = self.ops.tri_qcoords
-        unit, scale = field_.bulk_separation(qc[..., 0], qc[..., 1])
-        return (self.ops.transport_matrix(unit) if np.any(unit) else None), scale
-
     def _concave_load(self, pair: BulkSurfacePair) -> np.ndarray:
         """Load of f2'(s) = -theta_c s; the quadrature integrates it exactly,
         so it is -theta_c times the mass matrix times each field."""
@@ -256,19 +246,25 @@ class TimeStepper:
 
     # -- observables ---------------------------------------------------------------
 
-    def energy(self, pair: BulkSurfacePair, convex: ConvexTerms | None = None) -> EnergyBreakdown:
+    def _convex(self, u: np.ndarray) -> ConvexTerms:
+        """Convex terms at a full phase vector; the last vector's are kept."""
+        kept, cfg = self._evaluated, self.cfg
+        if kept is None or kept.cfg is not cfg or not same_bits(u, kept.u):
+            terms = convex_terms(self.ops, u, cfg.pot, cfg.yp)
+            kept = self._evaluated = _Evaluated(u.copy(), cfg, terms)
+        return kept.convex
+
+    def energy(self, pair: BulkSurfacePair) -> EnergyBreakdown:
         """Free energy with the regularized potential; quadrature-exact gradients.
 
-        ``convex``, when given, must be :func:`~bscahn.potentials.convex_terms`
-        at ``ops.to_vector(pair)``; its quadrature values and resolvents are
-        used instead of evaluating them again.
+        The quadrature values and resolvents are the convex terms' at the
+        pair, and the last phase vector's energy is kept.
         """
         ops, pot, yp, cp = self.ops, self.cfg.pot, self.cfg.yp, self.cfg.cp
-        if convex is None:
-            qb, qs = ops.bulk_at_tri_quad(pair.bulk), ops.surf_at_quad(pair.surf)
-            jb = js = None
-        else:
-            (qb, qs), (jb, js) = convex.r, convex.j
+        convex, kept = self._convex(ops.to_vector(pair)), self._evaluated
+        if kept.energy is not None:
+            return kept.energy
+        (qb, qs), (jb, js) = convex.r, convex.j
         pot_b = ops.tri_quad_integral(yosida_value(qb, pot.theta, yp, jb) + f2(qb, pot.theta_c))
         pot_s = ops.surf_quad_integral(
             yosida_value(qs, pot.theta_surf, yp, js) + f2(qs, pot.theta_c_surf)
@@ -277,13 +273,14 @@ class TimeStepper:
         if cp.sigma_K != 0.0:
             d = cp.alpha * pair.surf - ops.trace @ pair.bulk
             coupling = 0.5 * cp.sigma_K * float(d @ (ops.M_surf @ d))
-        return EnergyBreakdown(
+        kept.energy = EnergyBreakdown(
             grad_bulk=0.5 * float(pair.bulk @ (ops.A_bulk @ pair.bulk)),
             grad_surf=0.5 * float(pair.surf @ (ops.A_surf @ pair.surf)),
             pot_bulk=pot_b,
             pot_surf=pot_s,
             coupling=coupling,
         )
+        return kept.energy
 
     def mass_of(self, pair: BulkSurfacePair) -> tuple[float, float, float]:
         """(weighted total, bulk integral, surface integral)."""
@@ -292,21 +289,16 @@ class TimeStepper:
 
     # -- one implicit step -----------------------------------------------------------
 
-    def initial_mu_theta(
-        self, pair: BulkSurfacePair, convex: ConvexTerms | None = None
-    ) -> BulkSurfacePair:
+    def initial_mu_theta(self, pair: BulkSurfacePair) -> BulkSurfacePair:
         """Compatibility projection of the potential equation at the initial data.
 
         Uses the full (unsplit) potential derivative.  With an eliminated
         phase-field trace the tested equation under-determines the result;
-        the minimal-mass-norm representative is returned then.  ``convex``,
-        when given, must be :func:`convex_terms` at ``ops.to_vector(pair)``.
+        the minimal-mass-norm representative is returned then.
         """
         ops = self.ops
         full = ops.to_vector(pair)
-        if convex is None:
-            convex = convex_terms(ops, full, self.cfg.pot, self.cfg.yp)
-        g = self.stiff_K @ full + convex.load + self._concave_load(pair)
+        g = self.stiff_K @ full + self._convex(full).load + self._concave_load(pair)
         if self.P_K is None and self.P_L is None:
             w = np.concatenate(
                 [
@@ -365,29 +357,23 @@ class TimeStepper:
         ops, cfg = self.ops, self.cfg
         if self._pattern is None:
             self._pattern = self._jacobian_pattern()
-        pattern, base = self._pattern, self._jac_base
-        if base is None:
+        pattern, (dt, base) = self._pattern, self._jac_base
+        if base is None or dt != cfg.dt:
             d = ops.project(cfg.dt * diss, self.P_L, self.P_L).tocoo()
             base = pattern.matrix(pattern.fixed + pattern.scatter(d.row, d.col, d.data))
             if cfg.mobility.is_constant:
-                self._jac_base = base
+                self._jac_base = (cfg.dt, base)
         rhs = np.concatenate([ops.reduce(explicit_A, self.P_L), ops.reduce(concave, self.P_K)])
         return NewtonSystem(
-            ops, pattern, base, rhs, lambda u: convex_terms(ops, u, cfg.pot, cfg.yp), -1,
-            self.factor, StepError, "step Newton", max_trials=20,
+            ops, pattern, base, rhs, self._convex, -1, self.factor, StepError, "step Newton",
+            max_trials=20,
         )
 
-    def step(
-        self, state: State, field_: VelocityField, record: StepRecord | None = None
-    ) -> tuple[State, dict]:
+    def step(self, state: State, field_: VelocityField) -> tuple[State, dict]:
         """Advance one implicit step; returns the new state and per-step data.
 
-        record, when given, must be the "record" of the step that produced
-        ``state``, or before a first step ``StepRecord(energy(state.phi_psi))``;
-        what it holds is reused rather than computed again, with the same
-        result to the bit.  The per-step data carries the new state's energy
-        breakdown under "energy", the record for the next step under
-        "record", under "factorizations" and "held_solve_iterations" the step
+        The per-step data carries the new state's energy breakdown under
+        "energy", under "factorizations" and "held_solve_iterations" the step
         Jacobian factorizations and refinement sweeps it made, and under
         "line_search_trials" its line-search trials; the lagged factor is kept
         for the next step until :meth:`run` ends.  A step that fails on a
@@ -399,27 +385,26 @@ class TimeStepper:
         """
         ops, cfg = self.ops, self.cfg
         dt = cfg.dt
+        # before the solve, whose line-search trials replace the kept vector
+        energy_old = self.energy(state.phi_psi)
         u_old = ops.to_vector(state.phi_psi)
-        transport = None if record is None else record.transport
 
         diss = self.dissipation_matrix(state.phi_psi)
-        conv = self.convection_load(state.phi_psi, field_, state.t + 0.5 * dt, transport)
+        conv = self.convection_load(state.phi_psi, field_, state.t + 0.5 * dt)
         system = self._newton_system(
             diss, self.mass @ u_old + dt * conv, self._concave_load(state.phi_psi)
         )
         w_red = ops.to_reduced(state.mu_theta, self.P_L)
         x = np.concatenate([w_red, ops.to_reduced(state.phi_psi, self.P_K)])
         history = []
-        start = None if record is None else record.convex
-        x_new, convex, u_full, iters, trials = system.solve(
-            x, cfg.newton_tol, cfg.newton_max_iter, history, start
+        x_new, _, u_full, iters, trials = system.solve(
+            x, cfg.newton_tol, cfg.newton_max_iter, history
         )
         w_full = ops.prolong(x_new[: len(w_red)], self.P_L)
         new_state = State(
             phi_psi=ops.from_vector(u_full), mu_theta=ops.from_vector(w_full), t=state.t + dt
         )
-        energy = self.energy(new_state.phi_psi, convex)
-        energy_old = self.energy(state.phi_psi) if record is None else record.energy
+        energy = self.energy(new_state.phi_psi)
         dissipation = float(w_full @ (diss @ w_full))
         conv_work = float(conv @ w_full)
         info = {
@@ -431,7 +416,6 @@ class TimeStepper:
             "energy": energy,
             "line_search_trials": trials,
             **system.counts(),
-            "record": StepRecord(energy, convex, transport),
         }
         return new_state, info
 
@@ -446,26 +430,22 @@ class TimeStepper:
     ) -> Trajectory:
         """March from t = 0 to t_end, collecting states and diagnostics rows.
 
-        Each step hands the next its :class:`StepRecord`.  The initial data's
-        convex terms serve its potential, its energy and, when no phase trace
-        is eliminated, the first step's starting residual; the quadrature
-        points never move, so the bulk transport is built once per run.
+        Each step starts from the phase vector the previous one evaluated
+        last, so its energy and convex terms are not evaluated again; the
+        initial data's serve its potential, its energy and, when its phase
+        trace is not cut by the reduction, the first step's starting residual.
         """
         ops, cfg = self.ops, self.cfg
         ops.check_initial_data(initial, cfg.cp)
         n_steps = int(round(t_end / cfg.dt))
-        convex = convex_terms(ops, ops.to_vector(initial), cfg.pot, cfg.yp)
-        state = State(initial.copy(), self.initial_mu_theta(initial, convex), t=0.0)
+        state = State(initial.copy(), self.initial_mu_theta(initial), t=0.0)
         states = [state]
-        energy = self.energy(state.phi_psi, convex)
-        rows = [self._row(0, state, energy, {"newton_iters": 0, "dissipation": 0.0,
-                                             "balance_residual": 0.0})]
-        transport = self.bulk_transport(field_) if n_steps > 0 else None
-        record = StepRecord(energy, convex if self.P_K is None else None, transport)
+        rows = [self._row(0, state, self.energy(state.phi_psi),
+                          {"newton_iters": 0, "dissipation": 0.0, "balance_residual": 0.0})]
         try:
             for k in range(1, n_steps + 1):
                 try:
-                    state, info = self.step(state, field_, record)
+                    state, info = self.step(state, field_)
                 except StepError as exc:
                     return Trajectory(
                         states=states,
@@ -473,8 +453,7 @@ class TimeStepper:
                         failure={"step": k, "error": str(exc), "history": exc.history},
                     )
                 states.append(state)
-                record = info["record"]
-                rows.append(self._row(k, state, record.energy, info))
+                rows.append(self._row(k, state, info["energy"], info))
                 for obs in observers:
                     obs(state, info)
             return Trajectory(states=states, rows=rows)
@@ -506,21 +485,18 @@ class TimeStepper:
     def energy_balance_residuals(self, traj: Trajectory, field_: VelocityField) -> np.ndarray:
         """Recompute the per-step energy-balance residuals from stored states.
 
-        Each state's energy is evaluated once and carried to the next step.
+        Each state's energy is evaluated once: the kept one is the next
+        step's old energy.
         """
         out = []
-        transport = self.bulk_transport(field_)
-        energy_old = self.energy(traj.states[0].phi_psi).total
         for old, new in zip(traj.states, traj.states[1:]):
+            energy_old = self.energy(old.phi_psi).total
             diss = self.dissipation_matrix(old.phi_psi)
-            conv = self.convection_load(old.phi_psi, field_, old.t + 0.5 * self.cfg.dt, transport)
+            conv = self.convection_load(old.phi_psi, field_, old.t + 0.5 * self.cfg.dt)
             w = self.ops.to_vector(new.mu_theta)
-            energy_new = self.energy(new.phi_psi).total
-            r = (
-                (energy_new - energy_old) / self.cfg.dt
+            out.append(
+                (self.energy(new.phi_psi).total - energy_old) / self.cfg.dt
                 + float(w @ (diss @ w))
                 - float(conv @ w)
             )
-            out.append(r)
-            energy_old = energy_new
         return np.array(out)

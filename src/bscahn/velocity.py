@@ -19,6 +19,8 @@ from .assembly import FemOperators
 from .mesh import Mesh, triangle_edges
 
 _GAUSS_SPREAD = 1.0 / math.sqrt(3.0)  # spacing of the 2-point Gauss nodes
+_MOLLIFIER_PANELS = 4000  # Simpson panels of the time mollification
+_ADMISSIBILITY_THRESHOLD = 1e-10  # worst residual a discretely admissible field may show
 
 
 # -- time envelopes -----------------------------------------------------------
@@ -39,13 +41,11 @@ class StepEnvelope:
     """0 before t0, 1 from t0 on."""
 
     t0: float = 0.0
-    low: float = 0.0
-    high: float = 1.0
 
     def __call__(self, t):
         if np.ndim(t) == 0:
-            return self.high if t >= self.t0 else self.low
-        return np.where(np.asarray(t) >= self.t0, float(self.high), float(self.low))
+            return 1.0 if t >= self.t0 else 0.0
+        return np.where(np.asarray(t) >= self.t0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,11 @@ class MollifiedEnvelope:
 
     inner: object
     half_width: float
-    panels: int = 4000
 
     def __call__(self, t):
-        tau, weights = _simpson_bump(self.panels)
+        tau, weights = _simpson_bump(_MOLLIFIER_PANELS)
         vals = self.inner(np.asarray(t, dtype=float)[..., None] - self.half_width * tau)
-        out = (2.0 / self.panels) / 3.0 * np.sum(weights * vals, axis=-1)
+        out = (2.0 / _MOLLIFIER_PANELS) / 3.0 * np.sum(weights * vals, axis=-1)
         return float(out) if np.ndim(t) == 0 else out
 
 
@@ -347,7 +346,6 @@ class AdmissibilityReport:
     boundary_normal_max: float
     surface_divergence_max: float
     mode: str
-    threshold: float
     passed: bool
 
 
@@ -374,7 +372,6 @@ def discrete_admissibility(
     mesh: Mesh,
     ops: FemOperators,
     t: float = 0.0,
-    threshold: float = 1e-10,
 ) -> AdmissibilityReport:
     """Measure how far the field is from discretely admissible.
 
@@ -384,7 +381,7 @@ def discrete_admissibility(
     stream-function fields the weak divergence is evaluated through the
     boundary-line-integral identity int_T rot(psi) . grad(zeta) = closed line
     integral of psi d zeta/d tau, whose interior-edge contributions cancel
-    exactly; the default 1e-10 threshold is then pure roundoff headroom.
+    exactly; the pass threshold of 1e-10 is then pure roundoff headroom.
     """
     interior = ops.interior_nodes
     div_residual = np.zeros(ops.n_bulk)
@@ -429,6 +426,5 @@ def discrete_admissibility(
         boundary_normal_max=vn_max,
         surface_divergence_max=surf_div_max,
         mode=mode,
-        threshold=threshold,
-        passed=bool(worst <= threshold),
+        passed=bool(worst <= _ADMISSIBILITY_THRESHOLD),
     )

@@ -165,6 +165,22 @@ class TestCommands:
         assert lines[0].endswith(f"triangle 0 has non-finite signed area {area}")
         assert [str(w.message) for w in caught] == []
 
+    def test_overflowing_edge_length_is_one_config_error(self, tmp_path, capsys):
+        # a 1e200 by 1e-200 rectangle: finite areas of 0.5, overflowing edge norms
+        mesh = tmp_path / "rectangle.txt"
+        mesh.write_text("bsmesh 1\n4 2\n0 0\n1e200 0\n1e200 1e-200\n0 1e-200\n0 1 2\n0 2 3\n")
+        cfg = tmp_path / "rectangle.cfg"
+        cfg.write_text(f"[mesh]\npath = {mesh}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("mesh", "--config", str(cfg), "--out", str(tmp_path / "m"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config:")
+        assert lines[0].endswith("boundary edge (0, 1) has non-finite length inf")
+        assert [str(w.message) for w in caught] == []
+
     def test_regimes_study_leaves_the_shared_operators_as_built(self, tmp_path, monkeypatch):
         # the (sig, weight) form and coupling matrices and the prolongators
         # are built once per operator set and shared by every stepper of the
@@ -301,7 +317,7 @@ class TestCommands:
         # line, not as a traceback
         from bscahn.stepper import TimeStepper
 
-        def failing_step(self, state, field_, record=None):
+        def failing_step(self, state, field_):
             raise StepError("forced step failure", [1.0])
 
         monkeypatch.setattr(TimeStepper, "step", failing_step)

@@ -10,6 +10,7 @@ from bscahn import elliptic, potentials
 from bscahn.assembly import (
     BulkSurfacePair,
     CouplingParams,
+    NewtonSystem,
     SPDLaggedFactor,
     assemble,
 )
@@ -291,6 +292,36 @@ class TestShiftedSolve:
         gap0 = ops4.l2_norm(fixed_point_step(ops4.zero_pair(), prob))
         bound = math.ceil(math.log(tol / gap0) / math.log(1.0 / math.sqrt(1.0 + lam)))
         assert sol.iterations <= bound
+
+    @pytest.mark.parametrize("use_newton", [True, False])
+    def test_each_contraction_iterate_is_evaluated_once(self, ops8, use_newton, monkeypatch):
+        # with Newton, the stopping test evaluates each new iterate and the
+        # next contraction takes its resolvents; without, the contraction
+        # evaluates each iterate and the reported residual the last one
+        calls, evaluations = [], []
+        resolvent, evaluate = potentials.yosida_resolvent, NewtonSystem.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return resolvent(*args, **kwargs)
+
+        def counted_evaluate(self, x):
+            evaluations.append(1)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(potentials, "yosida_resolvent", counting)
+        monkeypatch.setattr(elliptic, "yosida_resolvent", counting)
+        monkeypatch.setattr(NewtonSystem, "evaluate", counted_evaluate)
+        rhs = random_pair(ops8, np.random.default_rng(0))
+        sol = solve_shifted_regularized(problem(ops8, rhs=rhs, lam=0.1), use_newton=use_newton)
+        fp = sol.extras["fp_iterations"]
+        if use_newton:
+            # the start and fp contractions, then the Newton start and trials
+            assert sol.extras["newton_iterations"] > 0
+            assert len(calls) == 2 * (fp + 1) + 2 * len(evaluations)
+        else:
+            assert not evaluations
+            assert len(calls) == 2 * fp + 2
 
 
 class TestStationarySolve:

@@ -21,6 +21,7 @@ from bscahn.potentials import (
 from bscahn.stepper import (
     ConstantMobility,
     QuadraticMobility,
+    State,
     StepError,
     StepperConfig,
     TimeStepper,
@@ -239,8 +240,8 @@ class TestLinearLoads:
         pair = admissible_random(ops, st.cfg.cp, rng)
         ref = convection_load_by_quadrature(ops, field, pair, 0.3)
         nb = ops.n_bulk
-        for transport in (None, st.bulk_transport(field)):
-            out = st.convection_load(pair, field, 0.3, transport)
+        for _ in range(2):  # the second call reuses the field's bulk transport
+            out = st.convection_load(pair, field, 0.3)
             assert np.any(out)
             assert np.abs(out[:nb] - ref[:nb]).max() <= 1e-15 * np.abs(ref[:nb]).max()
             assert np.array_equal(out[nb:], ref[nb:])
@@ -397,11 +398,10 @@ class TestEnergyBalance:
         field = StreamFunctionVelocity(amplitude=0.5, profile="sine2")
         traj = st.run(admissible_random(ops4, cfg.cp, rng), field, 5 * cfg.dt)
         assert len(traj.states) == 6
-        transport = st.bulk_transport(field)
         expected = []
         for old, new in zip(traj.states, traj.states[1:]):
             diss = st.dissipation_matrix(old.phi_psi)
-            conv = st.convection_load(old.phi_psi, field, old.t + 0.5 * cfg.dt, transport)
+            conv = st.convection_load(old.phi_psi, field, old.t + 0.5 * cfg.dt)
             w = ops4.to_vector(new.mu_theta)
             expected.append(
                 (st.energy(new.phi_psi).total - st.energy(old.phi_psi).total) / cfg.dt
@@ -703,6 +703,20 @@ class TestStepJacobian:
         assert lagged.value.history == direct.value.history
         assert st.factor.factorizations == before + 1
 
+    def test_a_new_dt_rebuilds_the_step_jacobian(self, ops4, rng):
+        # the curvature-free Jacobian holds dt D; after a dt change the next
+        # step solves the new system, on the factor kept from the old one
+        cfg = make_config(dt=1e-3)
+        field = StreamFunctionVelocity(amplitude=1.0, profile="sine2")
+        st = TimeStepper(ops4, cfg)
+        init = admissible_random(ops4, cfg.cp, rng)
+        state, _ = st.step(State(init, st.initial_mu_theta(init), 0.0), field)
+        st.cfg = replace(cfg, dt=5e-4)
+        lagged, _ = st.step(state, field)
+        fresh, _ = TimeStepper(ops4, st.cfg).step(state, field)
+        for a, b in ((lagged.phi_psi, fresh.phi_psi), (lagged.mu_theta, fresh.mu_theta)):
+            assert (a - b).max_abs() <= 1e-10
+
     def test_row_energies_are_the_stored_states_energies(self, ops4, rng):
         cfg = make_config()
         st = TimeStepper(ops4, cfg)
@@ -726,7 +740,8 @@ def same_trajectory(a, b) -> bool:
 
 
 class TestStepRecord:
-    """What run carries from step to step is reused, never kept past the run."""
+    """What one step evaluates last is reused by the next, and only at the
+    same phase vector and configuration."""
 
     # time-dependent, so that the run's velocity samples are rescaled per step
     FIELD = StreamFunctionVelocity(amplitude=3.0, envelope=SineEnvelope(omega=300.0))
@@ -777,3 +792,23 @@ class TestStepRecord:
         after = st.run(init, other, 5e-3)
         assert same_trajectory(after, TimeStepper(ops4, cfg).run(init, other, 5e-3))
         assert not same_trajectory(after, TimeStepper(ops4, cfg).run(init, self.FIELD, 5e-3))
+
+    def test_the_kept_evaluation_follows_its_inputs(self, ops4, rng):
+        # a state changed in place after its evaluation, or a configuration
+        # replaced by one with another lambda, must give a fresh stepper's
+        # energy and step bitwise
+        cfg = make_config()
+        st = TimeStepper(ops4, cfg)
+        state = st.run(admissible_random(ops4, cfg.cp, rng), self.FIELD, 1e-3).final
+        st.energy(state.phi_psi)
+        state.phi_psi.bulk[3] += 0.01
+        state.phi_psi.surf[1] -= 0.01
+        for _ in range(2):
+            fresh = TimeStepper(ops4, st.cfg)
+            assert st.energy(state.phi_psi) == fresh.energy(state.phi_psi)
+            assert state_bits(st.step(state, self.FIELD)[0]) == state_bits(
+                fresh.step(state, self.FIELD)[0]
+            )
+            st.energy(state.phi_psi)
+            st.cfg = replace(cfg, yp=YosidaParams(lam=2e-3))
+            st.factor.drop()

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bscahn import velocity
 from bscahn.assembly import BulkSurfacePair, assemble
 from bscahn.mesh import generate_unit_square
 from bscahn.stepper import StepperConfig, TimeStepper
@@ -199,7 +200,7 @@ class TestMollification:
     )
     def test_vectorized_quadrature_matches_the_pointwise_loop(self, inner):
         mol = MollifiedEnvelope(inner, 0.1)
-        n = mol.panels
+        n = velocity._MOLLIFIER_PANELS
         tau = np.linspace(-1.0, 1.0, n + 1)
         w = np.ones(n + 1)
         w[1:-1:2] = 4.0
