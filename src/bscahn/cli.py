@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnostics as dg
 from . import output
 from .assembly import BulkSurfacePair, SolverFailure
-from .config import ConfigError, build_initial, build_setup, parse_config, _float_list, _get
+from .config import ConfigError, build_setup, parse_config, _float_list, _get
 from .elliptic import solve_singular
 from .mesh import MeshError, save_mesh
 from .stepper import DIAGNOSTIC_COLUMNS, TimeStepper
@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_STUDY_FAIL = 3
+
+_SCHEDULE = "1e-1 1e-2 1e-3 1e-4 1e-5"  # default regularization continuation
 
 
 def _fail(code: int, message: str) -> int:
@@ -111,9 +113,7 @@ def cmd_elliptic(args) -> int:
     if math.isinf(setup.cfg.cp.K):
         return _fail(EXIT_CONFIG, "elliptic solves require K in [0, inf)")
     out = _ensure_outdir(setup.out_dir)
-    schedule = _float_list(
-        data.get("elliptic", {}).get("schedule", "1e-1 1e-2 1e-3 1e-4 1e-5")
-    )
+    schedule = _float_list(data.get("elliptic", {}).get("schedule", _SCHEDULE))
     cauchy_tol = _get(data, "elliptic", "cauchy_tol", 1e-3)
     rhs = _elliptic_rhs(data, setup)
     sol = solve_singular(
@@ -138,92 +138,43 @@ def cmd_elliptic(args) -> int:
     return EXIT_OK
 
 
+def _study_list(data, key, default):
+    return _float_list(data.get("study", {}).get(key, default))
+
+
 def _study_yosida(data, setup):
     kind = data.get("study", {}).get("yosida_kind", "elliptic")
-    schedule = _float_list(
-        data.get("study", {}).get(
-            "yosida_schedule",
-            data.get("elliptic", {}).get("schedule", "1e-1 1e-2 1e-3 1e-4 1e-5"),
-        )
+    schedule = _study_list(
+        data, "yosida_schedule", data.get("elliptic", {}).get("schedule", _SCHEDULE)
     )
-    if kind == "elliptic":
-        rhs = _elliptic_rhs(data, setup)
-        return dg.yosida_convergence_study("elliptic", setup.ops, setup.cfg, schedule, rhs=rhs)
+    rhs = _elliptic_rhs(data, setup) if kind == "elliptic" else None
     return dg.yosida_convergence_study(
-        "time",
-        setup.ops,
-        setup.cfg,
-        schedule,
-        field_=setup.field,
-        initial=setup.initial,
-        t_end=setup.t_end,
+        kind, setup.ops, setup.cfg, schedule, rhs=rhs,
+        field_=setup.field, initial=setup.initial, t_end=setup.t_end,
     )
 
 
 def _study_contdep(data, setup):
-    eps = _float_list(data.get("study", {}).get("contdep_eps", "2e-3 1e-3 0"))
-    res = dg.continuous_dependence_experiment(
-        setup.ops,
-        setup.cfg,
-        setup.field,
-        setup.initial,
-        setup.t_end,
-        [(e, 0.0) for e in eps],
-        seed=setup.seed,
+    eps = _study_list(data, "contdep_eps", "2e-3 1e-3 0")
+    return dg.continuous_dependence_experiment(
+        setup.ops, setup.cfg, setup.field, setup.initial, setup.t_end,
+        [(e, 0.0) for e in eps], seed=setup.seed,
     )
-    nonzero = [(e, lhs) for e, lhs in zip(eps, res.extras["lhs_values"]) if e > 0]
-    if len(nonzero) >= 2 and nonzero[1][1] > 0:
-        expo = dg.scaling_exponent(
-            nonzero[0][1], nonzero[1][1], factor=nonzero[0][0] / nonzero[1][0]
-        )
-        res.extras["scaling_exponent"] = expo
-        if not (1.8 <= expo <= 2.2):
-            res.passed = False
-            res.reason = f"scaling exponent {expo:.3f} outside [1.8, 2.2]"
-    return res
 
 
 def _study_strong(data, setup):
-    amplitudes = _float_list(data.get("study", {}).get("strong_amplitudes", "0 0.5 1 2"))
     return dg.strong_estimate_monitor(
-        setup.ops, setup.cfg, setup.field, setup.initial, setup.t_end, amplitudes=amplitudes
+        setup.ops, setup.cfg, setup.field, setup.initial, setup.t_end,
+        amplitudes=_study_list(data, "strong_amplitudes", "0 0.5 1 2"),
     )
 
 
 def _study_regimes(data, setup):
-    zero_vals = tuple(_float_list(data.get("study", {}).get("regime_zero", "1 0.1 0.01")))
-    inf_vals = tuple(_float_list(data.get("study", {}).get("regime_inf", "1 10 100")))
-
-    def initial_factory(cp):
-        # slave the boundary trace in every regime so all runs share data
-        # admissible for the zero-coupling limit; otherwise the interpolation
-        # gaps carry a fixed initial-data floor
-        pair = build_initial(data, setup.mesh, setup.ops, cp, setup.seed)
-        pair.bulk[setup.mesh.surface_nodes] = cp.alpha * pair.surf
-        return pair
-
-    def run_one(which):
-        return dg.regime_interpolation_study(
-            setup.ops,
-            setup.cfg,
-            setup.field,
-            initial_factory,
-            setup.t_end,
-            which=which,
-            toward_zero=zero_vals,
-            toward_inf=inf_vals,
-        )
-
-    res_k, res_l = run_one("K"), run_one("L")
-    merged = dg.ExperimentResult(
-        name="regime_interpolation",
-        columns=["which", "direction", "value", "gap"],
-        rows=[{"which": "K", **r} for r in res_k.rows] + [{"which": "L", **r} for r in res_l.rows],
-        passed=res_k.passed and res_l.passed,
-        reason="ok" if res_k.passed and res_l.passed else f"K: {res_k.reason}; L: {res_l.reason}",
-        extras={"K": res_k.extras, "L": res_l.extras},
+    return dg.regime_interpolation_study(
+        setup.ops, setup.cfg, setup.field, setup.initial, setup.t_end,
+        toward_zero=_study_list(data, "regime_zero", "1 0.1 0.01"),
+        toward_inf=_study_list(data, "regime_inf", "1 10 100"),
     )
-    return merged
 
 
 _STUDIES = {

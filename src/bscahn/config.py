@@ -291,8 +291,8 @@ def build_setup(data: dict, out_dir: str | None = None, seed: int | None = None)
     lam = _get(data, "time", "lambda", 1e-3)
     dt = _get(data, "time", "dt", 1e-3)
     t_end = _get(data, "time", "t_end", 0.05)
-    if dt <= 0 or t_end < dt:
-        raise ConfigError(f"need 0 < dt <= t_end, got dt={dt:g}, t_end={t_end:g}")
+    if not 0 < dt <= t_end < math.inf:  # false for NaN too
+        raise ConfigError(f"need finite 0 < dt <= t_end, got dt={dt:g}, t_end={t_end:g}")
     try:
         yp = YosidaParams(lam=lam)
         cfg = StepperConfig(dt=dt, cp=cp, pot=pot, yp=yp, mobility=mobility)

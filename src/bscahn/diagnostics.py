@@ -139,7 +139,9 @@ def continuous_dependence_experiment(
     velocity amplitude scaled by (1 + vel_eps).  Reports the ratio of the
     measured left-hand side (final dual norm squared plus the time-integrated
     coupled-gradient norm) against the data functional, and checks that the
-    ratio is stable (within a factor 4) when the perturbation shrinks by 4.
+    ratio is stable (within a factor 4) when the perturbation shrinks by 4,
+    and that the first two data-only perturbations scale the left-hand side
+    with an exponent in [1.8, 2.2].
     """
     if not cfg.mobility.is_constant:
         raise ValueError("continuous dependence requires constant mobilities")
@@ -210,13 +212,24 @@ def continuous_dependence_experiment(
             reason = f"ratio spread {spread:.2f} exceeds 4"
     else:
         spread = 1.0
+    extras = {"lhs_values": lhs_values, "ratio_spread": spread}
+    data_only = [r for r in rows if r["data_eps"] > 0 and r["vel_eps"] == 0]
+    if len(data_only) >= 2 and data_only[1]["lhs"] > 0:
+        big, small = data_only[:2]
+        expo = scaling_exponent(
+            big["lhs"], small["lhs"], factor=big["data_eps"] / small["data_eps"]
+        )
+        extras["scaling_exponent"] = expo
+        if not 1.8 <= expo <= 2.2:
+            passed = False
+            reason = f"scaling exponent {expo:.3f} outside [1.8, 2.2]"
     return ExperimentResult(
         name="continuous_dependence",
         columns=["data_eps", "vel_eps", "lhs", "initial_dual_sq", "velocity_term", "ratio"],
         rows=rows,
         passed=passed,
         reason=reason,
-        extras={"lhs_values": lhs_values, "ratio_spread": spread},
+        extras=extras,
     )
 
 
@@ -244,6 +257,8 @@ def yosida_convergence_study(
     side; kind "time" compares trajectories at the final time.  Passes iff
     the distances decrease monotonically after the first entry.
     """
+    if kind not in ("elliptic", "time"):
+        raise ValueError(f"unknown study kind {kind!r}")
     schedule = list(schedule)
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
@@ -253,12 +268,10 @@ def yosida_convergence_study(
         if kind == "elliptic":
             prob = elliptic.EllipticProblem(ops=ops, cp=cfg.cp, pot=cfg.pot, yp=yp, rhs=rhs)
             sols.append(elliptic.solve_regularized(prob).uv)
-        elif kind == "time":
+        else:
             stepper = TimeStepper(ops, replace(cfg, yp=yp))
             traj = _completed(stepper.run(initial, field_, t_end), f"run at lam={lam}")
             sols.append(traj.final.phi_psi)
-        else:
-            raise ValueError(f"unknown study kind {kind!r}")
     dists = [ops.l2_norm(b - a) for a, b in zip(sols, sols[1:])]
     monotone = all(b <= a + 1e-14 for a, b in zip(dists, dists[1:]))
     rows = [
@@ -401,54 +414,54 @@ def regime_interpolation_study(
     ops: FemOperators,
     cfg: StepperConfig,
     field_: VelocityField,
-    initial_factory,
+    initial: BulkSurfacePair,
     t_end: float,
-    which: str = "K",
     toward_zero=(1.0, 0.1, 0.01),
     toward_inf=(1.0, 10.0, 100.0),
 ) -> ExperimentResult:
-    """Monotone approach of finite-coupling runs to the limit regimes.
+    """Monotone approach of finite-coupling runs to the limit regimes, in K
+    and then in L, the other coupling held at its cfg value.
 
-    initial_factory(cp) must supply admissible initial data for each regime
-    (the zero-coupling limit constrains the boundary trace).  Gaps are final
-    time L2 distances.
+    Every run starts from `initial` with its boundary bulk values set to
+    alpha times the surface values: data admissible for the zero-coupling
+    limit, shared by all runs, so the gaps carry no fixed initial-data
+    floor.  Each distinct coupling runs once.  Gaps are final-time L2
+    distances.
     """
-    if which not in ("K", "L"):
-        raise ValueError("which must be 'K' or 'L'")
+    start = initial.copy()
+    start.bulk[ops.mesh.surface_nodes] = cfg.cp.alpha * start.surf
+    finals = {}
 
-    def run_with(value):
+    def final(which, value):
         cp = replace(cfg.cp, **{which: value})
-        stepper = TimeStepper(ops, replace(cfg, cp=cp))
-        traj = _completed(
-            stepper.run(initial_factory(cp), field_, t_end), f"run at {which}={value}"
-        )
-        return traj.final.phi_psi
+        if cp not in finals:
+            traj = TimeStepper(ops, replace(cfg, cp=cp)).run(start, field_, t_end)
+            finals[cp] = _completed(traj, f"run at {which}={value}").final.phi_psi
+        return finals[cp]
 
-    limit_zero = run_with(0.0)
-    limit_inf = run_with(math.inf)
-    rows = []
-    gaps_zero = []
-    for v in toward_zero:
-        gap = ops.l2_norm(run_with(v) - limit_zero)
-        gaps_zero.append(gap)
-        rows.append({"direction": "zero", "value": v, "gap": gap})
-    gaps_inf = []
-    for v in toward_inf:
-        gap = ops.l2_norm(run_with(v) - limit_inf)
-        gaps_inf.append(gap)
-        rows.append({"direction": "inf", "value": v, "gap": gap})
-    mono_zero = all(b <= a + 1e-14 for a, b in zip(gaps_zero, gaps_zero[1:]))
-    mono_inf = all(b <= a + 1e-14 for a, b in zip(gaps_inf, gaps_inf[1:]))
-    passed = mono_zero and mono_inf
+    rows, reasons, extras = [], {}, {}
+    for which in ("K", "L"):
+        limits = {"zero": final(which, 0.0), "inf": final(which, math.inf)}
+        gaps = {}
+        for direction, values in (("zero", toward_zero), ("inf", toward_inf)):
+            gaps[direction] = [ops.l2_norm(final(which, v) - limits[direction]) for v in values]
+            rows += [
+                {"which": which, "direction": direction, "value": v, "gap": g}
+                for v, g in zip(values, gaps[direction])
+            ]
+        extras[which] = {"gaps_zero": gaps["zero"], "gaps_inf": gaps["inf"]}
+        monotone = all(b <= a + 1e-14 for g in gaps.values() for a, b in zip(g, g[1:]))
+        reasons[which] = (
+            "ok" if monotone else f"gaps not monotone (zero: {gaps['zero']}, inf: {gaps['inf']})"
+        )
+    passed = all(r == "ok" for r in reasons.values())
     return ExperimentResult(
-        name=f"regime_interpolation_{which}",
-        columns=["direction", "value", "gap"],
+        name="regime_interpolation",
+        columns=["which", "direction", "value", "gap"],
         rows=rows,
         passed=passed,
-        reason="ok"
-        if passed
-        else f"gaps not monotone (zero: {gaps_zero}, inf: {gaps_inf})",
-        extras={"gaps_zero": gaps_zero, "gaps_inf": gaps_inf},
+        reason="ok" if passed else "; ".join(f"{w}: {r}" for w, r in reasons.items()),
+        extras=extras,
     )
 
 

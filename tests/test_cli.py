@@ -248,6 +248,46 @@ class TestCommands:
         )
         assert code == 0
 
+    def test_study_regimes_runs_each_distinct_coupling_once(self, tmp_path, monkeypatch):
+        # K in {0, inf, 1, 0.1, 0.01, 10, 100} at L = 1, then L in
+        # {0, inf, 0.1, 0.01, 10, 100} at K = 1: (1, 1) is shared
+        from bscahn.stepper import TimeStepper
+
+        runs = []
+        run = TimeStepper.run
+
+        def counting(self, *args, **kwargs):
+            runs.append((self.cfg.cp.K, self.cfg.cp.L))
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(TimeStepper, "run", counting)
+        assert run_cli("study", "regimes", "--config", cfg_path("regimes.cfg"),
+                       "--out", str(tmp_path / "r")) == 0
+        assert len(runs) == 13
+        assert len(set(runs)) == 13
+
+    def test_misspelled_yosida_kind_is_one_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        with open(cfg_path("elliptic.cfg")) as fh:
+            cfg.write_text(fh.read() + "[study]\nyosida_kind = elliptc\n")
+        code = run_cli("study", "yosida", "--config", str(cfg), "--out", str(tmp_path / "y"))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: config: unknown study kind 'elliptc'"]
+        assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("key", ["dt", "t_end"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_time_setting_is_one_config_error(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "time.cfg"
+        cfg.write_text(edited_config("simulate.cfg", {("time", key): value}))
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "s"))
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config: need finite 0 < dt <= t_end")
+        assert "dt=" in lines[0] and "t_end=" in lines[0]
+
     def test_plot_structure(self, tmp_path):
         out = tmp_path / "p"
         run_cli("simulate", "--config", cfg_path("steady.cfg"), "--out", str(out))

@@ -101,7 +101,27 @@ class TestContinuousDependence:
         lhs = res.extras["lhs_values"]
         expo = scaling_exponent(lhs[0], lhs[1])
         assert 1.8 <= expo <= 2.2
+        assert res.extras["scaling_exponent"] == expo
         assert res.passed
+
+    def test_scaling_exponent_outside_its_band_fails_the_study(self, ops4, rng, monkeypatch):
+        monkeypatch.setattr("bscahn.diagnostics.scaling_exponent", lambda big, small, factor: 2.5)
+        res = continuous_dependence_experiment(
+            ops4, make_config(), ZeroVelocity(), admissible_random(ops4, CP, rng), 5e-3,
+            [(2e-3, 0.0), (1e-3, 0.0)],
+        )
+        assert res.extras["scaling_exponent"] == 2.5
+        assert not res.passed
+        assert res.reason == "scaling exponent 2.500 outside [1.8, 2.2]"
+
+    def test_scaling_exponent_reads_only_data_perturbations(self, ops4, rng):
+        # a velocity perturbation and the zero perturbation leave one
+        # data-only perturbation, too few for an exponent
+        res = continuous_dependence_experiment(
+            ops4, make_config(), ZeroVelocity(), admissible_random(ops4, CP, rng), 5e-3,
+            [(2e-3, 0.5), (0.0, 0.0), (1e-3, 0.0)],
+        )
+        assert "scaling_exponent" not in res.extras
 
     def test_velocity_perturbation_contributes(self, ops4, rng):
         cfg = make_config()
@@ -133,6 +153,10 @@ class TestContinuousDependence:
 
 
 class TestYosidaStudies:
+    def test_unknown_kind_rejected_before_any_solve(self, ops4):
+        with pytest.raises(ValueError, match="unknown study kind 'elliptc'"):
+            yosida_convergence_study("elliptc", ops4, make_config(), [])
+
     def test_linear_mode_is_parameter_free(self, ops4, rng):
         # with the singular part disabled the trajectories cannot depend on
         # the regularization parameter at all
@@ -249,32 +273,30 @@ class TestSeparationReport:
 
 
 class TestRegimeInterpolation:
-    def _factory(self, ops, rng_seed=3):
-        base = np.random.default_rng(rng_seed)
-        bulk = 0.05 + 0.3 * base.uniform(-1, 1, ops.n_bulk)
-        surf = 0.05 + 0.3 * base.uniform(-1, 1, ops.n_surf)
-
-        def factory(cp):
-            # trace slaved in every regime: shared admissible data
-            pair = BulkSurfacePair(bulk.copy(), surf.copy())
-            pair.bulk[ops.mesh.surface_nodes] = cp.alpha * pair.surf
-            return pair
-
-        return factory
-
     def test_gaps_shrink_toward_both_limits(self, ops8):
-        cfg = make_config(dt=1e-3)
-        for which in ("K", "L"):
-            res = regime_interpolation_study(
-                ops8, cfg, ZeroVelocity(), self._factory(ops8), 0.02, which=which
-            )
-            assert res.passed, res.reason
+        base = np.random.default_rng(3)
+        bulk = 0.05 + 0.3 * base.uniform(-1, 1, ops8.n_bulk)
+        surf = 0.05 + 0.3 * base.uniform(-1, 1, ops8.n_surf)
+        initial = BulkSurfacePair(bulk.copy(), surf.copy())
+        res = regime_interpolation_study(ops8, make_config(dt=1e-3), ZeroVelocity(), initial, 0.02)
+        assert res.passed, res.reason
+        assert [(r["which"], r["direction"]) for r in res.rows] == [
+            (which, direction)
+            for which in "KL" for direction in ("zero", "inf") for _ in range(3)
+        ]
+        # the study slaves the trace of its own copy of the data
+        assert np.array_equal(initial.bulk, bulk) and np.array_equal(initial.surf, surf)
 
-    def test_bad_axis_rejected(self, ops4):
-        with pytest.raises(ValueError):
-            regime_interpolation_study(
-                ops4, make_config(), ZeroVelocity(), self._factory(ops4), 1e-3, which="Q"
-            )
+    def test_non_monotone_gaps_name_their_axis(self, ops4):
+        # toward zero from 0.01 up to 1: the gaps grow in both sweeps
+        res = regime_interpolation_study(
+            ops4, make_config(), ZeroVelocity(), ops4.constant_pair(0.1, 0.2), 2e-3,
+            toward_zero=(0.01, 1.0), toward_inf=(),
+        )
+        assert not res.passed
+        assert res.reason.startswith("K: gaps not monotone (zero: [")
+        assert "; L: gaps not monotone (zero: [" in res.reason
+        assert set(res.extras) == {"K", "L"}
 
 
 class TestTraceInterpolation:

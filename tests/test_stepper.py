@@ -350,6 +350,31 @@ class TestRun:
                     w.bulk[ops4.mesh.surface_nodes], cfg.cp.beta * w.surf, atol=1e-12
                 )
 
+    def test_newton_stalling_at_its_roundoff_floor_fails_the_step(self, ops8):
+        """A near-singular potential (lambda = 1e-6), a long step and a strong
+        flow: the step Newton reaches its roundoff floor, a few 1e-12, and
+        stagnates there just above the absolute tolerance 1e-12 until it runs
+        out of iterations.
+
+        This pins today's failure.  When the stopping rule learns the floor
+        (stop at a tolerance scaled to the residual's terms, or on stagnation
+        there), invert it: the run must then reach t = 0.6.
+        """
+        cfg = make_config(dt=0.2, lam=1e-6)
+        assert (POT.theta, POT.theta_c) == (0.8, 1.6)
+        rng = np.random.default_rng(1)
+        init = BulkSurfacePair(
+            rng.uniform(-0.3, 0.3, ops8.n_bulk), rng.uniform(-0.3, 0.3, ops8.n_surf)
+        )
+        flow = StreamFunctionVelocity(profile="sine2").scaled(200)
+        traj = TimeStepper(ops8, cfg).run(init, flow, 0.6)
+        assert traj.failure is not None
+        assert traj.failure["step"] == 2
+        assert "did not reach tol 1e-12 in 30 iterations" in traj.failure["error"]
+        history = traj.failure["history"]
+        assert len(history) == 31
+        assert all(1e-12 < r < 1e-10 for r in history[-4:]), history[-4:]
+
 
 class TestEnergyBalance:
     def test_steady_state_residual_zero(self, ops4):
