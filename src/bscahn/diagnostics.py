@@ -4,7 +4,8 @@ a-priori-estimate monitors, separation, and regime interpolation.
 Every experiment returns a structured result carrying per-run rows (ready for
 CSV emission), a pass flag, and a human-readable reason.  Assertions are
 ratio-stability or boundedness statements; none of the underlying existential
-constants is asserted numerically.
+constants is asserted numerically.  A study given less evidence than its
+verdict needs raises ``ConfigError`` before any run.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import BulkSurfacePair, FemOperators, SolverFailure, assemble
+from .config import ConfigError
 from .mesh import generate_unit_square
 from .stepper import StepperConfig, TimeStepper, Trajectory
 from .velocity import VelocityField
@@ -29,6 +31,12 @@ class StudyRunError(SolverFailure):
     def __init__(self, message: str, failure: dict | None = None):
         super().__init__(message)
         self.failure = failure
+
+
+def _require(count: int, least: int, study: str, evidence: str) -> None:
+    """Reject a study given less evidence than its verdict needs, before any run."""
+    if count < least:
+        raise ConfigError(f"{study} needs at least {least} {evidence}, got {count}")
 
 
 def _completed(traj: Trajectory, what: str) -> Trajectory:
@@ -145,6 +153,10 @@ def continuous_dependence_experiment(
     """
     if not cfg.mobility.is_constant:
         raise ValueError("continuous dependence requires constant mobilities")
+    perturbations = list(perturbations)
+    # the indices of the data-only perturbations; the first two give the exponent
+    data_only = [i for i, (d, v) in enumerate(perturbations) if d > 0 and v == 0]
+    _require(len(data_only), 2, "continuous dependence", "data-only perturbations")
     cp = cfg.cp
     stepper = TimeStepper(ops, cfg)
     rng = np.random.default_rng(seed)
@@ -213,9 +225,8 @@ def continuous_dependence_experiment(
     else:
         spread = 1.0
     extras = {"lhs_values": lhs_values, "ratio_spread": spread}
-    data_only = [r for r in rows if r["data_eps"] > 0 and r["vel_eps"] == 0]
-    if len(data_only) >= 2 and data_only[1]["lhs"] > 0:
-        big, small = data_only[:2]
+    big, small = (rows[i] for i in data_only[:2])
+    if small["lhs"] > 0:
         expo = scaling_exponent(
             big["lhs"], small["lhs"], factor=big["data_eps"] / small["data_eps"]
         )
@@ -260,6 +271,7 @@ def yosida_convergence_study(
     if kind not in ("elliptic", "time"):
         raise ValueError(f"unknown study kind {kind!r}")
     schedule = list(schedule)
+    _require(len(schedule), 2, "yosida convergence", "regularization parameters")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     sols = []
@@ -317,6 +329,7 @@ def strong_estimate_monitor(
         raise ValueError("strong-estimate monitor requires constant mobilities")
     if cp.K == 0.0 and not field_.trace_matches_surface:
         raise ValueError("K = 0 runs require the bulk trace to equal the surface field")
+    _require(len(amplitudes), 2, "strong estimate", "velocity amplitudes")
 
     dt = cfg.dt
     rows = []
@@ -428,6 +441,8 @@ def regime_interpolation_study(
     floor.  Each distinct coupling runs once.  Gaps are final-time L2
     distances.
     """
+    for direction, values in (("zero", toward_zero), ("inf", toward_inf)):
+        _require(len(values), 1, "regime interpolation", f"coupling value toward {direction}")
     start = initial.copy()
     start.bulk[ops.mesh.surface_nodes] = cfg.cp.alpha * start.surf
     finals = {}

@@ -93,20 +93,21 @@ def _newton_pattern(ops: FemOperators, cp: CouplingParams, shifted: bool):
     return ops._cache[key]
 
 
-def _newton_system(prob: EllipticProblem, shifted: bool, factor) -> NewtonSystem:
+def _newton_system(prob: EllipticProblem, shifted: bool, factor, convex=None) -> NewtonSystem:
     """The reduced Newton system P^T(stiff [+ mass])P x - P^T mass rhs + P^T load(P x).
 
     Its Newton matrices are SPD (the curvature weight is at least
     theta/(1+theta)), so the directions after the first are conjugate-gradient
     solves on the held ``factor``, which a continuation hands from solve to
-    solve.
+    solve.  ``convex(u)`` gives the convex terms at a full vector u; by
+    default they are evaluated afresh.
     """
     ops = prob.ops
     pattern = _newton_pattern(ops, prob.cp, shifted)
     b = ops.reduce(ops.block_mass @ ops.to_vector(prob.rhs), pattern.P)
+    convex = convex or (lambda u: convex_terms(ops, u, prob.pot, prob.yp))
     return NewtonSystem(
-        ops, pattern, pattern.matrix(pattern.fixed), b,
-        lambda u: convex_terms(ops, u, prob.pot, prob.yp), 1, factor, EllipticSolveError,
+        ops, pattern, pattern.matrix(pattern.fixed), b, convex, 1, factor, EllipticSolveError,
     )
 
 
@@ -118,8 +119,16 @@ class _System:
         ops = self.ops = prob.ops
         self.P, self.stiff = _operators(ops, prob.cp)
         self.rhs_load = ops.block_mass @ ops.to_vector(prob.rhs)
-        # the pair vector residual_norm evaluated last, with its resolvents
-        self._resolvents = (None, None)
+        # the full pair vector residual_norm evaluated last, with its convex terms
+        self._evaluated = (None, None)
+
+    def convex(self, full: np.ndarray):
+        """The convex terms at a full pair vector, reused at the one
+        :meth:`residual_norm` evaluated last."""
+        held, terms = self._evaluated
+        if held is not None and same_bits(held, full):
+            return terms
+        return convex_terms(self.ops, full, self.prob.pot, self.prob.yp)
 
     def residual_norm(self, pair: BulkSurfacePair) -> float:
         """Max-norm of the reduced shifted residual at a pair, which lets the
@@ -127,7 +136,7 @@ class _System:
         ops = self.ops
         full = ops.prolong(ops.to_reduced(pair, self.P), self.P)
         convex = convex_terms(ops, full, self.prob.pot, self.prob.yp)
-        self._resolvents = (full, convex.j)
+        self._evaluated = (full, convex)
         out = self.stiff @ full + convex.load - self.rhs_load + ops.block_mass @ full
         return float(np.abs(ops.reduce(out, self.P)).max())
 
@@ -144,8 +153,10 @@ class _System:
             ops._cache[key] = spla.splu(ops.project(mat, self.P, self.P).tocsc())
         lu = ops._cache[key]
 
-        full, j = self._resolvents
-        if full is None or not same_bits(full, ops.to_vector(current)):
+        full, terms = self._evaluated
+        if full is not None and same_bits(full, ops.to_vector(current)):
+            j = terms.j
+        else:
             j = (yosida_resolvent(ops.bulk_at_tri_quad(current.bulk), pot.theta, yp),
                  yosida_resolvent(ops.surf_at_quad(current.surf), pot.theta_surf, yp))
         load = np.concatenate([ops.tri_quad_load(j[0]), ops.surf_quad_load(j[1])])
@@ -167,6 +178,7 @@ def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSur
 _TOL = 1e-10  # weak-residual tolerance of the shifted solve and of the continuation
 _FP_SWITCH = 1e-4  # residual at which the shifted solve hands over to Newton
 _MAX_FP_ITER = 100000  # contraction iterations of one shifted solve
+_ANDERSON_DEPTH = 5  # residual differences the contraction-only solve mixes
 _SHIFTED_NEWTON_MAX_ITER = 50  # Newton iterations of its polish
 _NEWTON_MAX_ITER = 60  # Newton iterations of one regularized solve
 
@@ -174,38 +186,32 @@ _NEWTON_MAX_ITER = 60  # Newton iterations of one regularized solve
 def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = True) -> EllipticSolution:
     """Solve u - Lap u + F'_lam(u) = f (plus the surface/coupling rows) from zero.
 
-    Contraction iterations carry the iterate into the Newton basin (or all
-    the way down when use_newton is False, stopping on the step difference);
-    Newton then polishes to the weak-residual tolerance.
+    Contraction iterations carry the iterate into the Newton basin, and
+    Newton then polishes to the weak-residual tolerance.  When use_newton is
+    False, Anderson-mixed contractions (:func:`_mixed_contraction`) go all
+    the way down instead, stopping on the step difference.
     """
     ops = prob.ops
     sysm = _System(prob)
+    if not use_newton:
+        u, fp_iters, restarts = _mixed_contraction(sysm)
+        return EllipticSolution(
+            uv=u,
+            residual_norm=sysm.residual_norm(u),
+            iterations=fp_iters,
+            extras={"fp_iterations": fp_iters, "factorizations": 0,
+                    "held_solve_iterations": 0, "anderson_restarts": restarts},
+        )
     u = ops.zero_pair()
     history: list[float] = []
-    fp_iters = 0
-    while True:
-        new = sysm.contract(u)
-        fp_iters += 1
-        diff = (new - u).max_abs()
-        u = new
-        if use_newton:
-            history.append(sysm.residual_norm(u))
-            if history[-1] <= _FP_SWITCH or fp_iters >= _MAX_FP_ITER:
-                break
-        elif diff <= _TOL:
-            return EllipticSolution(
-                uv=u,
-                residual_norm=sysm.residual_norm(u),
-                iterations=fp_iters,
-                extras={"fp_iterations": fp_iters, "factorizations": 0,
-                        "held_solve_iterations": 0},
-            )
-        elif fp_iters >= _MAX_FP_ITER:
-            raise EllipticSolveError(
-                f"contraction iteration did not reach {_TOL:g} in {_MAX_FP_ITER} steps", history
-            )
+    for fp_iters in range(1, _MAX_FP_ITER + 1):
+        u = sysm.contract(u)
+        history.append(sysm.residual_norm(u))
+        if history[-1] <= _FP_SWITCH:
+            break
 
-    system = _newton_system(prob, True, SPDLaggedFactor())
+    # the polish starts at the pair residual_norm evaluated last
+    system = _newton_system(prob, True, SPDLaggedFactor(), sysm.convex)
     red = ops.to_reduced(u, sysm.P)
     _, _, full, its, _ = system.solve(red, _TOL, _SHIFTED_NEWTON_MAX_ITER, history)
     return EllipticSolution(
@@ -213,6 +219,54 @@ def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = True) ->
         residual_norm=history[-1],
         iterations=fp_iters + its,
         extras={"fp_iterations": fp_iters, "newton_iterations": its, **system.counts()},
+    )
+
+
+def _mixed_contraction(sysm: _System):
+    """Anderson-mixed contraction T from zero: (fixed point, contractions, restarts).
+
+    With g_k = T(u_k) - u_k, the next iterate is T(u_k) - dT gamma, where
+    gamma is the least-squares fit of g_k by the columns dG, the differences
+    of the last _ANDERSON_DEPTH residuals, and dT = dX + dG holds the
+    matching differences of the maps T(u_i) (Walker & Ni, SIAM J. Numer.
+    Anal. 49, 2011).  T contracts in the L2 norm with q = 1/sqrt(1+lam).  A
+    mixed iterate whose residual exceeds q times that of the last accepted
+    iterate is rejected (a restart): the history is dropped and the plain
+    step T of the last accepted iterate taken, whose residual the
+    contraction shrinks by q.  So each accepted residual is at most q times
+    the one before, as in the plain iteration, and each rejection costs one
+    extra contraction: the plain iteration's Banach count bounds the
+    accepted iterates, and at most twice it all contractions.  Depth 0 is
+    the plain iteration.  Returns T(u_k) once max|g_k| <= _TOL.
+    """
+    ops = sysm.ops
+    q = 1.0 / math.sqrt(1.0 + sysm.prob.yp.lam)
+    x = np.zeros(ops.n_bulk + ops.n_surf)
+    d_map = np.empty((x.size, _ANDERSON_DEPTH))
+    d_res = np.empty((x.size, _ANDERSON_DEPTH))
+    added = restarts = 0  # columns added since the last restart, restarts
+    mixed = False  # whether x is a mixed iterate, which may be rejected
+    prev = None  # T(u), g and ||g|| of the last accepted iterate
+    for fp_iters in range(1, _MAX_FP_ITER + 1):
+        t = ops.to_vector(sysm.contract(ops.from_vector(x)))
+        g = t - x
+        if float(np.abs(g).max()) <= _TOL:
+            return ops.from_vector(t), fp_iters, restarts
+        g_norm = ops.l2_norm(ops.from_vector(g))
+        if mixed and g_norm > q * prev[2]:
+            x, mixed, added, restarts = prev[0], False, 0, restarts + 1
+            continue
+        x = t
+        if prev is not None and _ANDERSON_DEPTH:
+            slot, added = added % _ANDERSON_DEPTH, added + 1
+            d_map[:, slot] = t - prev[0]
+            d_res[:, slot] = g - prev[1]
+            cols = min(added, _ANDERSON_DEPTH)
+            gamma = np.linalg.lstsq(d_res[:, :cols], g, rcond=None)[0]
+            x, mixed = t - d_map[:, :cols] @ gamma, True
+        prev = (t, g, g_norm)
+    raise EllipticSolveError(
+        f"contraction iteration did not reach {_TOL:g} in {_MAX_FP_ITER} steps", []
     )
 
 
@@ -256,16 +310,18 @@ def solve_singular(
 ) -> EllipticSolution:
     """Continuation in the regularization parameter toward the singular problem.
 
-    Solves at each value of the decreasing schedule, warm-starting from the
-    previous solution, and certifies a Cauchy tail: the last successive H1
-    difference must fall below cauchy_tol.  Records the measured separation
+    Solves at each value of the decreasing schedule of at least two values,
+    warm-starting from the previous solution, and certifies a Cauchy tail:
+    the last successive H1 difference must fall below cauchy_tol.  Records the measured separation
     1 - max nodal |value| of the final solution; its iterations,
     factorizations and held-factor iterations are summed over the schedule,
     whose Newton directions share one held factor.
     """
     schedule = list(schedule)
-    if any(b >= a for a, b in zip(schedule, schedule[1:])) or not schedule:
-        raise ValueError("schedule must be strictly decreasing and nonempty")
+    if len(schedule) < 2:
+        raise ValueError(f"schedule needs at least two values for a Cauchy tail, got {schedule}")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly decreasing")
     if schedule[-1] < 1e-6:
         raise ValueError("final regularization parameter below the 1e-6 floor")
 
@@ -278,8 +334,7 @@ def solve_singular(
     diffs = [ops.h1_norm(b.uv - a.uv) for a, b in zip(sols, sols[1:])]
     sol = sols[-1]
     separation = 1.0 - sol.uv.max_abs()
-    converged = len(diffs) == 0 or diffs[-1] <= cauchy_tol
-    if not converged:
+    if not diffs[-1] <= cauchy_tol:
         raise EllipticSolveError(
             f"continuation tail {diffs[-1]:.3e} above Cauchy tolerance {cauchy_tol:g}",
             diffs,

@@ -276,6 +276,51 @@ class TestCommands:
         assert captured.err.splitlines() == ["error: config: unknown study kind 'elliptc'"]
         assert "PASS" not in captured.out
 
+    def test_one_value_elliptic_schedule_is_one_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        with open(cfg_path("steady.cfg")) as fh:
+            cfg.write_text(fh.read() + "[elliptic]\nschedule = 0.1\n")
+        code = run_cli("elliptic", "--config", str(cfg), "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config: schedule needs at least two values for a Cauchy tail, got [0.1]"
+        ]
+
+    @pytest.mark.parametrize("kind, config, edits, message", [
+        ("yosida", "elliptic.cfg", {("elliptic", "schedule"): "0.1"},
+         "yosida convergence needs at least 2 regularization parameters, got 1"),
+        ("contdep", "contdep.cfg", {("study", "contdep_eps"): "1e-3 0"},
+         "continuous dependence needs at least 2 data-only perturbations, got 1"),
+        ("regimes", "regimes.cfg", {("study", "regime_zero"): ""},
+         "regime interpolation needs at least 1 coupling value toward zero, got 0"),
+        ("regimes", "regimes.cfg", {("study", "regime_inf"): ""},
+         "regime interpolation needs at least 1 coupling value toward inf, got 0"),
+        ("strong", "strong.cfg", {("study", "strong_amplitudes"): "1"},
+         "strong estimate needs at least 2 velocity amplitudes, got 1"),
+    ], ids=["yosida", "contdep", "regimes-zero", "regimes-inf", "strong"])
+    def test_study_without_evidence_for_its_verdict_is_one_config_error(
+        self, kind, config, edits, message, tmp_path, capsys, monkeypatch
+    ):
+        from bscahn import elliptic
+        from bscahn.stepper import TimeStepper
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a study without evidence made a solve")
+
+        monkeypatch.setattr(TimeStepper, "run", no_solve)
+        monkeypatch.setattr(elliptic, "solve_regularized", no_solve)
+        text = edited_config(config, edits)
+        for (section, key), value in edits.items():
+            if f"[{section}]" not in text:
+                text += f"[{section}]\n{key} = {value}\n"
+        cfg = tmp_path / config
+        cfg.write_text(text)
+        code = run_cli("study", kind, "--config", str(cfg), "--out", str(tmp_path / kind))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: config: {message}"]
+        assert "PASS" not in captured.out
+
     @pytest.mark.parametrize("key", ["dt", "t_end"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_time_setting_is_one_config_error(self, key, value, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bscahn.assembly import BulkSurfacePair, CouplingParams
+from bscahn.config import ConfigError
 from bscahn.diagnostics import (
     continuous_dependence_experiment,
     mean_compatible_direction,
@@ -87,9 +88,9 @@ class TestContinuousDependence:
         cfg = make_config()
         init = admissible_random(ops4, CP, rng)
         res = continuous_dependence_experiment(
-            ops4, cfg, ZeroVelocity(), init, 5e-3, [(0.0, 0.0)]
+            ops4, cfg, ZeroVelocity(), init, 5e-3, [(2e-3, 0.0), (1e-3, 0.0), (0.0, 0.0)]
         )
-        assert res.extras["lhs_values"][0] == 0.0
+        assert res.extras["lhs_values"][2] == 0.0
 
     def test_quadratic_scaling(self, ops8, rng):
         cfg = make_config()
@@ -115,23 +116,33 @@ class TestContinuousDependence:
         assert res.reason == "scaling exponent 2.500 outside [1.8, 2.2]"
 
     def test_scaling_exponent_reads_only_data_perturbations(self, ops4, rng):
-        # a velocity perturbation and the zero perturbation leave one
-        # data-only perturbation, too few for an exponent
+        # the velocity perturbation and the zero perturbation ahead of the
+        # two data-only ones take no part in the exponent
         res = continuous_dependence_experiment(
             ops4, make_config(), ZeroVelocity(), admissible_random(ops4, CP, rng), 5e-3,
-            [(2e-3, 0.5), (0.0, 0.0), (1e-3, 0.0)],
+            [(2e-3, 0.5), (0.0, 0.0), (2e-3, 0.0), (1e-3, 0.0)],
         )
-        assert "scaling_exponent" not in res.extras
+        lhs = res.extras["lhs_values"]
+        assert res.extras["scaling_exponent"] == scaling_exponent(lhs[2], lhs[3], factor=2.0)
+
+    def test_one_data_only_perturbation_is_too_few(self, ops4, rng):
+        # a velocity perturbation and the zero perturbation leave one
+        # data-only perturbation, too few for an exponent: no run is made
+        with pytest.raises(ConfigError, match="at least 2 data-only perturbations, got 1"):
+            continuous_dependence_experiment(
+                ops4, make_config(), ZeroVelocity(), admissible_random(ops4, CP, rng), 5e-3,
+                [(2e-3, 0.5), (0.0, 0.0), (1e-3, 0.0)],
+            )
 
     def test_velocity_perturbation_contributes(self, ops4, rng):
         cfg = make_config()
         init = admissible_random(ops4, CP, rng)
         field = StreamFunctionVelocity(amplitude=0.5, profile="sine2")
         res = continuous_dependence_experiment(
-            ops4, cfg, field, init, 5e-3, [(0.0, 0.5)]
+            ops4, cfg, field, init, 5e-3, [(2e-3, 0.0), (1e-3, 0.0), (0.0, 0.5)]
         )
-        assert res.extras["lhs_values"][0] > 0
-        assert res.rows[0]["velocity_term"] > 0
+        assert res.extras["lhs_values"][2] > 0
+        assert res.rows[2]["velocity_term"] > 0
 
     def test_variable_mobility_rejected(self, ops4, rng):
         cfg = make_config(mobility=QuadraticMobility())
@@ -198,14 +209,16 @@ class TestStrongEstimateMonitor:
     def test_steady_state_ratio_is_tight(self, ops4):
         cfg = make_config(cp=CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0), dt=1e-2, lam=1e-2)
         init = ops4.constant_pair(0.3, 0.3)
-        res = strong_estimate_monitor(ops4, cfg, ZeroVelocity(), init, 3e-2, amplitudes=(0.0,))
-        row = res.rows[0]
+        res = strong_estimate_monitor(
+            ops4, cfg, ZeroVelocity(), init, 3e-2, amplitudes=(0.0, 1.0)
+        )
         st = TimeStepper(ops4, cfg)
         w0 = st.initial_mu_theta(init)
-        assert row["sup_potential_norm_sq"] == pytest.approx(
-            ops4.norm_lb(w0, cfg.cp) ** 2, abs=1e-12
-        )
-        assert row["time_derivative_sum"] <= 1e-12
+        for row in res.rows:  # a zero flow at any amplitude
+            assert row["sup_potential_norm_sq"] == pytest.approx(
+                ops4.norm_lb(w0, cfg.cp) ** 2, abs=1e-12
+            )
+            assert row["time_derivative_sum"] <= 1e-12
 
     def test_amplitude_family_bounded(self, ops8, rng):
         cfg = make_config()
@@ -221,8 +234,8 @@ class TestStrongEstimateMonitor:
         ratios = []
         for amp in (0.15, 0.3):
             init = admissible_random(ops4, CP, rng, mean=0.05, amp=amp)
-            res = strong_estimate_monitor(ops4, cfg, field, init, 0.01, amplitudes=(1.0,))
-            ratios.append(res.rows[0]["ratio"])
+            res = strong_estimate_monitor(ops4, cfg, field, init, 0.01, amplitudes=(0.0, 1.0))
+            ratios.append(res.rows[1]["ratio"])
         assert max(ratios) / min(ratios) <= 10.0
 
     def test_preconditions(self, ops4, rng):
@@ -291,7 +304,7 @@ class TestRegimeInterpolation:
         # toward zero from 0.01 up to 1: the gaps grow in both sweeps
         res = regime_interpolation_study(
             ops4, make_config(), ZeroVelocity(), ops4.constant_pair(0.1, 0.2), 2e-3,
-            toward_zero=(0.01, 1.0), toward_inf=(),
+            toward_zero=(0.01, 1.0), toward_inf=(100.0,),
         )
         assert not res.passed
         assert res.reason.startswith("K: gaps not monotone (zero: [")

@@ -316,12 +316,74 @@ class TestShiftedSolve:
         sol = solve_shifted_regularized(problem(ops8, rhs=rhs, lam=0.1), use_newton=use_newton)
         fp = sol.extras["fp_iterations"]
         if use_newton:
-            # the start and fp contractions, then the Newton start and trials
+            # the start and fp contractions, then the Newton trials; the
+            # Newton start is the pair the last stopping test evaluated
             assert sol.extras["newton_iterations"] > 0
-            assert len(calls) == 2 * (fp + 1) + 2 * len(evaluations)
+            assert len(calls) == 2 * (fp + 1) + 2 * (len(evaluations) - 1)
         else:
             assert not evaluations
             assert len(calls) == 2 * fp + 2
+
+    @pytest.mark.parametrize("K, lam, tol", [(0.0, 0.1, 1e-9), (1.0, 0.1, 1e-9),
+                                             (0.0, 1e-2, 1e-8), (1.0, 1e-2, 1e-8)])
+    def test_mixed_contraction_agrees_with_the_newton_polish(self, ops8, K, lam, tol):
+        cp = CouplingParams(K=K, L=1.0, alpha=0.5, beta=2.0)
+        prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0)), cp=cp, lam=lam)
+        mixed = solve_shifted_regularized(prob, use_newton=False)
+        polished = solve_shifted_regularized(prob)
+        assert (mixed.uv - polished.uv).max_abs() <= tol
+
+    def test_depth_zero_is_the_plain_iteration(self, ops8, monkeypatch):
+        prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0)), lam=0.1)
+        monkeypatch.setattr(elliptic, "_ANDERSON_DEPTH", 0)
+        plain = solve_shifted_regularized(prob, use_newton=False)
+        sysm, u, fp = elliptic._System(prob), ops8.zero_pair(), 0
+        while True:
+            new = sysm.contract(u)
+            fp += 1
+            diff, u = (new - u).max_abs(), new
+            if diff <= elliptic._TOL:
+                break
+        assert plain.extras["fp_iterations"] == fp
+        assert plain.extras["anderson_restarts"] == 0
+        assert np.array_equal(plain.uv.bulk, u.bulk) and np.array_equal(plain.uv.surf, u.surf)
+
+    def test_mixing_takes_at_most_a_quarter_of_the_plain_contractions(self, ops8, monkeypatch):
+        prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0)), lam=1e-2)
+        mixed = solve_shifted_regularized(prob, use_newton=False)
+        monkeypatch.setattr(elliptic, "_ANDERSON_DEPTH", 0)
+        plain = solve_shifted_regularized(prob, use_newton=False)
+        assert 4 * mixed.extras["fp_iterations"] <= plain.extras["fp_iterations"]
+
+    def test_a_poor_fit_restarts_and_still_meets_the_tolerance(self, ops8, monkeypatch):
+        # a large right-hand side drives the solution toward the saturated
+        # branch, where the mixed residual can shrink by less than q
+        calls, contract = [], elliptic._System.contract
+
+        def recorded(self, u):
+            calls.append((u, contract(self, u)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(elliptic._System, "contract", recorded)
+        lam = 1e-2
+        prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0), 20.0), lam=lam)
+        sol = solve_shifted_regularized(prob, use_newton=False)
+        step = fixed_point_step(sol.uv, prob) - sol.uv
+        assert step.max_abs() <= elliptic._TOL
+        # each residual shrinks the last accepted one by q, or its iterate is
+        # rejected and the next is the plain step of the last accepted one
+        q = 1.0 / math.sqrt(1.0 + lam)
+        norms = [ops8.l2_norm(t - u) for u, t in calls[:-1]]  # the last met _TOL
+        accepted, restarts = 0, 0
+        for k in range(1, len(norms)):
+            if norms[k] <= q * norms[accepted]:
+                accepted = k
+                continue
+            restarts += 1
+            retry, plain = calls[k + 1][0], calls[accepted][1]
+            assert np.array_equal(retry.bulk, plain.bulk)
+            assert np.array_equal(retry.surf, plain.surf)
+        assert restarts == sol.extras["anderson_restarts"] > 0
 
 
 class TestStationarySolve:
