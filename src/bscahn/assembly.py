@@ -27,16 +27,16 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 
 
-class CompatibilityError(ValueError):
-    """Right-hand side violates the mean-compatibility of the inverse operator."""
-
-
 class SolverFailure(RuntimeError):
     """Base of every solver failure; the command line exits 2 on it."""
 
 
 class SolverError(SolverFailure):
     """Linear or eigen-iteration failure."""
+
+
+class CompatibilityError(SolverFailure):
+    """Right-hand side violates the mean-compatibility of the inverse operator."""
 
 
 def sigma(value: float) -> float:

@@ -271,7 +271,7 @@ def yosida_convergence_study(
     if kind not in ("elliptic", "time"):
         raise ValueError(f"unknown study kind {kind!r}")
     schedule = list(schedule)
-    _require(len(schedule), 2, "yosida convergence", "regularization parameters")
+    _require(len(schedule), 3, "yosida convergence", "regularization parameters")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     sols = []
@@ -442,7 +442,7 @@ def regime_interpolation_study(
     distances.
     """
     for direction, values in (("zero", toward_zero), ("inf", toward_inf)):
-        _require(len(values), 1, "regime interpolation", f"coupling value toward {direction}")
+        _require(len(values), 2, "regime interpolation", f"coupling values toward {direction}")
     start = initial.copy()
     start.bulk[ops.mesh.surface_nodes] = cfg.cp.alpha * start.surf
     finals = {}

@@ -28,7 +28,6 @@ from .assembly import (
     NewtonSystem,
     SPDLaggedFactor,
     SolverFailure,
-    same_bits,
 )
 from .potentials import (
     PotentialSpec,
@@ -78,36 +77,35 @@ def _operators(ops: FemOperators, cp: CouplingParams):
     return ops.reduction(cp.K, cp.alpha), ops.form_matrix(cp.sigma_K, cp.alpha)
 
 
-def _newton_pattern(ops: FemOperators, cp: CouplingParams, shifted: bool):
-    """The pattern of the Newton matrix P^T(stiff [+ mass] + curvature mass)P.
+def _newton_pattern(ops: FemOperators, cp: CouplingParams):
+    """The pattern of the Newton matrix P^T(stiff + curvature mass)P.
 
     Cached per operator set, so every regularization parameter shares it.
     """
-    key = ("newton", cp.K, cp.alpha, shifted)
+    key = ("newton", cp.K, cp.alpha)
     if key not in ops._cache:
         P, stiff = _operators(ops, cp)
-        lin = ops.project(stiff + ops.block_mass if shifted else stiff, P, P).tocoo()
+        lin = ops.project(stiff, P, P).tocoo()
         ops._cache[key] = JacobianPattern(
             ops, lin.shape[0], P, fixed=[(lin.row, lin.col, lin.data)]
         )
     return ops._cache[key]
 
 
-def _newton_system(prob: EllipticProblem, shifted: bool, factor, convex=None) -> NewtonSystem:
-    """The reduced Newton system P^T(stiff [+ mass])P x - P^T mass rhs + P^T load(P x).
+def _newton_system(prob: EllipticProblem, factor) -> NewtonSystem:
+    """The reduced Newton system P^T stiff P x - P^T mass rhs + P^T load(P x).
 
     Its Newton matrices are SPD (the curvature weight is at least
     theta/(1+theta)), so the directions after the first are conjugate-gradient
     solves on the held ``factor``, which a continuation hands from solve to
-    solve.  ``convex(u)`` gives the convex terms at a full vector u; by
-    default they are evaluated afresh.
+    solve.
     """
     ops = prob.ops
-    pattern = _newton_pattern(ops, prob.cp, shifted)
+    pattern = _newton_pattern(ops, prob.cp)
     b = ops.reduce(ops.block_mass @ ops.to_vector(prob.rhs), pattern.P)
-    convex = convex or (lambda u: convex_terms(ops, u, prob.pot, prob.yp))
     return NewtonSystem(
-        ops, pattern, pattern.matrix(pattern.fixed), b, convex, 1, factor, EllipticSolveError,
+        ops, pattern, pattern.matrix(pattern.fixed), b,
+        lambda u: convex_terms(ops, u, prob.pot, prob.yp), 1, factor, EllipticSolveError,
     )
 
 
@@ -119,32 +117,17 @@ class _System:
         ops = self.ops = prob.ops
         self.P, self.stiff = _operators(ops, prob.cp)
         self.rhs_load = ops.block_mass @ ops.to_vector(prob.rhs)
-        # the full pair vector residual_norm evaluated last, with its convex terms
-        self._evaluated = (None, None)
-
-    def convex(self, full: np.ndarray):
-        """The convex terms at a full pair vector, reused at the one
-        :meth:`residual_norm` evaluated last."""
-        held, terms = self._evaluated
-        if held is not None and same_bits(held, full):
-            return terms
-        return convex_terms(self.ops, full, self.prob.pot, self.prob.yp)
 
     def residual_norm(self, pair: BulkSurfacePair) -> float:
-        """Max-norm of the reduced shifted residual at a pair, which lets the
-        contraction stop without building a Newton system."""
+        """Max-norm of the reduced shifted residual at a pair."""
         ops = self.ops
         full = ops.prolong(ops.to_reduced(pair, self.P), self.P)
-        convex = convex_terms(ops, full, self.prob.pot, self.prob.yp)
-        self._evaluated = (full, convex)
-        out = self.stiff @ full + convex.load - self.rhs_load + ops.block_mass @ full
+        load = convex_terms(ops, full, self.prob.pot, self.prob.yp).load
+        out = self.stiff @ full + load - self.rhs_load + ops.block_mass @ full
         return float(np.abs(ops.reduce(out, self.P)).max())
 
     def contract(self, current: BulkSurfacePair) -> BulkSurfacePair:
-        """One application of the contraction map; see :func:`fixed_point_step`.
-
-        At the pair :meth:`residual_norm` evaluated last, its resolvents are used.
-        """
+        """One application of the contraction map; see :func:`fixed_point_step`."""
         ops, cp, pot, yp = self.ops, self.prob.cp, self.prob.pot, self.prob.yp
         lam = yp.lam
         key = ("tlam", cp.K, cp.alpha, lam)
@@ -153,12 +136,8 @@ class _System:
             ops._cache[key] = spla.splu(ops.project(mat, self.P, self.P).tocsc())
         lu = ops._cache[key]
 
-        full, terms = self._evaluated
-        if full is not None and same_bits(full, ops.to_vector(current)):
-            j = terms.j
-        else:
-            j = (yosida_resolvent(ops.bulk_at_tri_quad(current.bulk), pot.theta, yp),
-                 yosida_resolvent(ops.surf_at_quad(current.surf), pot.theta_surf, yp))
+        j = (yosida_resolvent(ops.bulk_at_tri_quad(current.bulk), pot.theta, yp),
+             yosida_resolvent(ops.surf_at_quad(current.surf), pot.theta_surf, yp))
         load = np.concatenate([ops.tri_quad_load(j[0]), ops.surf_quad_load(j[1])])
         red = lu.solve(ops.reduce(lam * self.rhs_load + load, self.P))
         return ops.from_vector(ops.prolong(red, self.P))
@@ -175,50 +154,29 @@ def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSur
     return _System(prob).contract(current)
 
 
-_TOL = 1e-10  # weak-residual tolerance of the shifted solve and of the continuation
-_FP_SWITCH = 1e-4  # residual at which the shifted solve hands over to Newton
+_TOL = 1e-10  # step tolerance of the shifted solve, residual tolerance of the continuation
 _MAX_FP_ITER = 100000  # contraction iterations of one shifted solve
-_ANDERSON_DEPTH = 5  # residual differences the contraction-only solve mixes
-_SHIFTED_NEWTON_MAX_ITER = 50  # Newton iterations of its polish
+_ANDERSON_DEPTH = 5  # residual differences the shifted solve mixes
 _NEWTON_MAX_ITER = 60  # Newton iterations of one regularized solve
 
 
-def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = True) -> EllipticSolution:
+def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = False) -> EllipticSolution:
     """Solve u - Lap u + F'_lam(u) = f (plus the surface/coupling rows) from zero.
 
-    Contraction iterations carry the iterate into the Newton basin, and
-    Newton then polishes to the weak-residual tolerance.  When use_newton is
-    False, Anderson-mixed contractions (:func:`_mixed_contraction`) go all
-    the way down instead, stopping on the step difference.
+    Anderson-mixed contractions (:func:`_mixed_contraction`) run to the
+    fixed point, stopping on the step difference.  ``use_newton`` is kept
+    only for the ``use_newton=False`` call of ``benchmarks/workloads.py``;
+    False is its one legal value.
     """
-    ops = prob.ops
+    if use_newton:
+        raise ValueError("the shifted solve has no Newton path: use_newton must be False")
     sysm = _System(prob)
-    if not use_newton:
-        u, fp_iters, restarts = _mixed_contraction(sysm)
-        return EllipticSolution(
-            uv=u,
-            residual_norm=sysm.residual_norm(u),
-            iterations=fp_iters,
-            extras={"fp_iterations": fp_iters, "factorizations": 0,
-                    "held_solve_iterations": 0, "anderson_restarts": restarts},
-        )
-    u = ops.zero_pair()
-    history: list[float] = []
-    for fp_iters in range(1, _MAX_FP_ITER + 1):
-        u = sysm.contract(u)
-        history.append(sysm.residual_norm(u))
-        if history[-1] <= _FP_SWITCH:
-            break
-
-    # the polish starts at the pair residual_norm evaluated last
-    system = _newton_system(prob, True, SPDLaggedFactor(), sysm.convex)
-    red = ops.to_reduced(u, sysm.P)
-    _, _, full, its, _ = system.solve(red, _TOL, _SHIFTED_NEWTON_MAX_ITER, history)
+    u, fp_iters, restarts = _mixed_contraction(sysm)
     return EllipticSolution(
-        uv=ops.from_vector(full),
-        residual_norm=history[-1],
-        iterations=fp_iters + its,
-        extras={"fp_iterations": fp_iters, "newton_iterations": its, **system.counts()},
+        uv=u,
+        residual_norm=sysm.residual_norm(u),
+        iterations=fp_iters,
+        extras={"fp_iterations": fp_iters, "anderson_restarts": restarts},
     )
 
 
@@ -288,7 +246,7 @@ def solve_regularized(
 def _solve_regularized(prob, tol, max_iter, start, factor: SPDLaggedFactor) -> EllipticSolution:
     """:func:`solve_regularized` with its Newton directions on the given held factor."""
     ops = prob.ops
-    system = _newton_system(prob, False, factor)
+    system = _newton_system(prob, factor)
     history: list[float] = []
     red = ops.to_reduced(start if start is not None else ops.zero_pair(), system.pattern.P)
     _, _, full, its, trials = system.solve(red, tol, max_iter, history)

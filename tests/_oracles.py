@@ -6,7 +6,9 @@ instead of sparse saddle factorizations, dense eigensolves instead of inverse
 iteration, and plain per-element Python loops instead of vectorized assembly.
 The exceptions are kernels the package replaced, kept as references: the
 resolvent kernel in its earlier whole-array form, the einsum quadrature
-kernels, and the transport and concave loads summed at quadrature points.
+kernels, the transport and concave loads summed at quadrature points, and a
+damped Newton on the shifted elliptic system, which the package solves by
+Anderson-mixed contraction.
 """
 
 import math
@@ -15,12 +17,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from bscahn.assembly import BulkSurfacePair
+from bscahn.assembly import BulkSurfacePair, JacobianPattern, NewtonSystem, SPDLaggedFactor
+from bscahn.elliptic import EllipticSolveError
 from bscahn.potentials import (
     _SATURATION,
     _TINY_GAP,
     PotentialDomainError,
     ResolventError,
+    convex_terms,
     f1,
     f2,
     f2_prime,
@@ -160,6 +164,23 @@ def dense_solve_S(ops, cp, a: BulkSurfacePair) -> BulkSurfacePair:
         c = ops.bs_mean(pair, cp)
         pair = pair - ops.constant_pair(cp.beta * c, c)
     return pair
+
+
+def shifted_newton(prob, tol: float = 1e-10, max_iter: int = 60) -> BulkSurfacePair:
+    """The shifted elliptic solve by damped Newton from zero: residual
+    P^T(S + M)P x - P^T M f + P^T load(P x) on a pattern of its own, with
+    the Newton directions on an SPD held factor."""
+    ops, cp = prob.ops, prob.cp
+    P = ops.reduction(cp.K, cp.alpha)
+    lin = ops.project(ops.form_matrix(cp.sigma_K, cp.alpha) + ops.block_mass, P, P).tocoo()
+    pattern = JacobianPattern(ops, lin.shape[0], P, fixed=[(lin.row, lin.col, lin.data)])
+    system = NewtonSystem(
+        ops, pattern, pattern.matrix(pattern.fixed),
+        ops.reduce(ops.block_mass @ ops.to_vector(prob.rhs), P),
+        lambda u: convex_terms(ops, u, prob.pot, prob.yp), 1, SPDLaggedFactor(),
+        EllipticSolveError,
+    )
+    return ops.from_vector(system.solve(np.zeros(lin.shape[0]), tol, max_iter, [])[2])
 
 
 def dense_poincare(ops, cp) -> float:

@@ -288,16 +288,23 @@ class TestCommands:
 
     @pytest.mark.parametrize("kind, config, edits, message", [
         ("yosida", "elliptic.cfg", {("elliptic", "schedule"): "0.1"},
-         "yosida convergence needs at least 2 regularization parameters, got 1"),
+         "yosida convergence needs at least 3 regularization parameters, got 1"),
+        ("yosida", "elliptic.cfg", {("elliptic", "schedule"): "1e-1 1e-2"},
+         "yosida convergence needs at least 3 regularization parameters, got 2"),
         ("contdep", "contdep.cfg", {("study", "contdep_eps"): "1e-3 0"},
          "continuous dependence needs at least 2 data-only perturbations, got 1"),
         ("regimes", "regimes.cfg", {("study", "regime_zero"): ""},
-         "regime interpolation needs at least 1 coupling value toward zero, got 0"),
+         "regime interpolation needs at least 2 coupling values toward zero, got 0"),
+        ("regimes", "regimes.cfg", {("study", "regime_zero"): "0.01"},
+         "regime interpolation needs at least 2 coupling values toward zero, got 1"),
         ("regimes", "regimes.cfg", {("study", "regime_inf"): ""},
-         "regime interpolation needs at least 1 coupling value toward inf, got 0"),
+         "regime interpolation needs at least 2 coupling values toward inf, got 0"),
+        ("regimes", "regimes.cfg", {("study", "regime_inf"): "100"},
+         "regime interpolation needs at least 2 coupling values toward inf, got 1"),
         ("strong", "strong.cfg", {("study", "strong_amplitudes"): "1"},
          "strong estimate needs at least 2 velocity amplitudes, got 1"),
-    ], ids=["yosida", "contdep", "regimes-zero", "regimes-inf", "strong"])
+    ], ids=["yosida", "yosida-two", "contdep", "regimes-zero", "regimes-zero-one",
+            "regimes-inf", "regimes-inf-one", "strong"])
     def test_study_without_evidence_for_its_verdict_is_one_config_error(
         self, kind, config, edits, message, tmp_path, capsys, monkeypatch
     ):
@@ -436,6 +443,21 @@ class TestCommands:
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == [f"error: solver: {exc}"]
+
+    def test_incompatible_right_hand_side_is_one_solver_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from bscahn.assembly import CompatibilityError, FemOperators
+
+        def incompatible(self, a, cp):
+            raise CompatibilityError("right-hand side integral 1 is not zero")
+
+        monkeypatch.setattr(FemOperators, "solve_S_lb", incompatible)
+        cfg = tmp_path / "contdep.cfg"
+        cfg.write_text(edited_config("contdep.cfg", {("time", "t_end"): "2e-3"}))
+        code = run_cli("study", "contdep", "--config", str(cfg), "--out", str(tmp_path / "c"))
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["error: solver: right-hand side integral 1 is not zero"]
 
     @pytest.mark.parametrize("kind", ["strong", "contdep"])
     def test_gronwall_overflow_is_one_solver_error(self, kind, tmp_path, capsys):

@@ -201,8 +201,10 @@ class TestYosidaStudies:
 
     def test_bad_schedule_rejected(self, ops4):
         cfg = make_config()
-        with pytest.raises(ValueError):
-            yosida_convergence_study("elliptic", ops4, cfg, [1e-3, 1e-2], rhs=ops4.zero_pair())
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            yosida_convergence_study(
+                "elliptic", ops4, cfg, [1e-3, 1e-2, 1e-1], rhs=ops4.zero_pair()
+            )
 
 
 class TestStrongEstimateMonitor:
@@ -304,7 +306,7 @@ class TestRegimeInterpolation:
         # toward zero from 0.01 up to 1: the gaps grow in both sweeps
         res = regime_interpolation_study(
             ops4, make_config(), ZeroVelocity(), ops4.constant_pair(0.1, 0.2), 2e-3,
-            toward_zero=(0.01, 1.0), toward_inf=(100.0,),
+            toward_zero=(0.01, 1.0), toward_inf=(10.0, 100.0),
         )
         assert not res.passed
         assert res.reason.startswith("K: gaps not monotone (zero: [")

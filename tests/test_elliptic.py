@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -30,7 +29,7 @@ from bscahn.elliptic import (
 )
 from bscahn.potentials import PotentialSpec, YosidaParams, f1_prime, f2_prime
 
-from _oracles import resolvent_bisect
+from _oracles import resolvent_bisect, shifted_newton
 
 POT = PotentialSpec()
 CP = CouplingParams(K=1.0, L=1.0, alpha=0.5, beta=2.0)
@@ -81,54 +80,48 @@ class TestFixedPointMap:
             problem(ops4, cp=CouplingParams(K=math.inf, L=1.0, alpha=0.5, beta=2.0))
 
 
-NEWTON_CASES = list(itertools.product([0.0, 1.0], [False, True]))
-
-
 def coupling(K):
     return CouplingParams(K=K, L=1.0, alpha=0.5, beta=2.0)
 
 
-def newton_case(ops, K, shifted, rng, scale=1.0):
-    """A Newton system, its problem and a reduced iterate for one (K, shifted) case."""
+def newton_case(ops, K, rng, scale=1.0):
+    """A Newton system, its problem and a reduced iterate for one coupling K."""
     prob = problem(ops, rhs=random_pair(ops, rng, scale), cp=coupling(K))
-    system = _newton_system(prob, shifted, SPDLaggedFactor())
+    system = _newton_system(prob, SPDLaggedFactor())
     return system, prob, ops.to_reduced(random_pair(ops, rng, 0.6), system.pattern.P)
 
 
-def assembled_newton_matrix(prob, shifted, curv_bulk, curv_surf):
-    """P^T(stiff [+ mass] + curvature mass)P from the COO-built weighted masses."""
+def assembled_newton_matrix(prob, curv_bulk, curv_surf):
+    """P^T(stiff + curvature mass)P from the COO-built weighted masses."""
     ops, cp = prob.ops, prob.cp
     curv = sp.block_diag([ops.tri_weighted_mass(curv_bulk), ops.surf_weighted_mass(curv_surf)])
     mat = ops.form_matrix(cp.sigma_K, cp.alpha) + curv
-    if shifted:
-        mat = mat + sp.block_diag([ops.M_bulk, ops.M_surf])
     P = ops.reduction(cp.K, cp.alpha)
     return ops.project(mat, P, P).tocsc()
 
 
 class TestNewtonSystem:
-    @pytest.mark.parametrize("K,shifted", NEWTON_CASES)
-    def test_fixed_pattern_matrix_is_the_assembled_one(self, ops4, K, shifted, rng):
-        system, prob, red = newton_case(ops4, K, shifted, rng)
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_fixed_pattern_matrix_is_the_assembled_one(self, ops4, K, rng):
+        system, prob, red = newton_case(ops4, K, rng)
         curv = system.evaluate(red)[1].curvature
         mat = system.matrix(curv)
-        assert mat is _newton_pattern(ops4, prob.cp, shifted).held
-        ref = assembled_newton_matrix(prob, shifted, *curv)
+        assert mat is _newton_pattern(ops4, prob.cp).held
+        ref = assembled_newton_matrix(prob, *curv)
         scale = abs(ref).max()
         assert abs(mat - ref).max() <= 1e-13 * scale
         assert abs(mat - mat.T).max() <= 1e-13 * scale
 
-    @pytest.mark.parametrize("K,shifted", NEWTON_CASES)
-    def test_newton_direction_matches_spsolve(self, ops4, K, shifted, rng):
-        system, prob, red = newton_case(ops4, K, shifted, rng)
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_newton_direction_matches_spsolve(self, ops4, K, rng):
+        system, prob, red = newton_case(ops4, K, rng)
         r, terms, _ = system.evaluate(red)
         delta = system.direction(terms, -r)
-        ref = spla.spsolve(assembled_newton_matrix(prob, shifted, *terms.curvature), -r)
+        ref = spla.spsolve(assembled_newton_matrix(prob, *terms.curvature), -r)
         assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("K,shifted", NEWTON_CASES)
-    def test_one_resolvent_evaluation_per_field_and_trial(self, ops4, K, shifted, rng,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_one_resolvent_evaluation_per_field_and_trial(self, ops4, K, rng, monkeypatch):
         # the starting residual and each line-search trial call the resolvent
         # once per field; the Jacobian reuses the accepted trial's curvature
         calls = []
@@ -139,13 +132,8 @@ class TestNewtonSystem:
             return resolvent(*args, **kwargs)
 
         monkeypatch.setattr(potentials, "yosida_resolvent", counting)
-        system, prob, _ = newton_case(ops4, K, shifted, rng, scale=5.0)
-        if shifted:
-            start = ops4.to_reduced(ops4.zero_pair(), system.pattern.P)
-            _, _, _, its, trials = system.solve(start, 1e-10, 60, [])
-        else:
-            sol = solve_regularized(prob)
-            its, trials = sol.iterations, sol.extras["line_search_trials"]
+        sol = solve_regularized(problem(ops4, rhs=random_pair(ops4, rng, 5.0), cp=coupling(K)))
+        its, trials = sol.iterations, sol.extras["line_search_trials"]
         assert trials > its  # the line search backtracked
         assert len(calls) == 2 * (1 + trials)
 
@@ -203,19 +191,10 @@ class TestHeldFactor:
         assert sol.iterations > len(sol.extras["schedule"])
         assert sol.extras["held_solve_iterations"] > 0
 
-    def test_shifted_polish_holds_its_factor_and_contraction_makes_none(self, ops4, rng):
-        rhs = random_pair(ops4, rng)
-        shifted = solve_shifted_regularized(problem(ops4, rhs=rhs, lam=0.1))
-        assert shifted.extras["factorizations"] == 1 < shifted.extras["newton_iterations"]
-        assert shifted.extras["held_solve_iterations"] > 0
-        contraction = solve_shifted_regularized(problem(ops4, rhs=rhs, lam=0.1), use_newton=False)
-        assert contraction.extras["factorizations"] == 0
-        assert contraction.extras["held_solve_iterations"] == 0
-
     @staticmethod
     def newton_matrix(ops, scale):
-        """The unshifted Newton matrix at a curvature of the given size."""
-        pattern = _newton_pattern(ops, CP, False)
+        """The Newton matrix at a curvature of the given size."""
+        pattern = _newton_pattern(ops, CP)
         q_bulk = scale * (1.0 + ops.tri_qcoords[..., 0] ** 2)
         q_surf = scale * (1.0 + ops.surf_qcoords[..., 1] ** 2)
         return pattern.matrix(pattern.fixed + pattern.weighted_mass(ops, q_bulk, q_surf))
@@ -244,6 +223,7 @@ class TestHeldFactor:
         b = rng.standard_normal(current.shape[0])
         x = factor.solve(current, b)
         assert factor.factorizations == 2
+        assert factor.held_iterations == 0  # p.Ap <= 0 stops the first iteration
         assert np.array_equal(x, factor.lu.solve(b))
         ref = spla.spsolve(current, b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -288,16 +268,14 @@ class TestShiftedSolve:
         lam, tol = 0.1, elliptic._TOL  # the contraction stops on a step of at most tol
         rhs = random_pair(ops4, rng, 0.5)
         prob = problem(ops4, rhs=rhs, lam=lam)
-        sol = solve_shifted_regularized(prob, use_newton=False)
+        sol = solve_shifted_regularized(prob)
         gap0 = ops4.l2_norm(fixed_point_step(ops4.zero_pair(), prob))
         bound = math.ceil(math.log(tol / gap0) / math.log(1.0 / math.sqrt(1.0 + lam)))
         assert sol.iterations <= bound
 
-    @pytest.mark.parametrize("use_newton", [True, False])
-    def test_each_contraction_iterate_is_evaluated_once(self, ops8, use_newton, monkeypatch):
-        # with Newton, the stopping test evaluates each new iterate and the
-        # next contraction takes its resolvents; without, the contraction
-        # evaluates each iterate and the reported residual the last one
+    def test_each_contraction_iterate_is_evaluated_once(self, ops8, monkeypatch):
+        # each contraction evaluates its iterate, the reported residual the
+        # last one; no Newton system is evaluated
         calls, evaluations = [], []
         resolvent, evaluate = potentials.yosida_resolvent, NewtonSystem.evaluate
 
@@ -313,30 +291,54 @@ class TestShiftedSolve:
         monkeypatch.setattr(elliptic, "yosida_resolvent", counting)
         monkeypatch.setattr(NewtonSystem, "evaluate", counted_evaluate)
         rhs = random_pair(ops8, np.random.default_rng(0))
-        sol = solve_shifted_regularized(problem(ops8, rhs=rhs, lam=0.1), use_newton=use_newton)
-        fp = sol.extras["fp_iterations"]
-        if use_newton:
-            # the start and fp contractions, then the Newton trials; the
-            # Newton start is the pair the last stopping test evaluated
-            assert sol.extras["newton_iterations"] > 0
-            assert len(calls) == 2 * (fp + 1) + 2 * (len(evaluations) - 1)
-        else:
-            assert not evaluations
-            assert len(calls) == 2 * fp + 2
+        sol = solve_shifted_regularized(problem(ops8, rhs=rhs, lam=0.1))
+        assert not evaluations
+        assert len(calls) == 2 * sol.extras["fp_iterations"] + 2
 
     @pytest.mark.parametrize("K, lam, tol", [(0.0, 0.1, 1e-9), (1.0, 0.1, 1e-9),
                                              (0.0, 1e-2, 1e-8), (1.0, 1e-2, 1e-8)])
-    def test_mixed_contraction_agrees_with_the_newton_polish(self, ops8, K, lam, tol):
+    def test_mixed_contraction_agrees_with_shifted_newton(self, ops8, K, lam, tol):
         cp = CouplingParams(K=K, L=1.0, alpha=0.5, beta=2.0)
         prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0)), cp=cp, lam=lam)
-        mixed = solve_shifted_regularized(prob, use_newton=False)
-        polished = solve_shifted_regularized(prob)
-        assert (mixed.uv - polished.uv).max_abs() <= tol
+        mixed = solve_shifted_regularized(prob)
+        assert (mixed.uv - shifted_newton(prob)).max_abs() <= tol
+
+    @pytest.mark.parametrize("K, lam", [(0.0, 0.1), (1.0, 0.1), (0.0, 1e-2), (1.0, 1e-2)])
+    def test_shifted_newton_oracle_is_a_fixed_point(self, ops8, K, lam):
+        # the reference of the agreement test solves the system whose
+        # contraction map the package iterates
+        cp = CouplingParams(K=K, L=1.0, alpha=0.5, beta=2.0)
+        prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0)), cp=cp, lam=lam)
+        u = shifted_newton(prob)
+        assert (fixed_point_step(u, prob) - u).max_abs() <= 1e-12
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_shifted_newton_oracle_recovers_the_constant_solution(self, ops4, K):
+        # the rhs of test_constant_solution_from_scalar_oracle; the constant
+        # pair (alpha c, c) has no gradient and no jump for either K
+        c, alpha, lam = 0.3, 0.5, 0.1
+        cp = CouplingParams(K=K, L=1.0, alpha=alpha, beta=2.0)
+        j_f = resolvent_bisect(alpha * c, POT.theta, lam)
+        j_g = resolvent_bisect(c, POT.theta_surf, lam)
+        rhs = BulkSurfacePair(
+            np.full(ops4.n_bulk, alpha * c + (alpha * c - j_f) / lam),
+            np.full(ops4.n_surf, c + (c - j_g) / lam),
+        )
+        u = shifted_newton(problem(ops4, rhs=rhs, cp=cp, lam=lam))
+        assert np.abs(u.bulk - alpha * c).max() <= 1e-8
+        assert np.abs(u.surf - c).max() <= 1e-8
+
+    def test_use_newton_has_one_legal_value(self, ops4, rng):
+        prob = problem(ops4, rhs=random_pair(ops4, rng), lam=0.1)
+        with pytest.raises(ValueError, match="use_newton must be False"):
+            solve_shifted_regularized(prob, use_newton=True)
+        sol = solve_shifted_regularized(prob, use_newton=False)
+        assert set(sol.extras) == {"fp_iterations", "anderson_restarts"}
 
     def test_depth_zero_is_the_plain_iteration(self, ops8, monkeypatch):
         prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0)), lam=0.1)
         monkeypatch.setattr(elliptic, "_ANDERSON_DEPTH", 0)
-        plain = solve_shifted_regularized(prob, use_newton=False)
+        plain = solve_shifted_regularized(prob)
         sysm, u, fp = elliptic._System(prob), ops8.zero_pair(), 0
         while True:
             new = sysm.contract(u)
@@ -350,9 +352,9 @@ class TestShiftedSolve:
 
     def test_mixing_takes_at_most_a_quarter_of_the_plain_contractions(self, ops8, monkeypatch):
         prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0)), lam=1e-2)
-        mixed = solve_shifted_regularized(prob, use_newton=False)
+        mixed = solve_shifted_regularized(prob)
         monkeypatch.setattr(elliptic, "_ANDERSON_DEPTH", 0)
-        plain = solve_shifted_regularized(prob, use_newton=False)
+        plain = solve_shifted_regularized(prob)
         assert 4 * mixed.extras["fp_iterations"] <= plain.extras["fp_iterations"]
 
     def test_a_poor_fit_restarts_and_still_meets_the_tolerance(self, ops8, monkeypatch):
@@ -367,7 +369,7 @@ class TestShiftedSolve:
         monkeypatch.setattr(elliptic._System, "contract", recorded)
         lam = 1e-2
         prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0), 20.0), lam=lam)
-        sol = solve_shifted_regularized(prob, use_newton=False)
+        sol = solve_shifted_regularized(prob)
         step = fixed_point_step(sol.uv, prob) - sol.uv
         assert step.max_abs() <= elliptic._TOL
         # each residual shrinks the last accepted one by q, or its iterate is

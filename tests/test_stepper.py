@@ -753,6 +753,16 @@ class TestStepJacobian:
             assert row["energy_pot_bulk"] == e.pot_bulk
             assert row["energy_coupling"] == e.coupling
 
+    def test_row_maxima_are_of_magnitudes(self, ops4):
+        # both fields are largest in magnitude where they are negative
+        bulk = np.linspace(-0.9, 0.3, ops4.n_bulk)
+        surf = np.linspace(-0.8, 0.2, ops4.n_surf)
+        state = State(BulkSurfacePair(bulk, surf), ops4.zero_pair(), 0.0)
+        st = TimeStepper(ops4, make_config())
+        row = st._row(0, state, st.energy(state.phi_psi), {})
+        assert row["max_abs_phi"] == 0.9
+        assert row["max_abs_psi"] == 0.8
+
 
 def state_bits(state):
     return (state.phi_psi.bulk.tobytes(), state.phi_psi.surf.tobytes(),
