@@ -99,7 +99,21 @@ def parse_config(path: str) -> dict:
         return parse_config_text(fh.read())
 
 
-def _get(data, section, key, default=None, cast=float):
+def _extended(raw: str) -> float:
+    value = float(raw)  # also parses inf and infinity
+    if value < 0:
+        raise ValueError(raw)
+    return value
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _get(data, section, key, default=None, cast=_finite):
     raw = data.get(section, {}).get(key)
     if raw is None:
         if default is None:
@@ -109,15 +123,6 @@ def _get(data, section, key, default=None, cast=float):
         return cast(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"bad value {raw!r} for [{section}] {key}") from None
-
-
-def _extended(raw: str) -> float:
-    if raw.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    value = float(raw)
-    if value < 0:
-        raise ValueError(raw)
-    return value
 
 
 def _float_list(raw: str) -> list[float]:
@@ -154,8 +159,10 @@ def build_potentials(data: dict) -> PotentialSpec:
         return PotentialSpec(
             theta=_get(data, "potentials", "theta", 0.8),
             theta_c=_get(data, "potentials", "theta_c", 1.6),
-            theta_surf=float(sec["theta_surf"]) if "theta_surf" in sec else None,
-            theta_c_surf=float(sec["theta_c_surf"]) if "theta_c_surf" in sec else None,
+            theta_surf=_get(data, "potentials", "theta_surf") if "theta_surf" in sec else None,
+            theta_c_surf=(
+                _get(data, "potentials", "theta_c_surf") if "theta_c_surf" in sec else None
+            ),
             kappa1=_get(data, "potentials", "kappa1", 1.0),
             kappa2=_get(data, "potentials", "kappa2", 0.0),
         )
@@ -289,8 +296,8 @@ def build_setup(data: dict, out_dir: str | None = None, seed: int | None = None)
     if seed is None:
         seed = _get(data, "run", "seed", 0, cast=int)
     lam = _get(data, "time", "lambda", 1e-3)
-    dt = _get(data, "time", "dt", 1e-3)
-    t_end = _get(data, "time", "t_end", 0.05)
+    dt = _get(data, "time", "dt", 1e-3, cast=float)
+    t_end = _get(data, "time", "t_end", 0.05, cast=float)
     if not 0 < dt <= t_end < math.inf:  # false for NaN too
         raise ConfigError(f"need finite 0 < dt <= t_end, got dt={dt:g}, t_end={t_end:g}")
     try:

@@ -109,49 +109,30 @@ def _newton_system(prob: EllipticProblem, factor) -> NewtonSystem:
     )
 
 
-class _System:
-    """The contraction map of one shifted solve, its set-up built once."""
-
-    def __init__(self, prob: EllipticProblem):
-        self.prob = prob
-        ops = self.ops = prob.ops
-        self.P, self.stiff = _operators(ops, prob.cp)
-        self.rhs_load = ops.block_mass @ ops.to_vector(prob.rhs)
-
-    def residual_norm(self, pair: BulkSurfacePair) -> float:
-        """Max-norm of the reduced shifted residual at a pair."""
-        ops = self.ops
-        full = ops.prolong(ops.to_reduced(pair, self.P), self.P)
-        load = convex_terms(ops, full, self.prob.pot, self.prob.yp).load
-        out = self.stiff @ full + load - self.rhs_load + ops.block_mass @ full
-        return float(np.abs(ops.reduce(out, self.P)).max())
-
-    def contract(self, current: BulkSurfacePair) -> BulkSurfacePair:
-        """One application of the contraction map; see :func:`fixed_point_step`."""
-        ops, cp, pot, yp = self.ops, self.prob.cp, self.prob.pot, self.prob.yp
-        lam = yp.lam
-        key = ("tlam", cp.K, cp.alpha, lam)
-        if key not in ops._cache:
-            mat = (1.0 + lam) * ops.block_mass + lam * self.stiff
-            ops._cache[key] = spla.splu(ops.project(mat, self.P, self.P).tocsc())
-        lu = ops._cache[key]
-
-        j = (yosida_resolvent(ops.bulk_at_tri_quad(current.bulk), pot.theta, yp),
-             yosida_resolvent(ops.surf_at_quad(current.surf), pot.theta_surf, yp))
-        load = np.concatenate([ops.tri_quad_load(j[0]), ops.surf_quad_load(j[1])])
-        red = lu.solve(ops.reduce(lam * self.rhs_load + load, self.P))
-        return ops.from_vector(ops.prolong(red, self.P))
-
-
 def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSurfacePair:
     """One application of the contraction map for the shifted system.
 
     Solves the linear problem
         (1+lam) u - lam Lap u (+ coupling) = lam f + resolvent(current)
     in the constrained weak form and returns the new pair.  The map contracts
-    in the discrete L2 norm with factor at most 1/sqrt(1+lam).
+    in the discrete L2 norm with factor at most 1/sqrt(1+lam).  The factor of
+    the left side is cached per (K, alpha, lam) on the operator set.
     """
-    return _System(prob).contract(current)
+    ops, cp, pot, yp = prob.ops, prob.cp, prob.pot, prob.yp
+    P, stiff = _operators(ops, cp)
+    lam = yp.lam
+    key = ("tlam", cp.K, cp.alpha, lam)
+    if key not in ops._cache:
+        mat = (1.0 + lam) * ops.block_mass + lam * stiff
+        ops._cache[key] = spla.splu(ops.project(mat, P, P).tocsc())
+    lu = ops._cache[key]
+
+    j = (yosida_resolvent(ops.bulk_at_tri_quad(current.bulk), pot.theta, yp),
+         yosida_resolvent(ops.surf_at_quad(current.surf), pot.theta_surf, yp))
+    load = np.concatenate([ops.tri_quad_load(j[0]), ops.surf_quad_load(j[1])])
+    rhs_load = ops.block_mass @ ops.to_vector(prob.rhs)
+    red = lu.solve(ops.reduce(lam * rhs_load + load, P))
+    return ops.from_vector(ops.prolong(red, P))
 
 
 _TOL = 1e-10  # step tolerance of the shifted solve, residual tolerance of the continuation
@@ -163,25 +144,10 @@ _NEWTON_MAX_ITER = 60  # Newton iterations of one regularized solve
 def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = False) -> EllipticSolution:
     """Solve u - Lap u + F'_lam(u) = f (plus the surface/coupling rows) from zero.
 
-    Anderson-mixed contractions (:func:`_mixed_contraction`) run to the
+    Anderson-mixed contractions T = :func:`fixed_point_step` run to the
     fixed point, stopping on the step difference.  ``use_newton`` is kept
     only for the ``use_newton=False`` call of ``benchmarks/workloads.py``;
     False is its one legal value.
-    """
-    if use_newton:
-        raise ValueError("the shifted solve has no Newton path: use_newton must be False")
-    sysm = _System(prob)
-    u, fp_iters, restarts = _mixed_contraction(sysm)
-    return EllipticSolution(
-        uv=u,
-        residual_norm=sysm.residual_norm(u),
-        iterations=fp_iters,
-        extras={"fp_iterations": fp_iters, "anderson_restarts": restarts},
-    )
-
-
-def _mixed_contraction(sysm: _System):
-    """Anderson-mixed contraction T from zero: (fixed point, contractions, restarts).
 
     With g_k = T(u_k) - u_k, the next iterate is T(u_k) - dT gamma, where
     gamma is the least-squares fit of g_k by the columns dG, the differences
@@ -195,10 +161,13 @@ def _mixed_contraction(sysm: _System):
     the one before, as in the plain iteration, and each rejection costs one
     extra contraction: the plain iteration's Banach count bounds the
     accepted iterates, and at most twice it all contractions.  Depth 0 is
-    the plain iteration.  Returns T(u_k) once max|g_k| <= _TOL.
+    the plain iteration.  Returns T(u_k) once max|g_k| <= _TOL, with the
+    max-norm of the reduced shifted residual there.
     """
-    ops = sysm.ops
-    q = 1.0 / math.sqrt(1.0 + sysm.prob.yp.lam)
+    if use_newton:
+        raise ValueError("the shifted solve has no Newton path: use_newton must be False")
+    ops = prob.ops
+    q = 1.0 / math.sqrt(1.0 + prob.yp.lam)
     x = np.zeros(ops.n_bulk + ops.n_surf)
     d_map = np.empty((x.size, _ANDERSON_DEPTH))
     d_res = np.empty((x.size, _ANDERSON_DEPTH))
@@ -206,10 +175,10 @@ def _mixed_contraction(sysm: _System):
     mixed = False  # whether x is a mixed iterate, which may be rejected
     prev = None  # T(u), g and ||g|| of the last accepted iterate
     for fp_iters in range(1, _MAX_FP_ITER + 1):
-        t = ops.to_vector(sysm.contract(ops.from_vector(x)))
+        t = ops.to_vector(fixed_point_step(ops.from_vector(x), prob))
         g = t - x
         if float(np.abs(g).max()) <= _TOL:
-            return ops.from_vector(t), fp_iters, restarts
+            break
         g_norm = ops.l2_norm(ops.from_vector(g))
         if mixed and g_norm > q * prev[2]:
             x, mixed, added, restarts = prev[0], False, 0, restarts + 1
@@ -223,30 +192,40 @@ def _mixed_contraction(sysm: _System):
             gamma = np.linalg.lstsq(d_res[:, :cols], g, rcond=None)[0]
             x, mixed = t - d_map[:, :cols] @ gamma, True
         prev = (t, g, g_norm)
-    raise EllipticSolveError(
-        f"contraction iteration did not reach {_TOL:g} in {_MAX_FP_ITER} steps", []
+    else:
+        raise EllipticSolveError(
+            f"contraction iteration did not reach {_TOL:g} in {_MAX_FP_ITER} steps", []
+        )
+    u = ops.from_vector(t)
+    P, stiff = _operators(ops, prob.cp)
+    full = ops.prolong(ops.to_reduced(u, P), P)
+    load = convex_terms(ops, full, prob.pot, prob.yp).load
+    out = stiff @ full + load - ops.block_mass @ ops.to_vector(prob.rhs) + ops.block_mass @ full
+    return EllipticSolution(
+        uv=u,
+        residual_norm=float(np.abs(ops.reduce(out, P)).max()),
+        iterations=fp_iters,
+        extras={"fp_iterations": fp_iters, "anderson_restarts": restarts},
     )
 
 
 def solve_regularized(
     prob: EllipticProblem,
-    tol: float = 1e-10,
+    tol: float = _TOL,
     max_iter: int = _NEWTON_MAX_ITER,
     start: BulkSurfacePair | None = None,
+    factor: SPDLaggedFactor | None = None,
 ) -> EllipticSolution:
     """Damped Newton for -Lap u + F'_lam(u) = f with the coupling rows.
 
     The quadrature-sampled curvature keeps the Jacobian uniformly positive
     definite (lower bound theta/(1+theta) on the weight), so no mean
-    constraint is needed despite the pure-flux boundary conditions.
+    constraint is needed despite the pure-flux boundary conditions.  Its
+    Newton directions run on ``factor``, a fresh held factor by default,
+    which a continuation hands from solve to solve.
     """
-    return _solve_regularized(prob, tol, max_iter, start, SPDLaggedFactor())
-
-
-def _solve_regularized(prob, tol, max_iter, start, factor: SPDLaggedFactor) -> EllipticSolution:
-    """:func:`solve_regularized` with its Newton directions on the given held factor."""
     ops = prob.ops
-    system = _newton_system(prob, factor)
+    system = _newton_system(prob, factor if factor is not None else SPDLaggedFactor())
     history: list[float] = []
     red = ops.to_reduced(start if start is not None else ops.zero_pair(), system.pattern.P)
     _, _, full, its, trials = system.solve(red, tol, max_iter, history)
@@ -270,11 +249,14 @@ def solve_singular(
 
     Solves at each value of the decreasing schedule of at least two values,
     warm-starting from the previous solution, and certifies a Cauchy tail:
-    the last successive H1 difference must fall below cauchy_tol.  Records the measured separation
+    the last successive H1 difference must fall below cauchy_tol, which must
+    be finite and positive.  Records the measured separation
     1 - max nodal |value| of the final solution; its iterations,
     factorizations and held-factor iterations are summed over the schedule,
-    whose Newton directions share one held factor.
+    one :func:`solve_regularized` per value, all on one held factor.
     """
+    if not 0 < cauchy_tol < math.inf:  # false for NaN too
+        raise ValueError(f"need finite cauchy_tol > 0, got {cauchy_tol:g}")
     schedule = list(schedule)
     if len(schedule) < 2:
         raise ValueError(f"schedule needs at least two values for a Cauchy tail, got {schedule}")
@@ -288,7 +270,7 @@ def solve_singular(
     for lam in schedule:
         prob = EllipticProblem(ops=ops, cp=cp, pot=pot, yp=YosidaParams(lam=lam), rhs=rhs)
         start = sols[-1].uv if sols else None
-        sols.append(_solve_regularized(prob, _TOL, _NEWTON_MAX_ITER, start, factor))
+        sols.append(solve_regularized(prob, start=start, factor=factor))
     diffs = [ops.h1_norm(b.uv - a.uv) for a, b in zip(sols, sols[1:])]
     sol = sols[-1]
     separation = 1.0 - sol.uv.max_abs()

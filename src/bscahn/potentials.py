@@ -61,7 +61,7 @@ class PotentialSpec:
             raise ValueError(f"need 0 <= theta < theta_c, got {self.theta}, {self.theta_c}")
         if not (0.0 <= self.theta_surf < self.theta_c_surf):
             raise ValueError("need 0 <= theta_surf < theta_c_surf")
-        if self.kappa1 <= 0 or self.kappa2 < 0:
+        if not (self.kappa1 > 0 and self.kappa2 >= 0):  # false for NaN too
             raise ValueError("need kappa1 > 0 and kappa2 >= 0")
 
 

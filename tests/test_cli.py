@@ -340,6 +340,51 @@ class TestCommands:
         assert lines[0].startswith("error: config: need finite 0 < dt <= t_end")
         assert "dt=" in lines[0] and "t_end=" in lines[0]
 
+    @pytest.mark.parametrize("edits", [
+        {("velocity", "amplitude"): "nan"},
+        {("velocity", "amplitude"): "inf"},
+        {("velocity", "mollify"): "inf"},
+        {("velocity", "envelope"): "sine", ("velocity", "omega"): "inf"},
+        {("potentials", "kappa1"): "nan"},
+        {("potentials", "theta_c_surf"): "inf"},
+    ], ids=["amplitude-nan", "amplitude-inf", "mollify-inf", "omega-inf", "kappa1-nan",
+            "theta_c_surf-inf"])
+    def test_non_finite_float_setting_is_one_config_error(self, edits, tmp_path, capsys):
+        text = edited_config("simulate.cfg", edits)
+        for (section, key), value in edits.items():
+            if f"{key} = {value}" not in text:
+                text += f"[{section}]\n{key} = {value}\n"
+        cfg = tmp_path / "finite.cfg"
+        cfg.write_text(text)
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "s"))
+        assert code == 1
+        (section, key), value = list(edits.items())[-1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: bad value {value!r} for [{section}] {key}"
+        ]
+
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "need finite cauchy_tol > 0, got -1"),
+        ("0", "need finite cauchy_tol > 0, got 0"),
+        ("nan", "bad value 'nan' for [elliptic] cauchy_tol"),
+        ("inf", "bad value 'inf' for [elliptic] cauchy_tol"),
+    ], ids=["negative", "zero", "nan", "inf"])
+    def test_cauchy_tolerance_outside_its_range_is_one_config_error(
+        self, value, message, tmp_path, capsys, monkeypatch
+    ):
+        from bscahn import elliptic
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an unusable Cauchy tolerance reached a solve")
+
+        monkeypatch.setattr(elliptic, "solve_regularized", no_solve)
+        cfg = tmp_path / "cauchy.cfg"
+        with open(cfg_path("elliptic.cfg")) as fh:
+            cfg.write_text(fh.read().replace("[elliptic]", f"[elliptic]\ncauchy_tol = {value}"))
+        code = run_cli("elliptic", "--config", str(cfg), "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
+
     def test_plot_structure(self, tmp_path):
         out = tmp_path / "p"
         run_cli("simulate", "--config", cfg_path("steady.cfg"), "--out", str(out))

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from bscahn.elliptic import (
     EllipticSolveError,
     _newton_pattern,
     _newton_system,
-    _solve_regularized,
     fixed_point_step,
     principal_part_bound_check,
     project_initial_data,
@@ -233,11 +233,10 @@ class TestHeldFactor:
         with pytest.raises(EllipticSolveError) as fresh:
             solve_regularized(prob, max_iter=1)
         factor = SPDLaggedFactor()
-        _solve_regularized(problem(ops4, rhs=random_pair(ops4, rng), lam=1e-2), 1e-10, 60, None,
-                           factor)
+        solve_regularized(problem(ops4, rhs=random_pair(ops4, rng), lam=1e-2), factor=factor)
         before = factor.factorizations
         with pytest.raises(EllipticSolveError) as held:
-            _solve_regularized(prob, 1e-10, 1, None, factor)
+            solve_regularized(prob, max_iter=1, factor=factor)
         assert str(held.value) == str(fresh.value)
         assert held.value.history == fresh.value.history
         assert factor.factorizations == before + 1  # the retry's own factor
@@ -339,9 +338,9 @@ class TestShiftedSolve:
         prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0)), lam=0.1)
         monkeypatch.setattr(elliptic, "_ANDERSON_DEPTH", 0)
         plain = solve_shifted_regularized(prob)
-        sysm, u, fp = elliptic._System(prob), ops8.zero_pair(), 0
+        u, fp = ops8.zero_pair(), 0
         while True:
-            new = sysm.contract(u)
+            new = fixed_point_step(u, prob)
             fp += 1
             diff, u = (new - u).max_abs(), new
             if diff <= elliptic._TOL:
@@ -360,13 +359,13 @@ class TestShiftedSolve:
     def test_a_poor_fit_restarts_and_still_meets_the_tolerance(self, ops8, monkeypatch):
         # a large right-hand side drives the solution toward the saturated
         # branch, where the mixed residual can shrink by less than q
-        calls, contract = [], elliptic._System.contract
+        calls = []
 
-        def recorded(self, u):
-            calls.append((u, contract(self, u)))
+        def recorded(u, prob):
+            calls.append((u, fixed_point_step(u, prob)))
             return calls[-1][1]
 
-        monkeypatch.setattr(elliptic._System, "contract", recorded)
+        monkeypatch.setattr(elliptic, "fixed_point_step", recorded)
         lam = 1e-2
         prob = problem(ops8, rhs=random_pair(ops8, np.random.default_rng(0), 20.0), lam=lam)
         sol = solve_shifted_regularized(prob)
@@ -386,6 +385,41 @@ class TestShiftedSolve:
             assert np.array_equal(retry.bulk, plain.bulk)
             assert np.array_equal(retry.surf, plain.surf)
         assert restarts == sol.extras["anderson_restarts"] > 0
+
+
+class TestPublicNamesAreTheOnesCalled:
+    """The solvers call their steps through the module attributes, the names
+    a wrapper of the module sees."""
+
+    def test_a_continuation_calls_solve_regularized_once_per_value_on_one_factor(
+        self, ops4, rng, monkeypatch
+    ):
+        factors, solve = [], elliptic.solve_regularized
+        signature = inspect.signature(solve)
+
+        def counting(*args, **kwargs):
+            factors.append(signature.bind(*args, **kwargs).arguments["factor"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic, "solve_regularized", counting)
+        schedule = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+        solve_singular(bounded_pair(ops4.mesh, rng), ops4, CP, POT, schedule=schedule)
+        assert len(factors) == len(schedule)
+        assert isinstance(factors[0], SPDLaggedFactor)
+        assert all(factor is factors[0] for factor in factors)
+
+    def test_a_shifted_solve_calls_fixed_point_step_once_per_contraction(
+        self, ops4, rng, monkeypatch
+    ):
+        calls, step = [], elliptic.fixed_point_step
+
+        def counting(current, prob):
+            calls.append(1)
+            return step(current, prob)
+
+        monkeypatch.setattr(elliptic, "fixed_point_step", counting)
+        sol = solve_shifted_regularized(problem(ops4, rhs=random_pair(ops4, rng), lam=0.1))
+        assert len(calls) == sol.extras["fp_iterations"] > 0
 
 
 class TestStationarySolve:

@@ -67,6 +67,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PotentialSpec(theta=1.6, theta_c=0.8)
 
+    @pytest.mark.parametrize("kappa", [{"kappa1": math.nan}, {"kappa2": math.nan}],
+                             ids=["kappa1", "kappa2"])
+    def test_nan_domination_constant_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa1 > 0 and kappa2 >= 0"):
+            PotentialSpec(**kappa)
+
     def test_zero_theta_is_the_linear_mode(self):
         spec = PotentialSpec(theta=0.0, theta_c=1.0)
         yp = YosidaParams(lam=0.1)
