@@ -394,7 +394,7 @@ class FemOperators:
         if pair.max_abs() > 1.0 + 1e-12:
             raise ValueError("initial phase fields must satisfy max |value| <= 1")
         if cp.K == 0.0:
-            err = float(np.abs(pair.bulk[self.mesh.surface_nodes] - cp.alpha * pair.surf).max())
+            err = (pair - self.constrain(pair, self.prolongator(cp.alpha))).max_abs()
             if err > 1e-10:
                 raise ValueError(f"initial data violates the phase trace constraint by {err:g}")
         if math.isinf(cp.L):
@@ -407,21 +407,6 @@ class FemOperators:
                 raise ValueError(
                     f"generalized mean {mean:g} (weighted {cp.beta * mean:g}) must lie in (-1, 1)"
                 )
-
-    def project_constraint(self, a: BulkSurfacePair, cp: CouplingParams, which: str) -> BulkSurfacePair:
-        """Overwrite boundary bulk coefficients by weight * surface values.
-
-        Acts only in the zero-coupling regime of the requested space
-        (which = "K" or "L"); otherwise the identity.  Idempotent.
-        """
-        if which not in ("K", "L"):
-            raise ValueError("which must be 'K' or 'L'")
-        value = cp.K if which == "K" else cp.L
-        weight = cp.alpha if which == "K" else cp.beta
-        out = a.copy()
-        if value == 0.0:
-            out.bulk[self.mesh.surface_nodes] = weight * out.surf
-        return out
 
     def prolongator(self, weight: float) -> sp.csr_matrix:
         """Map reduced dofs [interior bulk, surface] to the full pair vector,
@@ -477,6 +462,12 @@ class FemOperators:
         if P is None:
             return self.to_vector(pair)
         return np.concatenate([pair.bulk[self.interior_nodes], pair.surf])
+
+    def constrain(self, pair: BulkSurfacePair, P) -> BulkSurfacePair:
+        """The pair on the trace constraint of P: boundary bulk values set to
+        the prolongation weight times the surface values, the rest kept; a
+        copy when P is None.  The one map onto a constraint; idempotent."""
+        return self.from_vector(self.prolong(self.to_reduced(pair, P), P))
 
     def reduced_element_entries(self, P):
         """Reduced (row, col) of every bulk then surface element-matrix entry.

@@ -28,7 +28,7 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_STUDY_FAIL = 3
 
-_SCHEDULE = "1e-1 1e-2 1e-3 1e-4 1e-5"  # default regularization continuation
+_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)  # default regularization continuation
 
 
 def _fail(code: int, message: str) -> int:
@@ -40,6 +40,10 @@ def _fail(code: int, message: str) -> int:
 def _ensure_outdir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def _list(data, section, key, default):
+    return _get(data, section, key, default, cast=_float_list)
 
 
 # -- commands --------------------------------------------------------------------
@@ -113,7 +117,7 @@ def cmd_elliptic(args) -> int:
     if math.isinf(setup.cfg.cp.K):
         return _fail(EXIT_CONFIG, "elliptic solves require K in [0, inf)")
     out = _ensure_outdir(setup.out_dir)
-    schedule = _float_list(data.get("elliptic", {}).get("schedule", _SCHEDULE))
+    schedule = _list(data, "elliptic", "schedule", _SCHEDULE)
     cauchy_tol = _get(data, "elliptic", "cauchy_tol", 1e-3)
     rhs = _elliptic_rhs(data, setup)
     sol = solve_singular(
@@ -138,15 +142,10 @@ def cmd_elliptic(args) -> int:
     return EXIT_OK
 
 
-def _study_list(data, key, default):
-    return _float_list(data.get("study", {}).get(key, default))
-
-
 def _study_yosida(data, setup):
     kind = data.get("study", {}).get("yosida_kind", "elliptic")
-    schedule = _study_list(
-        data, "yosida_schedule", data.get("elliptic", {}).get("schedule", _SCHEDULE)
-    )
+    default = _list(data, "elliptic", "schedule", _SCHEDULE)
+    schedule = _list(data, "study", "yosida_schedule", default)
     rhs = _elliptic_rhs(data, setup) if kind == "elliptic" else None
     return dg.yosida_convergence_study(
         kind, setup.ops, setup.cfg, schedule, rhs=rhs,
@@ -155,7 +154,7 @@ def _study_yosida(data, setup):
 
 
 def _study_contdep(data, setup):
-    eps = _study_list(data, "contdep_eps", "2e-3 1e-3 0")
+    eps = _list(data, "study", "contdep_eps", (2e-3, 1e-3, 0.0))
     return dg.continuous_dependence_experiment(
         setup.ops, setup.cfg, setup.field, setup.initial, setup.t_end,
         [(e, 0.0) for e in eps], seed=setup.seed,
@@ -165,15 +164,15 @@ def _study_contdep(data, setup):
 def _study_strong(data, setup):
     return dg.strong_estimate_monitor(
         setup.ops, setup.cfg, setup.field, setup.initial, setup.t_end,
-        amplitudes=_study_list(data, "strong_amplitudes", "0 0.5 1 2"),
+        amplitudes=_list(data, "study", "strong_amplitudes", (0.0, 0.5, 1.0, 2.0)),
     )
 
 
 def _study_regimes(data, setup):
     return dg.regime_interpolation_study(
         setup.ops, setup.cfg, setup.field, setup.initial, setup.t_end,
-        toward_zero=_study_list(data, "regime_zero", "1 0.1 0.01"),
-        toward_inf=_study_list(data, "regime_inf", "1 10 100"),
+        toward_zero=_list(data, "study", "regime_zero", (1.0, 0.1, 0.01)),
+        toward_inf=_list(data, "study", "regime_inf", (1.0, 10.0, 100.0)),
     )
 
 

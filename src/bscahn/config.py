@@ -126,7 +126,7 @@ def _get(data, section, key, default=None, cast=_finite):
 
 
 def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+    return [_finite(tok) for tok in raw.replace(",", " ").split()]
 
 
 @dataclass
@@ -258,7 +258,7 @@ def build_initial(
             mean + amp * rng.uniform(-1.0, 1.0, ops.n_bulk),
             mean + amp * rng.uniform(-1.0, 1.0, ops.n_surf),
         )
-        pair = ops.project_constraint(pair, cp, "K")
+        pair = ops.constrain(pair, ops.reduction(cp.K, cp.alpha))
     elif kind == "bubble":
         cx = _get(data, "initial", "center_x", 0.5)
         cy = _get(data, "initial", "center_y", 0.5)

@@ -103,7 +103,7 @@ def mean_compatible_direction(
     constant pair (alpha, 1).
     """
     d = BulkSurfacePair(rng.standard_normal(ops.n_bulk), rng.standard_normal(ops.n_surf))
-    d = ops.project_constraint(d, cp, "K")
+    d = ops.constrain(d, ops.reduction(cp.K, cp.alpha))
 
     indicator = np.zeros(ops.n_bulk)
     indicator[ops.interior_nodes] = 1.0
@@ -176,8 +176,6 @@ def continuous_dependence_experiment(
         pert_initial = initial + direction * data_eps
         if _mean_gap(ops, cp, pert_initial, initial) > 1e-10:
             raise ValueError("perturbed initial data does not share the base mean")
-        if pert_initial.max_abs() > 1.0:
-            raise ValueError("perturbation pushes the initial data out of [-1, 1]")
         pert_field = field_.scaled(1.0 + vel_eps)
         traj = _completed(stepper.run(pert_initial, pert_field, t_end), "perturbed run")
 
@@ -443,8 +441,7 @@ def regime_interpolation_study(
     """
     for direction, values in (("zero", toward_zero), ("inf", toward_inf)):
         _require(len(values), 2, "regime interpolation", f"coupling values toward {direction}")
-    start = initial.copy()
-    start.bulk[ops.mesh.surface_nodes] = cfg.cp.alpha * start.surf
+    start = ops.constrain(initial, ops.prolongator(cfg.cp.alpha))
     finals = {}
 
     def final(which, value):

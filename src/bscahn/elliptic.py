@@ -198,7 +198,7 @@ def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = False) -
         )
     u = ops.from_vector(t)
     P, stiff = _operators(ops, prob.cp)
-    full = ops.prolong(ops.to_reduced(u, P), P)
+    full = ops.to_vector(ops.constrain(u, P))
     load = convex_terms(ops, full, prob.pot, prob.yp).load
     out = stiff @ full + load - ops.block_mass @ ops.to_vector(prob.rhs) + ops.block_mass @ full
     return EllipticSolution(
@@ -300,10 +300,9 @@ def project_initial_data(
     """Regularization-compatible initial phase fields.
 
     Solves the stationary system whose right-hand side is the initial
-    chemical potential minus the smooth-part derivative of the given data.
+    chemical potential minus the smooth-part derivative of admissible data.
     """
-    if phi_psi0.max_abs() > 1.0 + 1e-12:
-        raise ValueError("initial phase fields must satisfy max |value| <= 1")
+    ops.check_initial_data(phi_psi0, cp)
     rhs = BulkSurfacePair(
         mu_theta0.bulk - f2_prime(phi_psi0.bulk, pot.theta_c),
         mu_theta0.surf - f2_prime(phi_psi0.surf, pot.theta_c_surf),

@@ -18,7 +18,7 @@ class MeshError(ValueError):
 
 
 class MeshFormatError(MeshError):
-    """Mesh file could not be parsed; carries the offending line/column."""
+    """A mesh or field file could not be parsed; carries the offending line/column."""
 
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, column {column}: {message}")
@@ -190,6 +190,56 @@ def generate_unit_square(n: int) -> Mesh:
     return _build(nodes, tris)
 
 
+class TokenReader:
+    """The whitespace-separated tokens of a text file, read in order, each
+    with its 1-based line and column; `#` starts a comment that runs to the
+    end of its line.  Every complaint is a MeshFormatError at its token."""
+
+    def __init__(self, text: str):
+        lines = text.split("\n")
+        self.last_line = len(lines)
+        self.tokens: list[tuple[str, int, int]] = []  # (token, line, column)
+        for lineno, line in enumerate(lines, start=1):
+            body = line.split("#", 1)[0]
+            col = 0
+            for tok in body.split():
+                col = body.index(tok, col) + 1
+                self.tokens.append((tok, lineno, col))
+                col += len(tok) - 1
+        self.pos = 0
+
+    def need(self, count: int) -> None:
+        """Raise unless at least count tokens are left."""
+        if count > len(self.tokens) - self.pos:
+            raise MeshFormatError("unexpected end of file", self.last_line, 1)
+
+    def take(self, expect: str | None = None) -> tuple[str, int, int]:
+        self.need(1)
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if expect is not None and tok[0] != expect:
+            raise MeshFormatError(f"expected {expect!r}, got {tok[0]!r}", tok[1], tok[2])
+        return tok
+
+    def number(self, kind, what: str):
+        """The next token as a finite number of the given type."""
+        tok, ln, col = self.take()
+        try:
+            value = kind(tok)
+            finite = np.isfinite(value)  # float() also reads nan and inf
+        except (ValueError, OverflowError, TypeError):  # TypeError: int past float range
+            finite = False
+        if not finite:
+            raise MeshFormatError(f"bad {what} {tok!r}", ln, col)
+        return value
+
+    def finish(self) -> None:
+        """Raise if any token is left."""
+        if self.pos != len(self.tokens):
+            tok, ln, col = self.tokens[self.pos]
+            raise MeshFormatError(f"trailing data {tok!r}", ln, col)
+
+
 def load_mesh(path: str) -> Mesh:
     """Read the plain-text mesh format; see save_mesh for the layout.
 
@@ -197,57 +247,22 @@ def load_mesh(path: str) -> Mesh:
     from the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().split("\n")
-
-    tokens: list[tuple[str, int, int]] = []  # (token, line, column), 1-based
-    for lineno, line in enumerate(raw_lines, start=1):
-        body = line.split("#", 1)[0]
-        col = 0
-        for tok in body.split():
-            col = body.index(tok, col) + 1
-            tokens.append((tok, lineno, col))
-            col += len(tok) - 1
-
-    pos = 0
-
-    def take(expect: str | None = None) -> tuple[str, int, int]:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MeshFormatError("unexpected end of file", len(raw_lines), 1)
-        tok = tokens[pos]
-        pos += 1
-        if expect is not None and tok[0] != expect:
-            raise MeshFormatError(f"expected {expect!r}, got {tok[0]!r}", tok[1], tok[2])
-        return tok
-
-    def take_number(kind, what: str):
-        tok, ln, col = take()
-        try:
-            value = kind(tok)
-        except (ValueError, OverflowError):
-            value = np.nan
-        if not np.isfinite(value):  # float() also reads nan and inf
-            raise MeshFormatError(f"bad {what} {tok!r}", ln, col)
-        return value
-
-    take("bsmesh")
-    version, ln, col = take()
+        tokens = TokenReader(fh.read())
+    tokens.take("bsmesh")
+    version, ln, col = tokens.take()
     if version != "1":
         raise MeshFormatError(f"unsupported format version {version!r}", ln, col)
-    n_nodes = take_number(int, "node count")
-    n_tris = take_number(int, "triangle count")
-    for count, low, (_, ln, col) in zip((n_nodes, n_tris), (3, 1), tokens[pos - 2 : pos]):
+    n_nodes = tokens.number(int, "node count")
+    n_tris = tokens.number(int, "triangle count")
+    for count, low, (_, ln, col) in zip((n_nodes, n_tris), (3, 1), tokens.tokens[2:4]):
         if count < low:
             raise MeshFormatError("mesh too small", ln, col)
     # the file must hold every number it announces; checked before allocating
-    if 2 * n_nodes + 3 * n_tris > len(tokens) - pos:
-        raise MeshFormatError("unexpected end of file", len(raw_lines), 1)
+    tokens.need(2 * n_nodes + 3 * n_tris)
 
-    nodes = np.array([take_number(float, "coordinate") for _ in range(2 * n_nodes)])
-    tris = np.array([take_number(np.int64, "node index") for _ in range(3 * n_tris)])
-    if pos != len(tokens):
-        tok, ln, col = tokens[pos]
-        raise MeshFormatError(f"trailing data {tok!r}", ln, col)
+    nodes = np.array([tokens.number(float, "coordinate") for _ in range(2 * n_nodes)])
+    tris = np.array([tokens.number(np.int64, "node index") for _ in range(3 * n_tris)])
+    tokens.finish()
 
     try:
         return _build(nodes.reshape(n_nodes, 2), tris.reshape(n_tris, 3))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .assembly import BulkSurfacePair
-from .mesh import Mesh
+from .mesh import Mesh, TokenReader
 
 
 def fmt(x) -> str:
@@ -65,41 +65,34 @@ def write_field_snapshot(path: str, mesh: Mesh, pair: BulkSurfacePair) -> None:
 
 def read_field_snapshot(path: str, mesh: Mesh) -> BulkSurfacePair:
     """Read a snapshot written for the same mesh (node order and coordinates
-    must match)."""
+    must match); every value must be a finite number, and nothing may follow
+    the last one.  Errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"{path}: unexpected end of snapshot")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    if take() != "bsfield" or take() != "1":
-        raise ValueError(f"{path}: not a field snapshot")
-    if take() != "bulk":
-        raise ValueError(f"{path}: missing bulk block")
-    nb = int(take())
-    if nb != mesh.num_nodes:
-        raise ValueError(f"{path}: {nb} bulk nodes, mesh has {mesh.num_nodes}")
-    bulk = np.empty(nb)
-    for i in range(nb):
-        x, y, v = float(take()), float(take()), float(take())
-        if abs(x - mesh.nodes[i, 0]) > 1e-9 or abs(y - mesh.nodes[i, 1]) > 1e-9:
-            raise ValueError(f"{path}: node {i} coordinates do not match the mesh")
-        bulk[i] = v
-    if take() != "surf":
-        raise ValueError(f"{path}: missing surf block")
-    ns = int(take())
-    if ns != mesh.num_surface_nodes:
-        raise ValueError(f"{path}: {ns} surface nodes, mesh has {mesh.num_surface_nodes}")
-    surf = np.empty(ns)
-    for i in range(ns):
-        take()  # arc position, informational
-        surf[i] = float(take())
+        tokens = TokenReader(fh.read())
+    try:
+        tokens.take("bsfield")
+        tokens.take("1")
+        tokens.take("bulk")
+        nb = tokens.number(int, "bulk node count")
+        if nb != mesh.num_nodes:
+            raise ValueError(f"{nb} bulk nodes, mesh has {mesh.num_nodes}")
+        bulk = np.empty(nb)
+        for i in range(nb):
+            x, y = tokens.number(float, "coordinate"), tokens.number(float, "coordinate")
+            if abs(x - mesh.nodes[i, 0]) > 1e-9 or abs(y - mesh.nodes[i, 1]) > 1e-9:
+                raise ValueError(f"node {i} coordinates do not match the mesh")
+            bulk[i] = tokens.number(float, "bulk value")
+        tokens.take("surf")
+        ns = tokens.number(int, "surface node count")
+        if ns != mesh.num_surface_nodes:
+            raise ValueError(f"{ns} surface nodes, mesh has {mesh.num_surface_nodes}")
+        surf = np.empty(ns)
+        for i in range(ns):
+            tokens.number(float, "arc position")  # informational
+            surf[i] = tokens.number(float, "surface value")
+        tokens.finish()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return BulkSurfacePair(bulk, surf)
 
 

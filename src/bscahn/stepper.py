@@ -160,7 +160,7 @@ class TimeStepper:
     def __init__(self, ops: FemOperators, cfg: StepperConfig):
         cfg.cp.validate_measures(ops.area_bulk, ops.area_surf)
         self.ops = ops
-        self.cfg = cfg
+        self._cfg = cfg
         cp = cfg.cp
         self.P_K = ops.reduction(cp.K, cp.alpha)
         self.P_L = ops.reduction(cp.L, cp.beta)
@@ -180,6 +180,18 @@ class TimeStepper:
         # transport; both are compared with what a caller passes
         self._evaluated = None
         self._transport = (None, None, None)
+
+    @property
+    def cfg(self) -> StepperConfig:
+        return self._cfg
+
+    @cfg.setter
+    def cfg(self, cfg: StepperConfig) -> None:
+        # the operators are built from cp and the mobility; dt, the potentials,
+        # lambda and the Newton limits may be replaced between steps
+        if cfg.cp != self._cfg.cp or cfg.mobility != self._cfg.mobility:
+            raise ValueError("a stepper's coupling and mobility are fixed; build a new TimeStepper")
+        self._cfg = cfg
 
     # -- element mobility weights and the dissipation operator -----------------
 
@@ -299,16 +311,8 @@ class TimeStepper:
         ops = self.ops
         full = ops.to_vector(pair)
         g = self.stiff_K @ full + self._convex(full).load + self._concave_load(pair)
-        if self.P_K is None and self.P_L is None:
-            w = np.concatenate(
-                [
-                    spla.spsolve(ops.M_bulk.tocsc(), g[: ops.n_bulk]),
-                    spla.spsolve(ops.M_surf.tocsc(), g[ops.n_bulk :]),
-                ]
-            )
-            return ops.from_vector(w)
         # the tested equation lives against the phase-trace-constrained basis
-        # when that is reduced, otherwise against the potential-trace one; the
+        # when that is reduced, else the potential-trace (or full) one; the
         # solution sits in the potential-constrained space when L = 0, else
         # the minimal-mass-norm representative is taken
         test_p = self.P_K if self.P_K is not None else self.P_L

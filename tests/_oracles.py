@@ -6,9 +6,10 @@ instead of sparse saddle factorizations, dense eigensolves instead of inverse
 iteration, and plain per-element Python loops instead of vectorized assembly.
 The exceptions are kernels the package replaced, kept as references: the
 resolvent kernel in its earlier whole-array form, the einsum quadrature
-kernels, the transport and concave loads summed at quadrature points, and a
+kernels, the transport and concave loads summed at quadrature points, a
 damped Newton on the shifted elliptic system, which the package solves by
-Anderson-mixed contraction.
+Anderson-mixed contraction, and per-field mass solves of the initial chemical
+potential, which the package makes as one block-mass solve.
 """
 
 import math
@@ -16,6 +17,7 @@ import math
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bscahn.assembly import BulkSurfacePair, JacobianPattern, NewtonSystem, SPDLaggedFactor
 from bscahn.elliptic import EllipticSolveError
@@ -367,3 +369,16 @@ def concave_load_by_quadrature(ops, pair, pot):
         tri_quad_load_einsum(ops, f2_prime(bulk_at_tri_quad_einsum(ops, pair.bulk), pot.theta_c)),
         surf_quad_load_einsum(ops, f2_prime(surf_at_quad_einsum(ops, pair.surf), pot.theta_c_surf)),
     ])
+
+
+def per_field_initial_mu_theta(st, pair: BulkSurfacePair) -> BulkSurfacePair:
+    """The initial chemical potential of a stepper that eliminates no trace,
+    from one bulk and one surface mass solve of the potential equation's load."""
+    ops = st.ops
+    full = ops.to_vector(pair)
+    g = st.stiff_K @ full + convex_terms(ops, full, st.cfg.pot, st.cfg.yp).load
+    g += st._concave_load(pair)
+    return BulkSurfacePair(
+        spla.spsolve(ops.M_bulk.tocsc(), g[: ops.n_bulk]),
+        spla.spsolve(ops.M_surf.tocsc(), g[ops.n_bulk :]),
+    )

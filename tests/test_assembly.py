@@ -219,29 +219,33 @@ class TestMeans:
 class TestConstraintProjection:
     def test_identity_off_the_zero_regime(self, ops4, rng):
         a = random_pair(ops4, rng)
-        out = ops4.project_constraint(a, CP, "L")
-        assert np.array_equal(out.bulk, a.bulk)
+        out = ops4.constrain(a, ops4.reduction(CP.L, CP.beta))
+        assert np.array_equal(out.bulk, a.bulk) and np.array_equal(out.surf, a.surf)
+        out.bulk[0] += 1.0
+        assert out.bulk[0] != a.bulk[0]  # a copy
 
     def test_overwrites_boundary_values(self, ops4):
         cp = CouplingParams(K=1.0, L=0.0, alpha=0.5, beta=2.0)
         a = BulkSurfacePair(np.zeros(ops4.n_bulk), np.ones(ops4.n_surf))
-        out = ops4.project_constraint(a, cp, "L")
+        out = ops4.constrain(a, ops4.reduction(cp.L, cp.beta))
         assert np.all(out.bulk[ops4.mesh.surface_nodes] == 2.0)
         assert np.all(out.bulk[ops4.interior_nodes] == 0.0)
+        assert np.array_equal(out.surf, a.surf)
 
     def test_phase_trace_with_negative_weight(self, ops4, rng):
         cp = CouplingParams(K=0.0, L=1.0, alpha=-1.0, beta=2.0)
         psi = rng.standard_normal(ops4.n_surf)
         a = BulkSurfacePair(rng.standard_normal(ops4.n_bulk), psi)
-        out = ops4.project_constraint(a, cp, "K")
-        assert np.allclose(out.bulk[ops4.mesh.surface_nodes], -psi)
+        out = ops4.constrain(a, ops4.reduction(cp.K, cp.alpha))
+        assert np.array_equal(out.bulk[ops4.mesh.surface_nodes], -psi)
+        assert np.array_equal(out.bulk[ops4.interior_nodes], a.bulk[ops4.interior_nodes])
 
     def test_idempotent(self, ops4, rng):
-        cp = CouplingParams(K=1.0, L=0.0, alpha=0.5, beta=2.0)
+        P = ops4.prolongator(2.0)
         a = random_pair(ops4, rng)
-        once = ops4.project_constraint(a, cp, "L")
-        twice = ops4.project_constraint(once, cp, "L")
-        assert np.array_equal(once.bulk, twice.bulk)
+        once = ops4.constrain(a, P)
+        twice = ops4.constrain(once, P)
+        assert np.array_equal(once.bulk, twice.bulk) and np.array_equal(once.surf, twice.surf)
 
 
 class TestInverseOperator:

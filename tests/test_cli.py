@@ -363,6 +363,22 @@ class TestCommands:
             f"error: config: bad value {value!r} for [{section}] {key}"
         ]
 
+    @pytest.mark.parametrize("command, config, section, key, value", [
+        (("study", "strong"), "strong.cfg", "study", "strong_amplitudes", "1 inf"),
+        (("study", "contdep"), "contdep.cfg", "study", "contdep_eps", "1e-3 5e-4 nan"),
+        (("elliptic",), "elliptic.cfg", "elliptic", "schedule", "1e-1 nan"),
+    ], ids=["strong_amplitudes", "contdep_eps", "schedule"])
+    def test_non_finite_list_value_is_one_config_error(
+        self, command, config, section, key, value, tmp_path, capsys
+    ):
+        cfg = tmp_path / config
+        cfg.write_text(edited_config(config, {(section, key): value}))
+        code = run_cli(*command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: bad value {value!r} for [{section}] {key}"
+        ]
+
     @pytest.mark.parametrize("value, message", [
         ("-1", "need finite cauchy_tol > 0, got -1"),
         ("0", "need finite cauchy_tol > 0, got 0"),
@@ -586,6 +602,66 @@ class TestCommands:
                        "--out", str(tmp_path / "f"))
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+_SNAPSHOT_CONFIG = "[mesh]\nn = 2\n[coupling]\nK = 1\nL = 1\nalpha = 0.5\nbeta = 2\n"
+
+
+def run_on_snapshot(tmp_path, text, use):
+    """Run `elliptic` with the snapshot text as right-hand side (use "rhs"),
+    or one `simulate` step from it as initial data (use "initial")."""
+    tmp_path.mkdir(exist_ok=True)
+    field = tmp_path / "field.txt"
+    field.write_text(text)
+    if use == "rhs":
+        command, extra = "elliptic", f"[elliptic]\nrhs_kind = file\nrhs_path = {field}\n"
+    else:
+        command = "simulate"
+        extra = f"[time]\ndt = 1e-3\nt_end = 1e-3\n[initial]\nkind = file\npath = {field}\n"
+    cfg = tmp_path / "snapshot.cfg"
+    cfg.write_text(_SNAPSHOT_CONFIG + extra)
+    return run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out")), str(field)
+
+
+class TestSnapshotInput:
+    """A `bsfield 1` file given as elliptic right-hand side or initial data."""
+
+    @pytest.fixture
+    def text(self, ops2, tmp_path):
+        path = tmp_path / "written.txt"
+        write_field_snapshot(str(path), ops2.mesh, ops2.constant_pair(0.1, 0.2))
+        return path.read_text()
+
+    def test_comment_lines_are_skipped(self, text, tmp_path):
+        assert run_on_snapshot(tmp_path / "plain", text, "rhs")[0] == 0
+        lines = text.splitlines()
+        lines.insert(0, "# a right-hand side written by hand")
+        lines[2] += "  # bulk block"
+        commented = "\n".join(lines) + "\n# end\n"
+        assert run_on_snapshot(tmp_path / "commented", commented, "rhs")[0] == 0
+        solution = "out/elliptic_solution.txt"
+        plain = (tmp_path / "plain" / solution).read_bytes()
+        assert (tmp_path / "commented" / solution).read_bytes() == plain
+
+    @pytest.mark.parametrize("defect, message", [
+        ("nan", "line 3, column 5: bad bulk value 'nan'"),
+        ("count", "line 2, column 6: bad bulk node count '9x'"),
+        ("trailing", "line 21, column 1: trailing data '0.5'"),
+    ])
+    @pytest.mark.parametrize("use", ["rhs", "initial"])
+    def test_malformed_snapshot_is_one_config_error_naming_the_file(
+        self, text, defect, message, use, tmp_path, capsys
+    ):
+        lines = text.splitlines()
+        if defect == "nan":
+            lines[2] = " ".join(lines[2].split()[:2] + ["nan"])
+        elif defect == "count":
+            lines[1] = "bulk 9x"
+        else:
+            lines.append("0.5")
+        code, path = run_on_snapshot(tmp_path, "\n".join(lines) + "\n", use)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config: {path}: {message}"]
 
 
 class TestFieldSnapshots:

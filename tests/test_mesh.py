@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bscahn.assembly import BulkSurfacePair
 from bscahn.mesh import (
     Mesh,
     MeshError,
@@ -10,6 +13,7 @@ from bscahn.mesh import (
     save_mesh,
     triangle_edges,
 )
+from bscahn.output import read_field_snapshot, write_field_snapshot
 
 from _oracles import edges_by_dict
 
@@ -256,6 +260,14 @@ def test_node_index_past_int64_is_a_format_error(tmp_path):
     assert (err.value.line, err.value.column) == (6, 5)
 
 
+def test_count_past_float_range_is_a_format_error(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"bsmesh 1\n{'9' * 25} 1\n0 0\n1 0\n0 1\n0 1 2\n")
+    with pytest.raises(MeshFormatError, match="bad node count") as err:
+        load_mesh(str(path))
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
 @pytest.mark.parametrize("counts, column", [("-5 1", 1), ("3 0", 3)])
 def test_mesh_too_small_points_at_the_count(counts, column, tmp_path):
     path = tmp_path / "small.txt"
@@ -272,3 +284,76 @@ def test_non_finite_coordinate_is_a_format_error(token, tmp_path):
     with pytest.raises(MeshFormatError, match="bad coordinate") as err:
         load_mesh(str(path))
     assert (err.value.line, err.value.column) == (5, 1)
+
+
+# -- fuzzing the text readers ---------------------------------------------------------
+#
+# Each case edits the tokens of a valid file: a token is replaced by, or
+# preceded by, one from a vocabulary of format words, counts, edge-case
+# numbers and comment marks, or dropped; line breaks are placed at random.
+# Whatever the result, a reader may raise only MeshError or ValueError.
+
+_FUZZ = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+_VOCABULARY = [
+    "bsmesh", "bsfield", "bulk", "surf", "0", "1", "2", "3", "8", "9", "-1", "0.5", "1e308",
+    "-1e308", "1e999", "nan", "inf", "1.5", "x", "#", "#1", "9" * 25, "1_0", "0x10",
+]
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.sampled_from(["replace", "insert", "drop"]),
+              st.sampled_from(_VOCABULARY)),
+    max_size=4,
+)
+
+
+def _edited(text, edits, breaks):
+    tokens = text.split()
+    for index, op, word in edits:
+        i = index % (len(tokens) + 1)
+        if op == "insert":
+            tokens.insert(i, word)
+        elif i < len(tokens):
+            if op == "replace":
+                tokens[i] = word
+            else:
+                del tokens[i]
+    return "".join(tok + ("\n" if b else " ") for tok, b in zip(tokens, breaks * len(tokens)))
+
+
+def _read_allowing_value_errors(read, path, text):
+    path.write_text(text)
+    try:
+        read(str(path))
+    except ValueError:  # MeshError included
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def valid_texts(fuzz_dir, mesh2):
+    """A valid bsmesh file of mesh2 and a valid bsfield file on it."""
+    save_mesh(mesh2, str(fuzz_dir / "mesh.txt"))
+    pair = BulkSurfacePair(np.linspace(-1, 1, mesh2.num_nodes), np.zeros(mesh2.num_surface_nodes))
+    write_field_snapshot(str(fuzz_dir / "field.txt"), mesh2, pair)
+    return {name: (fuzz_dir / f"{name}.txt").read_text() for name in ("mesh", "field")}
+
+
+@_FUZZ
+@given(edits=_EDITS, breaks=st.lists(st.booleans(), min_size=1, max_size=7))
+def test_mesh_reader_raises_only_mesh_or_value_errors(fuzz_dir, valid_texts, edits, breaks):
+    text = _edited(valid_texts["mesh"], edits, breaks)
+    _read_allowing_value_errors(load_mesh, fuzz_dir / "edited.txt", text)
+
+
+@_FUZZ
+@given(edits=_EDITS, breaks=st.lists(st.booleans(), min_size=1, max_size=7))
+def test_snapshot_reader_raises_only_mesh_or_value_errors(
+    fuzz_dir, valid_texts, mesh2, edits, breaks
+):
+    text = _edited(valid_texts["field"], edits, breaks)
+    _read_allowing_value_errors(
+        lambda path: read_field_snapshot(path, mesh2), fuzz_dir / "edited.txt", text
+    )

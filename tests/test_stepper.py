@@ -33,7 +33,12 @@ from bscahn.velocity import (
     ZeroVelocity,
 )
 
-from _oracles import concave_load_by_quadrature, convection_load_by_quadrature, energy_by_loops
+from _oracles import (
+    concave_load_by_quadrature,
+    convection_load_by_quadrature,
+    energy_by_loops,
+    per_field_initial_mu_theta,
+)
 
 POT = PotentialSpec()
 REGIMES = list(itertools.product([0.0, 1.0, math.inf], repeat=2))
@@ -349,6 +354,15 @@ class TestRun:
                 assert np.allclose(
                     w.bulk[ops4.mesh.surface_nodes], cfg.cp.beta * w.surf, atol=1e-12
                 )
+
+    @pytest.mark.parametrize("K, L", [(1.0, 1.0), (math.inf, math.inf), (1.0, math.inf)])
+    def test_unreduced_initial_potential_is_the_per_field_mass_solves(self, ops8, rng, K, L):
+        # with no trace eliminated, the one block-mass solve gives the bulk
+        # and surface mass solves' potentials to the last bit
+        st = TimeStepper(ops8, make_config(K=K, L=L))
+        pair = admissible_random(ops8, st.cfg.cp, rng)
+        w, ref = st.initial_mu_theta(pair), per_field_initial_mu_theta(st, pair)
+        assert np.array_equal(w.bulk, ref.bulk) and np.array_equal(w.surf, ref.surf)
 
     def test_newton_stalling_at_its_roundoff_floor_fails_the_step(self, ops8):
         """A near-singular potential (lambda = 1e-6), a long step and a strong
@@ -741,6 +755,20 @@ class TestStepJacobian:
         fresh, _ = TimeStepper(ops4, st.cfg).step(state, field)
         for a, b in ((lagged.phi_psi, fresh.phi_psi), (lagged.mu_theta, fresh.mu_theta)):
             assert (a - b).max_abs() <= 1e-10
+
+    def test_coupling_and_mobility_are_fixed_at_construction(self, ops4):
+        # the operators are built from cp and the mobility, so a cfg that
+        # replaces either is refused; dt, lambda and the Newton limits may change
+        cfg = make_config()
+        st = TimeStepper(ops4, cfg)
+        with pytest.raises(ValueError, match="coupling and mobility are fixed"):
+            st.cfg = replace(cfg, mobility=ConstantMobility(m_bulk=5.0))
+        with pytest.raises(ValueError, match="coupling and mobility are fixed"):
+            st.cfg = replace(cfg, cp=replace(cfg.cp, K=2.0))
+        assert st.cfg is cfg
+        new = replace(cfg, dt=5e-4, yp=YosidaParams(lam=2e-3), newton_max_iter=10)
+        st.cfg = new
+        assert st.cfg is new
 
     def test_row_energies_are_the_stored_states_energies(self, ops4, rng):
         cfg = make_config()
