@@ -109,12 +109,8 @@ class BulkSurfacePair:
     __rmul__ = __mul__
 
     def max_abs(self) -> float:
-        vals = [0.0]
-        if self.bulk.size:
-            vals.append(float(np.abs(self.bulk).max()))
-        if self.surf.size:
-            vals.append(float(np.abs(self.surf).max()))
-        return max(vals)
+        """The largest |value| of both vectors (0 when empty, NaN on a NaN)."""
+        return float(np.abs(np.concatenate([self.bulk, self.surf])).max(initial=0.0))
 
 
 def _element_entries(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +387,7 @@ class FemOperators:
         """Raise ValueError unless the pair is admissible initial data for cp:
         within the [-1, 1] band, on the trace constraint when K = 0, and with
         its generalized mean (component means when L = inf) inside (-1, 1)."""
-        if pair.max_abs() > 1.0 + 1e-12:
+        if not pair.max_abs() <= 1.0 + 1e-12:  # also catches NaN
             raise ValueError("initial phase fields must satisfy max |value| <= 1")
         if cp.K == 0.0:
             err = (pair - self.constrain(pair, self.prolongator(cp.alpha))).max_abs()
@@ -610,7 +606,11 @@ class JacobianPattern:
         rows, cols, self._mass_weight = ops.reduced_element_entries(P)
         mass_keys = self._key(offset + rows, offset + cols)
         keys = [mass_keys] + [self._key(b[0], b[1]) for b in [*fixed, *blocks]]
-        self._keys = np.unique(np.concatenate(keys))
+        # np.unique's result from one sort, keeping the first of equal
+        # (non-negative) keys: numpy 2.4's np.unique hashes instead, about
+        # 10x slower on the keys of the n = 64 step pattern
+        keys = np.sort(np.concatenate(keys))
+        self._keys = keys[np.diff(keys, prepend=-1) != 0]
         self.indices = (self._keys % n).astype(np.intc)
         self.indptr = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(self._keys // n, minlength=n), out=self.indptr[1:])
@@ -653,7 +653,9 @@ class LaggedFactor:
     A + A^T, diagonal pivots preferred), which suits both symmetric Newton
     matrices.  A later solve starts from x = LU^{-1} b with the held factor
     and refines x += LU^{-1}(b - A x) with the exact current matrix A until
-    ||b - A x||_2 <= 1e-10 ||b||_2.  When the refinement residual stops
+    ||b - A x||_2 <= max(1e-10 ||b||_2, atol).  A caller that stops on a
+    residual it can see only to some accuracy passes that as ``atol``; the
+    default 0 keeps the relative target.  When the refinement residual stops
     falling, or 8 sweeps do not reach the target, A is factored and solved
     directly.  The rule counts sweeps only, so solves are deterministic.
     ``factorizations`` counts the factors made, ``held_iterations`` the
@@ -665,9 +667,9 @@ class LaggedFactor:
         self.factorizations = 0
         self.held_iterations = 0
 
-    def solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+    def solve(self, A: sp.csc_matrix, b: np.ndarray, atol: float = 0.0) -> np.ndarray:
         if self.lu is not None:
-            x = self._held_solve(A, b)
+            x = self._held_solve(A, b, max(_REFINE_TOL * float(np.linalg.norm(b)), atol))
             if x is not None:
                 return x
         self.lu = spla.splu(
@@ -676,9 +678,9 @@ class LaggedFactor:
         self.factorizations += 1
         return self.lu.solve(b)
 
-    def _held_solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
-        """The refined solution with the held factor, or None where it stalls."""
-        target = _REFINE_TOL * float(np.linalg.norm(b))
+    def _held_solve(self, A: sp.csc_matrix, b: np.ndarray, target: float) -> np.ndarray | None:
+        """The solution refined with the held factor until ||b - A x||_2 <= target,
+        or None where it stalls."""
         x = self.lu.solve(b)
         r = b - A @ x
         rnorm = float(np.linalg.norm(r))
@@ -702,7 +704,8 @@ class SPDLaggedFactor(LaggedFactor):
 
     A later solve runs conjugate gradients on the current matrix A,
     preconditioned with the held factor and started from x = LU^{-1} b, and
-    accepts x once the recomputed ||b - A x||_2 is at most 1e-10 ||b||_2.  A
+    accepts x once the recomputed ||b - A x||_2 is at most the target,
+    max(1e-10 ||b||_2, atol), as in :class:`LaggedFactor`.  A
     non-positive r.z or p.Ap (A or the held factor is not SPD), a non-finite
     value, or 30 iterations without the target factor A instead.  Stationary
     refinement stalls on these systems as the curvature moves between
@@ -710,14 +713,13 @@ class SPDLaggedFactor(LaggedFactor):
     counts the conjugate-gradient iterations.
     """
 
-    def _held_solve(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
+    def _held_solve(self, A: sp.csc_matrix, b: np.ndarray, target: float) -> np.ndarray | None:
         """The conjugate-gradient solution on the held factor, or None on a breakdown.
 
         Written out rather than ``spla.cg``, which has no r.z or p.Ap
         breakdown test: on a matrix that is not SPD it would run all 30
         iterations before the matrix is factored.
         """
-        target = _REFINE_TOL * float(np.linalg.norm(b))
         x = self.lu.solve(b)
         r = b - A @ x
         if float(np.linalg.norm(r)) <= target:
@@ -788,9 +790,10 @@ class NewtonSystem:
         self._apply(self.B.data, weighted, out=held.data)
         return held
 
-    def direction(self, terms, rhs: np.ndarray) -> np.ndarray:
-        """The Newton step for ``rhs`` at the iterate the convex terms belong to."""
-        return self.factor.solve(self.matrix(terms.curvature), rhs)
+    def direction(self, terms, rhs: np.ndarray, atol: float = 0.0) -> np.ndarray:
+        """The Newton step for ``rhs`` at the iterate the convex terms belong
+        to, solved on the factor to ``max(1e-10 ||rhs||_2, atol)``."""
+        return self.factor.solve(self.matrix(terms.curvature), rhs, atol)
 
     def counts(self) -> dict:
         """Factorizations and held-factor iterations since the system was built."""
@@ -802,10 +805,12 @@ class NewtonSystem:
         """Damped Newton from x; returns (x, terms, u, iterations, trials).
 
         It stops once the residual max-norm, appended to history per iterate,
-        is at most tol.  Each update halves its step at most ``max_trials``
-        times; a trial is accepted when it lowers the 2-norm or meets tol, and
-        becomes the next iterate with its convex terms and full phase vector
-        u.  A stalled line search or a miss after max_iter updates raises
+        is at most tol.  Each direction is solved on the factor with
+        ``atol = tol / 10``: a linear residual the stop on tol cannot see is
+        not refined further.  Each update halves its step at most
+        ``max_trials`` times; a trial is accepted when it lowers the 2-norm or
+        meets tol, and becomes the next iterate with its convex terms and full
+        phase vector u.  A stalled line search or a miss after max_iter updates raises
         ``error``.  A failure on a factor held from an earlier solve is
         retried once from x on a fresh factor, with the history cut back to
         its entries before the first attempt, so the error raised is the one
@@ -831,7 +836,9 @@ class NewtonSystem:
                 return x, terms, u, it, trials
             if it == max_iter:
                 break
-            delta = self.direction(terms, -r)
+            # a linear residual below tol/10 in the 2-norm, hence in the
+            # max-norm, is below anything the stop on tol can see
+            delta = self.direction(terms, -r, tol / 10)
             base = float(np.linalg.norm(r))
             step = 1.0
             for _ in range(self.max_trials):

@@ -18,12 +18,13 @@ class MeshError(ValueError):
 
 
 class MeshFormatError(MeshError):
-    """A mesh or field file could not be parsed; carries the offending line/column."""
+    """A mesh or field file could not be parsed; carries the offending line/column
+    and, once known, the file's path."""
 
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+    def __init__(self, message: str, line: int, column: int = 1, path: str | None = None):
+        where = f"line {line}, column {column}: {message}"
+        super().__init__(where if path is None else f"{path}: {where}")
+        self.message, self.line, self.column = message, line, column
 
 
 def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -248,6 +249,15 @@ def load_mesh(path: str) -> Mesh:
     """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = TokenReader(fh.read())
+    try:
+        return _parse_mesh(tokens)
+    except MeshFormatError as exc:
+        raise MeshFormatError(exc.message, exc.line, exc.column, path) from exc
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
+
+
+def _parse_mesh(tokens: TokenReader) -> Mesh:
     tokens.take("bsmesh")
     version, ln, col = tokens.take()
     if version != "1":
@@ -263,11 +273,7 @@ def load_mesh(path: str) -> Mesh:
     nodes = np.array([tokens.number(float, "coordinate") for _ in range(2 * n_nodes)])
     tris = np.array([tokens.number(np.int64, "node index") for _ in range(3 * n_tris)])
     tokens.finish()
-
-    try:
-        return _build(nodes.reshape(n_nodes, 2), tris.reshape(n_tris, 3))
-    except MeshError as exc:
-        raise MeshError(f"{path}: {exc}") from exc
+    return _build(nodes.reshape(n_nodes, 2), tris.reshape(n_tris, 3))
 
 
 def save_mesh(mesh: Mesh, path: str) -> None:

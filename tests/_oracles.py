@@ -168,10 +168,12 @@ def dense_solve_S(ops, cp, a: BulkSurfacePair) -> BulkSurfacePair:
     return pair
 
 
-def shifted_newton(prob, tol: float = 1e-10, max_iter: int = 60) -> BulkSurfacePair:
+def shifted_newton(prob, tol: float = 1e-12, max_iter: int = 60) -> BulkSurfacePair:
     """The shifted elliptic solve by damped Newton from zero: residual
     P^T(S + M)P x - P^T M f + P^T load(P x) on a pattern of its own, with
-    the Newton directions on an SPD held factor."""
+    the Newton directions on an SPD held factor.  The default tol is the
+    1e-12 fixed-point defect the tests check: ``NewtonSystem`` solves each
+    direction only to tol/10, so a looser tol need not reach that defect."""
     ops, cp = prob.ops, prob.cp
     P = ops.reduction(cp.K, cp.alpha)
     lin = ops.project(ops.form_matrix(cp.sigma_K, cp.alpha) + ops.block_mass, P, P).tocoo()

@@ -15,6 +15,7 @@ from bscahn.assembly import (
     SolverFailure,
     SPDLaggedFactor,
     assemble,
+    same_bits,
     sigma,
 )
 
@@ -380,6 +381,24 @@ class TestLaggedFactor:
         assert factor.factorizations == 1
         assert factor.lu is held
         assert np.linalg.norm(b - current @ x) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kind", [LaggedFactor, SPDLaggedFactor])
+    def test_held_solve_stops_at_the_looser_of_its_targets(self, ops4, pattern, kind, rng):
+        b = rng.standard_normal(pattern.n)
+        current = curvature_matrix(ops4, pattern, 1.05)
+        solved = {}
+        for atol in (None, 0.0, 1e-12 * np.linalg.norm(b), 1e-6 * np.linalg.norm(b)):
+            factor = kind()
+            factor.solve(curvature_matrix(ops4, pattern, 1.0), b)
+            x = factor.solve(current, b) if atol is None else factor.solve(current, b, atol)
+            assert factor.factorizations == 1
+            target = max(1e-10 * np.linalg.norm(b), atol or 0.0)
+            assert np.linalg.norm(b - current @ x) <= target
+            solved[atol] = (x, factor.held_iterations)
+        (default, sweeps), *rest, (_, loose) = solved.values()
+        # an atol below the relative target changes nothing, bit for bit
+        assert all(same_bits(x, default) and n == sweeps for x, n in rest)
+        assert loose < sweeps
 
     def test_very_different_matrix_is_refactored(self, ops4, pattern, rng):
         factor = LaggedFactor()

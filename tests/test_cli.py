@@ -448,7 +448,17 @@ class TestCommands:
         code = run_cli("mesh", "--config", str(cfg), "--out", str(tmp_path / "m"))
         assert code == 1
         lines = capsys.readouterr().err.strip().splitlines()
-        assert lines == ["error: config: line 7, column 1: unexpected end of file"]
+        assert lines == [f"error: config: {mesh_file}: line 7, column 1: unexpected end of file"]
+
+    def test_mesh_file_format_error_names_the_file(self, tmp_path, capsys):
+        mesh_file = tmp_path / "bad.txt"
+        mesh_file.write_text("bsmesh 1\n3 x\n0 0\n1 0\n0 1\n0 1 2\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[mesh]\npath = {mesh_file}\n")
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "s"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"error: config: {mesh_file}: line 2, column 3: bad triangle count 'x'"]
 
     def test_missing_config_exit_code(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.cfg")) == 1

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bscahn import potentials
-from bscahn.assembly import BulkSurfacePair, CouplingParams
+from bscahn.assembly import BulkSurfacePair, CouplingParams, JacobianPattern, assemble, same_bits
 from bscahn.config import ConfigError, build_initial, parse_config_text
+from bscahn.mesh import generate_unit_square
 from bscahn.potentials import (
     PotentialSpec,
     YosidaParams,
@@ -282,6 +283,15 @@ class TestRun:
         st = TimeStepper(ops4, make_config())
         with pytest.raises(ValueError, match="<= 1"):
             st.run(ops4.constant_pair(1.2, 0.0), ZeroVelocity(), 1e-3)
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_nan_initial_data_fails_the_band_check(self, ops4, K):
+        st = TimeStepper(ops4, make_config(K=K, alpha=1.0))
+        bad = ops4.constant_pair(0.2, 0.2)
+        bad.bulk[ops4.interior_nodes[0]] = math.nan
+        assert math.isnan(bad.max_abs())
+        with pytest.raises(ValueError, match=r"max \|value\| <= 1"):
+            st.run(bad, ZeroVelocity(), 1e-3)
 
     def test_mean_condition_validated(self, ops4):
         st = TimeStepper(ops4, make_config(beta=2.0))
@@ -699,6 +709,43 @@ class TestStepJacobian:
         assert traj.failure is None
         assert sum(iters) > len(iters) == 10
         assert factors == [1] + [0] * 9
+
+    def test_newton_directions_are_solved_to_the_newton_tolerance(self):
+        # each direction stops at max(1e-10 ||b||, newton_tol / 10): the same
+        # Newton iterations per step as at the 1e-10 relative target, with
+        # 39 refinement sweeps where that target made 49
+        ops = assemble(generate_unit_square(16))
+        cfg = make_config()
+        iters, held = [], []
+
+        def observe(state, info):
+            iters.append(info["newton_iters"])
+            held.append(info["held_solve_iterations"])
+
+        traj = TimeStepper(ops, cfg).run(
+            admissible_random(ops, cfg.cp, np.random.default_rng(0)),
+            StreamFunctionVelocity(amplitude=1.0, profile="sine2"),
+            10 * cfg.dt,
+            observers=[observe],
+        )
+        assert traj.failure is None
+        assert iters == [3] + [2] * 9
+        assert sum(held) <= 39
+
+    @pytest.mark.parametrize("K,L", REGIMES)
+    def test_jacobian_pattern_keys_are_the_unique_keys(self, ops8, K, L, monkeypatch):
+        made = []
+        key = JacobianPattern._key
+
+        def recording(pattern, rows, cols):
+            made.append(key(pattern, rows, cols))
+            return made[-1]
+
+        monkeypatch.setattr(JacobianPattern, "_key", recording)
+        pattern = TimeStepper(ops8, make_config(K=K, L=L))._jacobian_pattern()
+        # the keys of every block it was built from; scattering the fixed
+        # blocks afterwards adds only keys already among them
+        assert same_bits(pattern._keys, np.unique(np.concatenate(made)))
 
     def test_no_factor_held_after_run(self, ops4, rng):
         cfg = make_config()

@@ -11,11 +11,15 @@ temporary directory.  For every command the script compares its exit code,
 its stdout and stderr with the output directory and tree root masked, and
 every file it wrote but `run_meta.txt`, the wall-clock sidecar.  It prints
 "identical" or the largest absolute difference between the numbers of each,
-and exits 0 only if everything is identical.  Standard library only.
+and for a CSV file that differs, the largest absolute difference in each
+column that moved, by its header name.  It exits 0 only if everything is
+identical.  Standard library only.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import re
 import subprocess
@@ -73,6 +77,20 @@ def difference(a: bytes, b: bytes) -> str:
     return f"max absolute difference {worst:.3e}"
 
 
+def column_differences(a: bytes, b: bytes) -> list[str]:
+    """'<header name>: <difference>' for each column that differs between two
+    CSV texts with the same header and row count; none when those differ."""
+    ra, rb = (list(csv.reader(io.StringIO(x.decode("utf-8", "replace")))) for x in (a, b))
+    if not ra or len(ra) != len(rb) or ra[0] != rb[0]:
+        return []
+    moved = []
+    for name, x, y in zip(ra[0], zip(*ra[1:]), zip(*rb[1:])):
+        verdict = difference(" ".join(x).encode(), " ".join(y).encode())
+        if verdict != "identical":
+            moved.append(f"{name}: {verdict}")
+    return moved
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -85,12 +103,17 @@ def main(argv: list[str]) -> int:
             before = run(parent, args, config, Path(tmp_parent) / str(i))
             after = run(change, args, config, Path(tmp_change) / str(i))
             for name in sorted(set(before) | set(after)):
+                columns = []
                 if name not in before or name not in after:
                     verdict = f"only in {'change' if name in after else 'parent'}"
                 else:
                     verdict = difference(before[name], after[name])
+                    if name.endswith(".csv"):
+                        columns = column_differences(before[name], after[name])
                 all_same &= verdict == "identical"
                 print(f"{label}: {name}: {verdict}")
+                for moved in columns:
+                    print(f"{label}: {name}: column {moved}")
     return 0 if all_same else 1
 
 
