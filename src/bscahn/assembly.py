@@ -377,9 +377,9 @@ class FemOperators:
         ib, isurf = self.integrals(a)
         return ib / self.area_bulk, isurf / self.area_surf
 
-    def bs_mean(self, a: BulkSurfacePair, cp: CouplingParams, weight: float | None = None) -> float:
-        """Generalized bulk-surface mean (beta-weighted unless overridden)."""
-        w = cp.beta if weight is None else weight
+    def bs_mean(self, a: BulkSurfacePair, cp: CouplingParams) -> float:
+        """Generalized bulk-surface mean, beta-weighted."""
+        w = cp.beta
         ib, isurf = self.integrals(a)
         return (w * ib + isurf) / (w * w * self.area_bulk + self.area_surf)
 

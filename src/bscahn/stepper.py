@@ -248,13 +248,12 @@ class TimeStepper:
             out[ops.n_bulk :] = ops.to_nodes(ops.surf_elems.T, np.stack([-seg, seg]), ops.n_surf)
         return out
 
-    def _concave_load(self, pair: BulkSurfacePair) -> np.ndarray:
+    def _concave_load(self, mass_u: np.ndarray) -> np.ndarray:
         """Load of f2'(s) = -theta_c s; the quadrature integrates it exactly,
-        so it is -theta_c times the mass matrix times each field."""
-        ops, pot = self.ops, self.cfg.pot
-        return np.concatenate(
-            [-pot.theta_c * (ops.M_bulk @ pair.bulk), -pot.theta_c_surf * (ops.M_surf @ pair.surf)]
-        )
+        so it is -theta_c times each field's part of mass_u, the block mass
+        times the full phase vector."""
+        nb, pot = self.ops.n_bulk, self.cfg.pot
+        return np.concatenate([-pot.theta_c * mass_u[:nb], -pot.theta_c_surf * mass_u[nb:]])
 
     # -- observables ---------------------------------------------------------------
 
@@ -310,7 +309,7 @@ class TimeStepper:
         """
         ops = self.ops
         full = ops.to_vector(pair)
-        g = self.stiff_K @ full + self._convex(full).load + self._concave_load(pair)
+        g = self.stiff_K @ full + self._convex(full).load + self._concave_load(self.mass @ full)
         # the tested equation lives against the phase-trace-constrained basis
         # when that is reduced, else the potential-trace (or full) one; the
         # solution sits in the potential-constrained space when L = 0, else
@@ -391,13 +390,11 @@ class TimeStepper:
         dt = cfg.dt
         # before the solve, whose line-search trials replace the kept vector
         energy_old = self.energy(state.phi_psi)
-        u_old = ops.to_vector(state.phi_psi)
+        mass_u = self.mass @ ops.to_vector(state.phi_psi)
 
         diss = self.dissipation_matrix(state.phi_psi)
         conv = self.convection_load(state.phi_psi, field_, state.t + 0.5 * dt)
-        system = self._newton_system(
-            diss, self.mass @ u_old + dt * conv, self._concave_load(state.phi_psi)
-        )
+        system = self._newton_system(diss, mass_u + dt * conv, self._concave_load(mass_u))
         w_red = ops.to_reduced(state.mu_theta, self.P_L)
         x = np.concatenate([w_red, ops.to_reduced(state.phi_psi, self.P_K)])
         history = []

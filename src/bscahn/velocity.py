@@ -156,46 +156,21 @@ class VelocityField:
         raise NotImplementedError
 
 
-class _NoBulkFlow(VelocityField):
-    """A field with zero bulk velocity."""
-
-    def sample_bulk(self, x, y, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape, np.shape(y)) + (2,))
-
-    def bulk_gradient(self, x, y, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape, np.shape(y)) + (2, 2))
-
-    def bulk_separation(self, x, y):
-        return self.sample_bulk(x, y, 0.0), self.envelope
-
-
-@dataclass(frozen=True)
-class ZeroVelocity(_NoBulkFlow):
-    envelope: object = field(default_factory=ConstantEnvelope)
-
-    def sample_surface(self, s, t: float):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
-    def scaled(self, factor: float) -> "ZeroVelocity":
-        return self
-
-    @property
-    def is_zero(self) -> bool:
-        return True
-
-    @property
-    def trace_matches_surface(self) -> bool:
-        return True
-
-
 def _check_in_domain(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x < -1e-12) or np.any(x > 1 + 1e-12) or np.any(y < -1e-12) or np.any(y > 1 + 1e-12):
         raise ValueError("sample point outside the closed unit square")
     return x, y
+
+
+def _axis_factors(profile: str, a: float, t):
+    """A mode's factor along one axis at a = k pi, its first derivative over a
+    and its second over a**2: sin(a t) for "sine", sin(a t)**2 for "sine2"."""
+    s = np.sin(a * t)
+    if profile == "sine":
+        return s, np.cos(a * t), -s
+    return s**2, np.sin(2 * a * t), 2 * np.cos(2 * a * t)
 
 
 @dataclass(frozen=True)
@@ -221,56 +196,29 @@ class StreamFunctionVelocity(VelocityField):
     def _envelope_amp(self, t: float) -> float:
         return self.amplitude * self.envelope(t)
 
-    def stream(self, x, y, t: float):
+    def _factor_tables(self, x, y):
+        """Zeros of the broadcast shape of (x, y), and per mode (c, a, b, the
+        x table at a, the y table at b) of :func:`_axis_factors`."""
         x, y = _check_in_domain(x, y)
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        tables = []
         for j, k, c in self.modes:
-            sx, sy = np.sin(j * np.pi * x), np.sin(k * np.pi * y)
-            out = out + c * (sx * sy if self.profile == "sine" else sx**2 * sy**2)
+            a, b = j * np.pi, k * np.pi
+            fx, fy = _axis_factors(self.profile, a, x), _axis_factors(self.profile, b, y)
+            tables.append((c, a, b, fx, fy))
+        return np.zeros(np.broadcast_shapes(x.shape, y.shape)), tables
+
+    def stream(self, x, y, t: float):
+        out, tables = self._factor_tables(x, y)
+        for c, _, _, (fx, _, _), (fy, _, _) in tables:
+            out += c * (fx * fy)
         return self._envelope_amp(t) * out
 
-    def _first_partials(self, x, y):
-        """d psi/dx and d psi/dy at unit amplitude."""
-        x, y = _check_in_domain(x, y)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        px = np.zeros(shape)
-        py = np.zeros(shape)
-        for j, k, c in self.modes:
-            a, b = j * np.pi, k * np.pi
-            sx, sy = np.sin(a * x), np.sin(b * y)
-            if self.profile == "sine":
-                px += c * a * np.cos(a * x) * sy
-                py += c * b * sx * np.cos(b * y)
-            else:
-                # d/dx sin^2(ax) = a sin(2ax)
-                px += c * a * np.sin(2 * a * x) * sy**2
-                py += c * b * sx**2 * np.sin(2 * b * y)
-        return px, py
-
-    def _second_partials(self, x, y):
-        """The second partials of psi (xx, xy, yy) at unit amplitude."""
-        x, y = _check_in_domain(x, y)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        pxx = np.zeros(shape)
-        pxy = np.zeros(shape)
-        pyy = np.zeros(shape)
-        for j, k, c in self.modes:
-            a, b = j * np.pi, k * np.pi
-            sx, sy = np.sin(a * x), np.sin(b * y)
-            if self.profile == "sine":
-                cx, cy = np.cos(a * x), np.cos(b * y)
-                pxx += -c * a * a * sx * sy
-                pyy += -c * b * b * sx * sy
-                pxy += c * a * b * cx * cy
-            else:
-                s2x, s2y = np.sin(2 * a * x), np.sin(2 * b * y)
-                pxx += c * 2 * a * a * np.cos(2 * a * x) * sy**2
-                pyy += c * 2 * b * b * sx**2 * np.cos(2 * b * y)
-                pxy += c * a * b * s2x * s2y
-        return pxx, pxy, pyy
-
     def sample_bulk(self, x, y, t: float) -> np.ndarray:
-        px, py = self._first_partials(x, y)
+        px, tables = self._factor_tables(x, y)
+        py = px.copy()
+        for c, a, b, (fx, dfx, _), (fy, dfy, _) in tables:
+            px += c * a * dfx * fy
+            py += c * b * fx * dfy
         amp = self._envelope_amp(t)
         return np.stack([amp * py, -amp * px], axis=-1)
 
@@ -280,7 +228,12 @@ class StreamFunctionVelocity(VelocityField):
         return unit.sample_bulk(x, y, 0.0), self._envelope_amp
 
     def bulk_gradient(self, x, y, t: float) -> np.ndarray:
-        pxx, pxy, pyy = self._second_partials(x, y)
+        pxx, tables = self._factor_tables(x, y)
+        pxy, pyy = pxx.copy(), pxx.copy()
+        for c, a, b, (fx, dfx, d2fx), (fy, dfy, d2fy) in tables:
+            pxx += c * a * a * d2fx * fy
+            pyy += c * b * b * fx * d2fy
+            pxy += c * a * b * dfx * dfy
         amp = self._envelope_amp(t)
         row1 = np.stack([amp * pxy, amp * pyy], axis=-1)
         row2 = np.stack([-amp * pxx, -amp * pxy], axis=-1)
@@ -304,11 +257,22 @@ class StreamFunctionVelocity(VelocityField):
 
 
 @dataclass(frozen=True)
-class SurfaceSlipVelocity(_NoBulkFlow):
+class SurfaceSlipVelocity(VelocityField):
     """Zero bulk velocity; tangential slip w = g(t) tau at constant speed in s."""
 
     speed: float = 1.0
     envelope: object = field(default_factory=ConstantEnvelope)
+
+    def sample_bulk(self, x, y, t: float) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.zeros(np.broadcast_shapes(x.shape, np.shape(y)) + (2,))
+
+    def bulk_gradient(self, x, y, t: float) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.zeros(np.broadcast_shapes(x.shape, np.shape(y)) + (2, 2))
+
+    def bulk_separation(self, x, y):
+        return self.sample_bulk(x, y, 0.0), self.envelope
 
     def sample_surface(self, s, t: float):
         s = np.asarray(s, dtype=float)
@@ -324,6 +288,17 @@ class SurfaceSlipVelocity(_NoBulkFlow):
     @property
     def trace_matches_surface(self) -> bool:
         return self.speed == 0.0
+
+
+@dataclass(frozen=True)
+class ZeroVelocity(SurfaceSlipVelocity):
+    """The zero field: a slip at speed 0."""
+
+    speed: float = field(default=0.0, init=False)
+
+    def scaled(self, factor: float) -> "ZeroVelocity":
+        # replace() cannot set the init=False speed
+        return self
 
 
 def mollify_in_time(field_: VelocityField, half_width: float) -> VelocityField:
@@ -382,10 +357,14 @@ def discrete_admissibility(
     boundary-line-integral identity int_T rot(psi) . grad(zeta) = closed line
     integral of psi d zeta/d tau, whose interior-edge contributions cancel
     exactly; the pass threshold of 1e-10 is then pure roundoff headroom.
+    Slip fields (the zero field among them) have no bulk flow; any other
+    class raises TypeError.
     """
     interior = ops.interior_nodes
     div_residual = np.zeros(ops.n_bulk)
     mode = type(field_).__name__
+    if not isinstance(field_, (StreamFunctionVelocity, SurfaceSlipVelocity)):
+        raise TypeError(f"no discrete admissibility check for a {mode}")
 
     if isinstance(field_, StreamFunctionVelocity) and not field_.is_zero:
         # d zeta/d tau along a directed triangle edge is +1/len for the head
@@ -399,13 +378,6 @@ def discrete_admissibility(
         # summed local edge by local edge, heads before tails
         index, values = np.stack([heads, tails], axis=1), np.stack([vals, -vals], axis=1)
         div_residual = ops.to_nodes(index, values, ops.n_bulk)
-    elif not field_.is_zero and not isinstance(field_, SurfaceSlipVelocity):
-        # generic fallback: triangle quadrature of -int v . grad(zeta), the
-        # transport load of the constant 1
-        qc = ops.tri_qcoords
-        v = field_.sample_bulk(qc[..., 0], qc[..., 1], t)
-        div_residual = -(ops.transport_matrix(v) @ np.ones(ops.n_bulk))
-        mode += "-quadrature"
 
     div_max = float(np.abs(div_residual[interior]).max()) if len(interior) else 0.0
 

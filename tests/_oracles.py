@@ -379,7 +379,7 @@ def per_field_initial_mu_theta(st, pair: BulkSurfacePair) -> BulkSurfacePair:
     ops = st.ops
     full = ops.to_vector(pair)
     g = st.stiff_K @ full + convex_terms(ops, full, st.cfg.pot, st.cfg.yp).load
-    g += st._concave_load(pair)
+    g += st._concave_load(st.mass @ full)
     return BulkSurfacePair(
         spla.spsolve(ops.M_bulk.tocsc(), g[: ops.n_bulk]),
         spla.spsolve(ops.M_surf.tocsc(), g[ops.n_bulk :]),

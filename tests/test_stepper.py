@@ -256,7 +256,8 @@ class TestLinearLoads:
         st = TimeStepper(oracle_ops, make_config())
         pair = admissible_random(oracle_ops, st.cfg.cp, rng)
         ref = concave_load_by_quadrature(oracle_ops, pair, POT)
-        assert np.abs(st._concave_load(pair) - ref).max() <= 1e-15 * np.abs(ref).max()
+        out = st._concave_load(st.mass @ oracle_ops.to_vector(pair))
+        assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestRun:
@@ -353,7 +354,7 @@ class TestRun:
             g = (
                 st.stiff_K @ ops4.to_vector(pair)
                 + convex_terms(ops4, ops4.to_vector(pair), POT, cfg.yp).load
-                + st._concave_load(pair)
+                + st._concave_load(st.mass @ ops4.to_vector(pair))
             )
             resid = st.mass @ ops4.to_vector(w) - g
             test_basis = st.P_K if st.P_K is not None else st.P_L
@@ -593,7 +594,7 @@ class TestStepJacobian:
         ref = bmat_jacobian(st, diss, *curv)
         nu = st.mass_UW.shape[1]
         swapped = sp.hstack([ref[:, nu:], ref[:, :nu]]).tocsc()
-        concave = st._concave_load(old)
+        concave = st._concave_load(st.mass @ st.ops.to_vector(old))
         mat = st._newton_system(diss, st.mass @ st.ops.to_vector(old), concave).matrix(curv)
         assert mat is st._pattern.held
         scale = abs(swapped).max()
@@ -606,7 +607,7 @@ class TestStepJacobian:
         ops = st.ops
         diss = st.dissipation_matrix(old)
         explicit_A = st.mass @ ops.to_vector(old)
-        concave = st._concave_load(old)
+        concave = st._concave_load(explicit_A)
         u_red = ops.to_reduced(iterate, st.P_K)
         w_red = ops.to_reduced(st.initial_mu_theta(old), st.P_L)
         system = st._newton_system(diss, explicit_A, concave)

@@ -22,6 +22,14 @@ from bscahn.velocity import (
     mollify_in_time,
 )
 
+# the single mode (1, 1), and modes with j != k, which tell the x and y
+# derivative formulas apart
+DERIVATIVE_CASES = [
+    pytest.param(profile, modes, id=profile + suffix)
+    for suffix, modes in (("", ((1, 1, 1.0),)), ("-jk", ((1, 2, 1.0), (3, 1, -0.5))))
+    for profile in ("sine", "sine2")
+]
+
 
 class TestSampling:
     def test_zero_field(self):
@@ -40,9 +48,9 @@ class TestSampling:
         assert v[0] == pytest.approx(0.0, abs=1e-15)
         assert v[1] == pytest.approx(-math.pi / math.sqrt(2.0), rel=1e-14)
 
-    @pytest.mark.parametrize("profile", ["sine", "sine2"])
-    def test_velocity_matches_central_differences(self, profile):
-        f = StreamFunctionVelocity(profile=profile, amplitude=0.7)
+    @pytest.mark.parametrize("profile, modes", DERIVATIVE_CASES)
+    def test_velocity_matches_central_differences(self, profile, modes):
+        f = StreamFunctionVelocity(profile=profile, amplitude=0.7, modes=modes)
         h = 1e-6
         for x, y in [(0.3, 0.7), (0.6, 0.2), (0.45, 0.55)]:
             fd = np.array(
@@ -53,9 +61,9 @@ class TestSampling:
             )
             assert np.abs(fd - f.sample_bulk(x, y, 0.0)).max() <= 1e-8
 
-    @pytest.mark.parametrize("profile", ["sine", "sine2"])
-    def test_gradient_matches_central_differences(self, profile):
-        f = StreamFunctionVelocity(profile=profile)
+    @pytest.mark.parametrize("profile, modes", DERIVATIVE_CASES)
+    def test_gradient_matches_central_differences(self, profile, modes):
+        f = StreamFunctionVelocity(profile=profile, modes=modes)
         h = 1e-6
         x, y = 0.3, 0.7
         g = f.bulk_gradient(x, y, 0.0)
@@ -125,6 +133,19 @@ class TestAdmissibility:
         rep = discrete_admissibility(SurfaceSlipVelocity(speed=1.0), mesh4, ops4)
         assert rep.surface_divergence_max == 0.0
         assert rep.passed
+
+    def test_field_of_another_class_is_refused(self, mesh4, ops4):
+        class Uniform(velocity.VelocityField):
+            envelope = ConstantEnvelope()
+
+            def sample_bulk(self, x, y, t):
+                return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)) + (2,))
+
+            def sample_surface(self, s, t):
+                return np.zeros_like(np.asarray(s, dtype=float))
+
+        with pytest.raises(TypeError, match="Uniform"):
+            discrete_admissibility(Uniform(), mesh4, ops4)
 
     def test_trace_compatibility_flags(self):
         assert ZeroVelocity().trace_matches_surface
