@@ -17,6 +17,7 @@ points (see assembly module notes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +102,8 @@ class StepperConfig:
     newton_max_iter: int = 30
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 @dataclass
@@ -110,6 +111,7 @@ class State:
     phi_psi: BulkSurfacePair
     mu_theta: BulkSurfacePair
     t: float
+    dt: float = 0.0  # of the step that made the state; 0 for initial data
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,9 @@ class EnergyBreakdown:
 
 @dataclass
 class _Evaluated:
-    """A full phase vector u as evaluated under ``cfg``: its convex terms
-    and, once asked, its energy."""
+    """A full phase vector u as evaluated: its convex terms and, once asked, its energy."""
 
     u: np.ndarray
-    cfg: StepperConfig
     convex: ConvexTerms
     energy: EnergyBreakdown | None = None
 
@@ -155,7 +155,7 @@ DIAGNOSTIC_COLUMNS = (
 
 
 class TimeStepper:
-    """Owns the assembled operators plus one coupling/potential configuration."""
+    """Owns the assembled operators plus one configuration, fixed at construction."""
 
     def __init__(self, ops: FemOperators, cfg: StepperConfig):
         cfg.cp.validate_measures(ops.area_bulk, ops.area_surf)
@@ -168,8 +168,9 @@ class TimeStepper:
         self.stiff_K = ops.form_matrix(cp.sigma_K, cp.alpha)
         self.Q_L = ops.coupling_matrix(cp.sigma_L, cp.beta)
         self.mass_UW = ops.project(self.mass, self.P_L, self.P_K)
+        self._diss_const = None
         if cfg.mobility.is_constant:
-            self._diss_const = self._dissipation_matrix(None)
+            self._diss_const = self.dissipation_matrix(None)
         # the step Jacobian's lagged factor, kept across the steps of a run,
         # and its fixed pattern and, for constant mobility, curvature-free
         # part with the dt it holds, both built at the first step
@@ -185,18 +186,13 @@ class TimeStepper:
     def cfg(self) -> StepperConfig:
         return self._cfg
 
-    @cfg.setter
-    def cfg(self, cfg: StepperConfig) -> None:
-        # the operators are built from cp and the mobility; dt, the potentials,
-        # lambda and the Newton limits may be replaced between steps
-        if cfg.cp != self._cfg.cp or cfg.mobility != self._cfg.mobility:
-            raise ValueError("a stepper's coupling and mobility are fixed; build a new TimeStepper")
-        self._cfg = cfg
-
     # -- element mobility weights and the dissipation operator -----------------
 
-    def _dissipation_matrix(self, state_pair: BulkSurfacePair | None) -> sp.csr_matrix:
-        """Mobility-weighted stiffness plus the potential exchange coupling."""
+    def dissipation_matrix(self, state_pair: BulkSurfacePair | None) -> sp.csr_matrix:
+        """Mobility-weighted stiffness plus the potential exchange coupling, the
+        mobility frozen at state_pair; a constant mobility's is kept from construction."""
+        if self._diss_const is not None:
+            return self._diss_const
         ops, cfg = self.ops, self.cfg
         mob = cfg.mobility
         if mob.is_constant:
@@ -212,11 +208,6 @@ class TimeStepper:
         if cfg.cp.sigma_L != 0.0:
             out = out + self.Q_L
         return sp.csr_matrix(out)
-
-    def dissipation_matrix(self, state_pair: BulkSurfacePair) -> sp.csr_matrix:
-        if self.cfg.mobility.is_constant:
-            return self._diss_const
-        return self._dissipation_matrix(state_pair)
 
     # -- loads -------------------------------------------------------------------
 
@@ -260,9 +251,9 @@ class TimeStepper:
     def _convex(self, u: np.ndarray) -> ConvexTerms:
         """Convex terms at a full phase vector; the last vector's are kept."""
         kept, cfg = self._evaluated, self.cfg
-        if kept is None or kept.cfg is not cfg or not same_bits(u, kept.u):
+        if kept is None or not same_bits(u, kept.u):
             terms = convex_terms(self.ops, u, cfg.pot, cfg.yp)
-            kept = self._evaluated = _Evaluated(u.copy(), cfg, terms)
+            kept = self._evaluated = _Evaluated(u.copy(), terms)
         return kept.convex
 
     def energy(self, pair: BulkSurfacePair) -> EnergyBreakdown:
@@ -348,7 +339,7 @@ class TimeStepper:
         return JacobianPattern(ops, nw + nu, self.P_K, nw, fixed, blocks)
 
     def _newton_system(
-        self, diss: sp.csr_matrix, explicit_A: np.ndarray, concave: np.ndarray
+        self, dt: float, diss: sp.csr_matrix, explicit_A: np.ndarray, concave: np.ndarray
     ) -> NewtonSystem:
         """The step's Newton system in x = [w_red, u_red], the Jacobian's (dw, du) order.
 
@@ -357,23 +348,35 @@ class TimeStepper:
         constant mobility; otherwise its dissipation block follows the
         mobility frozen at each step's old state.
         """
-        ops, cfg = self.ops, self.cfg
+        ops = self.ops
         if self._pattern is None:
             self._pattern = self._jacobian_pattern()
-        pattern, (dt, base) = self._pattern, self._jac_base
-        if base is None or dt != cfg.dt:
-            d = ops.project(cfg.dt * diss, self.P_L, self.P_L).tocoo()
+        pattern, (base_dt, base) = self._pattern, self._jac_base
+        if base is None or base_dt != dt:
+            d = ops.project(dt * diss, self.P_L, self.P_L).tocoo()
             base = pattern.matrix(pattern.fixed + pattern.scatter(d.row, d.col, d.data))
-            if cfg.mobility.is_constant:
-                self._jac_base = (cfg.dt, base)
+            if self.cfg.mobility.is_constant:
+                self._jac_base = (dt, base)
         rhs = np.concatenate([ops.reduce(explicit_A, self.P_L), ops.reduce(concave, self.P_K)])
         return NewtonSystem(
             ops, pattern, base, rhs, self._convex, -1, self.factor, StepError, "step Newton",
             max_trials=20,
         )
 
-    def step(self, state: State, field_: VelocityField) -> tuple[State, dict]:
-        """Advance one implicit step; returns the new state and per-step data.
+    def _old_terms(self, state: State, field_: VelocityField, dt: float) -> tuple:
+        """The old state's dissipation matrix and midpoint convection load for a step of dt."""
+        diss = self.dissipation_matrix(state.phi_psi)
+        return diss, self.convection_load(state.phi_psi, field_, state.t + 0.5 * dt)
+
+    def _balance(self, e_old: float, e_new: float, new: State, diss, conv) -> tuple:
+        """(dissipation, convection work, energy-balance residual) of the step that made new."""
+        w = self.ops.to_vector(new.mu_theta)
+        dissipation = float(w @ (diss @ w))
+        work = float(conv @ w)
+        return dissipation, work, (e_new - e_old) / new.dt + dissipation - work
+
+    def step(self, state: State, field_: VelocityField, dt: float) -> tuple[State, dict]:
+        """Advance one implicit step of dt; returns the new state and per-step data.
 
         The per-step data carries the new state's energy breakdown under
         "energy", under "factorizations" and "held_solve_iterations" the step
@@ -386,15 +389,14 @@ class TimeStepper:
         to the Newton tolerance, not bitwise.  The accepted line-search trial
         is the next Newton iterate, residual and convex terms included.
         """
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         ops, cfg = self.ops, self.cfg
-        dt = cfg.dt
         # before the solve, whose line-search trials replace the kept vector
         energy_old = self.energy(state.phi_psi)
         mass_u = self.mass @ ops.to_vector(state.phi_psi)
-
-        diss = self.dissipation_matrix(state.phi_psi)
-        conv = self.convection_load(state.phi_psi, field_, state.t + 0.5 * dt)
-        system = self._newton_system(diss, mass_u + dt * conv, self._concave_load(mass_u))
+        diss, conv = self._old_terms(state, field_, dt)
+        system = self._newton_system(dt, diss, mass_u + dt * conv, self._concave_load(mass_u))
         w_red = ops.to_reduced(state.mu_theta, self.P_L)
         x = np.concatenate([w_red, ops.to_reduced(state.phi_psi, self.P_K)])
         history = []
@@ -402,23 +404,20 @@ class TimeStepper:
             x, cfg.newton_tol, cfg.newton_max_iter, history
         )
         w_full = ops.prolong(x_new[: len(w_red)], self.P_L)
-        new_state = State(
-            phi_psi=ops.from_vector(u_full), mu_theta=ops.from_vector(w_full), t=state.t + dt
-        )
-        energy = self.energy(new_state.phi_psi)
-        dissipation = float(w_full @ (diss @ w_full))
-        conv_work = float(conv @ w_full)
+        new = State(ops.from_vector(u_full), ops.from_vector(w_full), state.t + dt, dt)
+        energy = self.energy(new.phi_psi)
+        dissipation, work, residual = self._balance(energy_old.total, energy.total, new, diss, conv)
         info = {
             "newton_iters": iters,
             "residual": history[-1],
             "dissipation": dissipation,
-            "convection_work": conv_work,
-            "balance_residual": (energy.total - energy_old.total) / dt + dissipation - conv_work,
+            "convection_work": work,
+            "balance_residual": residual,
             "energy": energy,
             "line_search_trials": trials,
             **system.counts(),
         }
-        return new_state, info
+        return new, info
 
     # -- trajectories ------------------------------------------------------------------
 
@@ -429,7 +428,7 @@ class TimeStepper:
         t_end: float,
         observers=(),
     ) -> Trajectory:
-        """March from t = 0 to t_end, collecting states and diagnostics rows.
+        """March from t = 0 to t_end in steps of cfg.dt, collecting states and rows.
 
         Each step starts from the phase vector the previous one evaluated
         last, so its energy and convex terms are not evaluated again; the
@@ -437,6 +436,8 @@ class TimeStepper:
         trace is not cut by the reduction, the first step's starting residual.
         """
         ops, cfg = self.ops, self.cfg
+        if not 0.0 <= t_end < math.inf:
+            raise ValueError("t_end must be non-negative and finite")
         ops.check_initial_data(initial, cfg.cp)
         n_steps = int(round(t_end / cfg.dt))
         state = State(initial.copy(), self.initial_mu_theta(initial), t=0.0)
@@ -446,7 +447,7 @@ class TimeStepper:
         try:
             for k in range(1, n_steps + 1):
                 try:
-                    state, info = self.step(state, field_)
+                    state, info = self.step(state, field_, cfg.dt)
                 except StepError as exc:
                     return Trajectory(
                         states=states,
@@ -491,13 +492,7 @@ class TimeStepper:
         """
         out = []
         for old, new in zip(traj.states, traj.states[1:]):
-            energy_old = self.energy(old.phi_psi).total
-            diss = self.dissipation_matrix(old.phi_psi)
-            conv = self.convection_load(old.phi_psi, field_, old.t + 0.5 * self.cfg.dt)
-            w = self.ops.to_vector(new.mu_theta)
-            out.append(
-                (self.energy(new.phi_psi).total - energy_old) / self.cfg.dt
-                + float(w @ (diss @ w))
-                - float(conv @ w)
-            )
+            e_old = self.energy(old.phi_psi).total
+            diss, conv = self._old_terms(old, field_, new.dt)
+            out.append(self._balance(e_old, self.energy(new.phi_psi).total, new, diss, conv)[2])
         return np.array(out)

@@ -480,7 +480,7 @@ class TestCommands:
         # line, not as a traceback
         from bscahn.stepper import TimeStepper
 
-        def failing_step(self, state, field_):
+        def failing_step(self, state, field_, dt):
             raise StepError("forced step failure", [1.0])
 
         monkeypatch.setattr(TimeStepper, "step", failing_step)

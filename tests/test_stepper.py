@@ -26,6 +26,7 @@ from bscahn.stepper import (
     StepError,
     StepperConfig,
     TimeStepper,
+    Trajectory,
 )
 from bscahn.velocity import (
     SineEnvelope,
@@ -211,7 +212,7 @@ class TestSingleStep:
         init = admissible_random(ops4, cfg.cp, rng)
         state = st.run(init, ZeroVelocity(), t_end=1e-3).states[0]
         with pytest.raises(StepError, match="halve dt"):
-            st_bad.step(state, StreamFunctionVelocity(amplitude=1.0))
+            st_bad.step(state, StreamFunctionVelocity(amplitude=1.0), cfg.dt)
 
     def test_convergence_on_the_last_allowed_update_is_accepted(self, ops4):
         # this step needs three Newton updates; with newton_max_iter = 3 the
@@ -330,6 +331,25 @@ class TestRun:
         with pytest.raises(ValueError, match=match) as from_run:
             st.run(ops4.constant_pair(bulk, surf), ZeroVelocity(), 1e-3)
         assert str(from_config.value) == str(from_run.value)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+    def test_config_refuses_a_dt_not_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            make_config(dt=dt)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+    def test_step_refuses_a_dt_not_positive_and_finite(self, ops4, dt):
+        st = TimeStepper(ops4, make_config())
+        init = ops4.constant_pair(0.1, 0.1)
+        state = State(init, st.initial_mu_theta(init), 0.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            st.step(state, ZeroVelocity(), dt)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+    def test_run_refuses_a_t_end_not_non_negative_and_finite(self, ops4, t_end):
+        st = TimeStepper(ops4, make_config())
+        with pytest.raises(ValueError, match="t_end must be non-negative and finite"):
+            st.run(ops4.constant_pair(0.1, 0.1), ZeroVelocity(), t_end)
 
     def test_observer_called_per_step(self, ops4, rng):
         cfg = make_config()
@@ -594,8 +614,9 @@ class TestStepJacobian:
         ref = bmat_jacobian(st, diss, *curv)
         nu = st.mass_UW.shape[1]
         swapped = sp.hstack([ref[:, nu:], ref[:, :nu]]).tocsc()
-        concave = st._concave_load(st.mass @ st.ops.to_vector(old))
-        mat = st._newton_system(diss, st.mass @ st.ops.to_vector(old), concave).matrix(curv)
+        explicit_A = st.mass @ st.ops.to_vector(old)
+        concave = st._concave_load(explicit_A)
+        mat = st._newton_system(st.cfg.dt, diss, explicit_A, concave).matrix(curv)
         assert mat is st._pattern.held
         scale = abs(swapped).max()
         assert abs(mat - swapped).max() <= 1e-13 * scale
@@ -610,7 +631,7 @@ class TestStepJacobian:
         concave = st._concave_load(explicit_A)
         u_red = ops.to_reduced(iterate, st.P_K)
         w_red = ops.to_reduced(st.initial_mu_theta(old), st.P_L)
-        system = st._newton_system(diss, explicit_A, concave)
+        system = st._newton_system(st.cfg.dt, diss, explicit_A, concave)
         r, convex, _ = system.evaluate(np.concatenate([w_red, u_red]))
         rhs = -r
         delta = system.direction(convex, rhs)
@@ -777,15 +798,16 @@ class TestStepJacobian:
         field = StreamFunctionVelocity(amplitude=1.0, profile="sine2")
         st = TimeStepper(ops4, cfg)
         state = st.run(admissible_random(ops4, cfg.cp, rng), ZeroVelocity(), 1e-3).states[0]
-        state, _ = st.step(state, field)
+        state, _ = st.step(state, field, cfg.dt)
         assert st.factor.lu is not None
         before = st.factor.factorizations
-        st.cfg = replace(cfg, newton_max_iter=1, newton_tol=1e-15)
+        failing = replace(cfg, newton_max_iter=1, newton_tol=1e-15)
+        lagging = TimeStepper(ops4, failing)
+        lagging.factor = st.factor
         with pytest.raises(StepError) as lagged:
-            st.step(state, field)
-        fresh = TimeStepper(ops4, st.cfg)
+            lagging.step(state, field, cfg.dt)
         with pytest.raises(StepError) as direct:
-            fresh.step(state, field)
+            TimeStepper(ops4, failing).step(state, field, cfg.dt)
         assert str(lagged.value) == str(direct.value)
         assert lagged.value.history == direct.value.history
         assert st.factor.factorizations == before + 1
@@ -797,26 +819,21 @@ class TestStepJacobian:
         field = StreamFunctionVelocity(amplitude=1.0, profile="sine2")
         st = TimeStepper(ops4, cfg)
         init = admissible_random(ops4, cfg.cp, rng)
-        state, _ = st.step(State(init, st.initial_mu_theta(init), 0.0), field)
-        st.cfg = replace(cfg, dt=5e-4)
-        lagged, _ = st.step(state, field)
-        fresh, _ = TimeStepper(ops4, st.cfg).step(state, field)
+        state, _ = st.step(State(init, st.initial_mu_theta(init), 0.0), field, cfg.dt)
+        lagged, _ = st.step(state, field, 5e-4)
+        fresh, _ = TimeStepper(ops4, replace(cfg, dt=5e-4)).step(state, field, 5e-4)
         for a, b in ((lagged.phi_psi, fresh.phi_psi), (lagged.mu_theta, fresh.mu_theta)):
             assert (a - b).max_abs() <= 1e-10
 
     def test_coupling_and_mobility_are_fixed_at_construction(self, ops4):
-        # the operators are built from cp and the mobility, so a cfg that
-        # replaces either is refused; dt, lambda and the Newton limits may change
+        # the operators are built from the whole configuration, which cannot
+        # be replaced; a step takes its dt as an argument
         cfg = make_config()
         st = TimeStepper(ops4, cfg)
-        with pytest.raises(ValueError, match="coupling and mobility are fixed"):
-            st.cfg = replace(cfg, mobility=ConstantMobility(m_bulk=5.0))
-        with pytest.raises(ValueError, match="coupling and mobility are fixed"):
-            st.cfg = replace(cfg, cp=replace(cfg.cp, K=2.0))
+        for new in (replace(cfg, mobility=ConstantMobility(m_bulk=5.0)), replace(cfg, dt=5e-4)):
+            with pytest.raises(AttributeError):
+                st.cfg = new
         assert st.cfg is cfg
-        new = replace(cfg, dt=5e-4, yp=YosidaParams(lam=2e-3), newton_max_iter=10)
-        st.cfg = new
-        assert st.cfg is new
 
     def test_row_energies_are_the_stored_states_energies(self, ops4, rng):
         cfg = make_config()
@@ -868,10 +885,29 @@ class TestStepRecord:
         st = TimeStepper(ops4, cfg)
         state = traj.states[0]
         for expected, row in zip(traj.states[1:], traj.rows[1:]):
-            state, info = st.step(state, self.FIELD)
+            state, info = st.step(state, self.FIELD, cfg.dt)
             assert state_bits(state) == state_bits(expected)
             assert info["energy"].total == row["energy_total"]
             assert info["balance_residual"] == row["balance_residual"]
+
+    def test_one_stepper_steps_with_each_dt(self, ops4, rng):
+        # a step of any dt on a stepper that made steps of other dt values,
+        # its factor dropped, is a fresh stepper's step of that dt, bitwise;
+        # the states carry their dt, so the recomputed balance is the steps'
+        cfg = make_config()
+        st = TimeStepper(ops4, cfg)
+        init = admissible_random(ops4, cfg.cp, rng)
+        states, infos = [State(init, st.initial_mu_theta(init), 0.0)], []
+        for dt in (1e-3, 5e-4, 2e-3):
+            fresh, _ = TimeStepper(ops4, replace(cfg, dt=dt)).step(states[-1], self.FIELD, dt)
+            state, info = st.step(states[-1], self.FIELD, dt)
+            st.factor.drop()
+            assert state_bits(state) == state_bits(fresh)
+            assert state.dt == dt
+            states.append(state)
+            infos.append(info)
+        resid = st.energy_balance_residuals(Trajectory(states, []), self.FIELD)
+        assert resid.tolist() == [info["balance_residual"] for info in infos]
 
     def test_first_step_takes_the_initial_terms_only_at_its_own_iterate(self, ops4, rng):
         # with K = 0 the first iterate sets the boundary bulk values from the
@@ -881,7 +917,7 @@ class TestStepRecord:
         init = admissible_random(ops4, cfg.cp, rng)
         init.bulk[ops4.mesh.surface_nodes] += 1e-11
         traj = TimeStepper(ops4, cfg).run(init, self.FIELD, 1e-3)
-        state, _ = TimeStepper(ops4, cfg).step(traj.states[0], self.FIELD)
+        state, _ = TimeStepper(ops4, cfg).step(traj.states[0], self.FIELD, cfg.dt)
         assert state_bits(state) == state_bits(traj.final)
 
     def test_a_second_run_matches_a_fresh_stepper(self, ops4, rng):
@@ -905,21 +941,16 @@ class TestStepRecord:
         assert not same_trajectory(after, TimeStepper(ops4, cfg).run(init, self.FIELD, 5e-3))
 
     def test_the_kept_evaluation_follows_its_inputs(self, ops4, rng):
-        # a state changed in place after its evaluation, or a configuration
-        # replaced by one with another lambda, must give a fresh stepper's
-        # energy and step bitwise
+        # a state changed in place after its evaluation must give a fresh
+        # stepper's energy and step bitwise
         cfg = make_config()
         st = TimeStepper(ops4, cfg)
         state = st.run(admissible_random(ops4, cfg.cp, rng), self.FIELD, 1e-3).final
         st.energy(state.phi_psi)
         state.phi_psi.bulk[3] += 0.01
         state.phi_psi.surf[1] -= 0.01
-        for _ in range(2):
-            fresh = TimeStepper(ops4, st.cfg)
-            assert st.energy(state.phi_psi) == fresh.energy(state.phi_psi)
-            assert state_bits(st.step(state, self.FIELD)[0]) == state_bits(
-                fresh.step(state, self.FIELD)[0]
-            )
-            st.energy(state.phi_psi)
-            st.cfg = replace(cfg, yp=YosidaParams(lam=2e-3))
-            st.factor.drop()
+        fresh = TimeStepper(ops4, cfg)
+        assert st.energy(state.phi_psi) == fresh.energy(state.phi_psi)
+        assert state_bits(st.step(state, self.FIELD, cfg.dt)[0]) == state_bits(
+            fresh.step(state, self.FIELD, cfg.dt)[0]
+        )
