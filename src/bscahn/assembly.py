@@ -71,10 +71,6 @@ class CouplingParams:
     def sigma_L(self) -> float:
         return sigma(self.L)
 
-    @property
-    def gamma_K(self) -> float:
-        return 1.0 if self.K == 0.0 else 0.0
-
     def validate_measures(self, area_bulk: float, area_surf: float) -> None:
         if abs(self.alpha * self.beta * area_bulk + area_surf) < 1e-12:
             raise ValueError(
@@ -132,16 +128,14 @@ _GAUSS2 = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 
 
 _COMPAT_TOL = 1e-8  # compatibility tolerance of S_{L,beta}'s right-hand side
-_POINCARE_TOL = 1e-12  # relative eigenvalue change that ends the Poincare iteration
-_POINCARE_SWEEPS = 200  # its sweeps before it fails
-_POINCARE_BLOCK = 4  # its block size
 
 
 class FemOperators:
     """Assembled sparse operators plus quadrature tables for one mesh.
 
-    Use :func:`assemble`; instances are immutable by convention and cache
-    derived operators, Newton patterns and factorizations internally.
+    Use :func:`assemble`; instances are immutable by convention and keep
+    derived operators, Newton patterns and factorizations through
+    :meth:`cached`.
     """
 
     def __init__(self, mesh: Mesh):
@@ -204,6 +198,13 @@ class FemOperators:
 
         self.interior_nodes = np.setdiff1d(np.arange(self.n_bulk), mesh.surface_nodes)
         self._cache: dict = {}
+
+    def cached(self, key, build):
+        """The value kept under key, made by build() on the first call; the
+        one store of derived operators, shared, so never to be modified."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     # -- pair/vector plumbing -------------------------------------------------
 
@@ -303,31 +304,26 @@ class FemOperators:
 
     def coupling_matrix(self, sig: float, weight: float) -> sp.csr_matrix:
         """sig * E^T M_surf E with E x = weight * x_surf - trace(x_bulk);
-        built once per (sig, weight), and shared, so never to be modified."""
-        key = ("coupling_matrix", sig, weight)
-        if key not in self._cache:
-            nb, ns = self.n_bulk, self.n_surf
+        built once per (sig, weight)."""
+
+        def build():
             if sig == 0.0:
-                Q = sp.csr_matrix((nb + ns, nb + ns))
-            else:
-                R, Ms = self.trace, self.M_surf
-                Qbb = R.T @ Ms @ R
-                Qbs = -weight * (R.T @ Ms)
-                Qss = weight * weight * Ms
-                Q = sig * sp.bmat([[Qbb, Qbs], [Qbs.T, Qss]], format="csr")
-            self._cache[key] = Q
-        return self._cache[key]
+                return sp.csr_matrix((self.n_bulk + self.n_surf,) * 2)
+            R, Ms = self.trace, self.M_surf
+            Qbs = -weight * (R.T @ Ms)
+            return sig * sp.bmat([[R.T @ Ms @ R, Qbs], [Qbs.T, weight * weight * Ms]], format="csr")
+
+        return self.cached(("coupling_matrix", sig, weight), build)
 
     def form_matrix(self, sig: float, weight: float) -> sp.csr_matrix:
         """diag(A_bulk, A_surf) plus :meth:`coupling_matrix`; built once per
-        (sig, weight), and shared, so never to be modified."""
-        key = ("form_matrix", sig, weight)
-        if key not in self._cache:
+        (sig, weight)."""
+
+        def build():
             base = sp.block_diag([self.A_bulk, self.A_surf], format="csr")
-            if sig != 0.0:
-                base = (base + self.coupling_matrix(sig, weight)).tocsr()
-            self._cache[key] = base
-        return self._cache[key]
+            return base if sig == 0.0 else (base + self.coupling_matrix(sig, weight)).tocsr()
+
+        return self.cached(("form_matrix", sig, weight), build)
 
     def _coupling_deficit(self, a: BulkSurfacePair, weight: float) -> np.ndarray:
         return weight * a.surf - self.trace @ a.bulk
@@ -406,19 +402,17 @@ class FemOperators:
 
     def prolongator(self, weight: float) -> sp.csr_matrix:
         """Map reduced dofs [interior bulk, surface] to the full pair vector,
-        slaving boundary bulk dofs to weight * surface."""
-        key = ("prol", float(weight))
-        if key not in self._cache:
+        slaving boundary bulk dofs to weight * surface; one entry per row."""
+
+        def build():
             nb, ns = self.n_bulk, self.n_surf
             ni = len(self.interior_nodes)
             rows = np.concatenate([self.interior_nodes, self.mesh.surface_nodes, np.arange(nb, nb + ns)])
             cols = np.concatenate([np.arange(ni), ni + np.arange(ns), ni + np.arange(ns)])
             data = np.concatenate([np.ones(ni), np.full(ns, float(weight)), np.ones(ns)])
-            P = sp.coo_matrix((data, (rows, cols)), shape=(nb + ns, ni + ns)).tocsr()
-            self._cache[key] = P
-            # for reduce; the identity of a cached P is stable while it is cached
-            self._cache[("prol.T", id(P))] = P.T
-        return self._cache[key]
+            return sp.coo_matrix((data, (rows, cols)), shape=(nb + ns, ni + ns)).tocsr()
+
+        return self.cached(("prol", float(weight)), build)
 
     def reduction(self, value: float, weight: float) -> sp.csr_matrix | None:
         """Prolongator for the given coupling value, or None when unconstrained."""
@@ -429,16 +423,13 @@ class FemOperators:
     @property
     def block_mass(self) -> sp.csr_matrix:
         """diag(M_bulk, M_surf) on the full pair vector, built once."""
-        if "mass" not in self._cache:
-            self._cache["mass"] = sp.block_diag([self.M_bulk, self.M_surf], format="csr")
-        return self._cache["mass"]
+        return self.cached("mass", lambda: sp.block_diag([self.M_bulk, self.M_surf], format="csr"))
 
-    def reduce(self, vec: np.ndarray, P) -> np.ndarray:
-        """Test a full load vector against the reduced basis: P^T vec."""
-        if P is None:
-            return vec
-        PT = self._cache.get(("prol.T", id(P)))
-        return (P.T if PT is None else PT) @ vec
+    @staticmethod
+    def reduce(vec: np.ndarray, P) -> np.ndarray:
+        """Test a full load vector against the reduced basis: P^T vec, summed
+        through the one entry of each row of P in the order of P^T's product."""
+        return vec if P is None else np.bincount(P.indices, P.data * vec, P.shape[1])
 
     @staticmethod
     def prolong(red: np.ndarray, P) -> np.ndarray:
@@ -483,23 +474,20 @@ class FemOperators:
     # -- the inverse operator and dual norm ----------------------------------------
 
     def _slb_factorization(self, cp: CouplingParams):
-        key = ("slb", cp.L, cp.beta)
-        if key in self._cache:
-            return self._cache[key]
-        P = self.reduction(cp.L, cp.beta)
-        C = self.project(self.form_matrix(cp.sigma_L, cp.beta), P, P)
-        if math.isinf(cp.L):
-            g1 = np.concatenate([self.mass_vec_bulk, np.zeros(self.n_surf)])
-            g2 = np.concatenate([np.zeros(self.n_bulk), self.mass_vec_surf])
-            G = np.column_stack([g1, g2])
-        else:
-            g_mean = np.concatenate([cp.beta * self.mass_vec_bulk, self.mass_vec_surf])
-            G = self.reduce(g_mean[:, None], P)
-        ncon = G.shape[1]
-        saddle = sp.bmat([[C, sp.csr_matrix(G)], [sp.csr_matrix(G.T), None]], format="csc")
-        lu = spla.splu(saddle)
-        self._cache[key] = (lu, P, ncon)
-        return self._cache[key]
+        def build():
+            P = self.reduction(cp.L, cp.beta)
+            C = self.project(self.form_matrix(cp.sigma_L, cp.beta), P, P)
+            if math.isinf(cp.L):
+                g1 = np.concatenate([self.mass_vec_bulk, np.zeros(self.n_surf)])
+                g2 = np.concatenate([np.zeros(self.n_bulk), self.mass_vec_surf])
+                G = np.column_stack([g1, g2])
+            else:
+                g_mean = np.concatenate([cp.beta * self.mass_vec_bulk, self.mass_vec_surf])
+                G = self.reduce(g_mean, P)[:, None]
+            saddle = sp.bmat([[C, sp.csr_matrix(G)], [sp.csr_matrix(G.T), None]], format="csc")
+            return spla.splu(saddle), P, G.shape[1]
+
+        return self.cached(("slb", cp.L, cp.beta), build)
 
     def solve_S_lb(self, a: BulkSurfacePair, cp: CouplingParams) -> BulkSurfacePair:
         """Mean-free solution S of (S, test)_{L,beta} = -<a, test> for all tests.
@@ -535,57 +523,29 @@ class FemOperators:
     def poincare_constant(self, cp: CouplingParams) -> float:
         """Optimal constant in ||pair||_{L2} <= C_P ||pair||_{K,alpha} on mean-free pairs.
 
-        Blocked inverse power iteration (with a Rayleigh-Ritz rotation per
-        sweep) on the (K, alpha)-form against the mass form, restricted to
-        zero generalized (beta-weighted) mean.  The block of 4 is needed
-        because the square's x/y symmetry makes the two smallest eigenvalues
-        nearly degenerate.  It stops once two successive sweeps move the
-        eigenvalue by at most 1e-12 relative, and fails after 200 sweeps.
+        The smallest eigenvalue of the (K, alpha)-form against the mass form
+        on pairs of zero generalized (beta-weighted) mean, by ARPACK's
+        shift-invert Lanczos at 0; the inverse is one factor of the form
+        bordered by the mean row.  ARPACK's own start vector depends on its
+        earlier calls in the process, so a fixed-seed one is passed.
         """
         if math.isinf(cp.K):
             raise ValueError("Poincare constant requires K in [0, inf)")
         cp.validate_measures(self.area_bulk, self.area_surf)
         P = self.reduction(cp.K, cp.alpha)
         C = self.project(self.form_matrix(cp.sigma_K, cp.alpha), P, P)
-        B = self.project(self.block_mass, P, P)
         g = self.reduce(np.concatenate([cp.beta * self.mass_vec_bulk, self.mass_vec_surf]), P)
-        nred = C.shape[0]
-        block = min(_POINCARE_BLOCK, nred - 1)
-        saddle = sp.bmat(
-            [[C, sp.csr_matrix(g[:, None])], [sp.csr_matrix(g[None, :]), None]], format="csc"
-        )
+        n = C.shape[0]
+        saddle = sp.bmat([[C, sp.csr_matrix(g[:, None])], [sp.csr_matrix(g), None]], format="csc")
         lu = spla.splu(saddle)
-
-        rng = np.random.default_rng(20240517)
-        X = rng.standard_normal((nred, block))
-        X -= np.outer(g, g @ X) / (g @ g)
-        lam_old = math.inf
-        hits = 0
-        for _ in range(_POINCARE_SWEEPS):
-            Y = np.empty_like(X)
-            for j in range(block):
-                Y[:, j] = lu.solve(np.concatenate([B @ X[:, j], [0.0]]))[:nred]
-            # B-orthonormalize, dropping directions lost to roundoff
-            S = Y.T @ (B @ Y)
-            w, U = np.linalg.eigh(S)
-            keep = w > w[-1] * 1e-13
-            Y = Y @ (U[:, keep] / np.sqrt(w[keep]))
-            # Rayleigh-Ritz rotation inside the subspace
-            A_small = Y.T @ (C @ Y)
-            wr, V = np.linalg.eigh(0.5 * (A_small + A_small.T))
-            X = Y @ V
-            lam = float(wr[0])
-            if abs(lam - lam_old) <= _POINCARE_TOL * max(abs(lam), 1e-30):
-                hits += 1
-                if hits >= 2:
-                    return 1.0 / math.sqrt(lam)
-            else:
-                hits = 0
-            lam_old = lam
-        raise SolverError(
-            f"Poincare inverse iteration did not settle in {_POINCARE_SWEEPS} sweeps "
-            f"(last eigenvalue {lam_old:g})"
-        )
+        inv = spla.LinearOperator((n, n), lambda x: lu.solve(np.append(x, 0.0))[:n], dtype=float)
+        start = np.random.default_rng(20240517).standard_normal(n)
+        try:
+            lam = spla.eigsh(C, k=1, M=self.project(self.block_mass, P, P), sigma=0.0,
+                             OPinv=inv, v0=start, return_eigenvectors=False)[0]
+        except spla.ArpackError as exc:
+            raise SolverError(f"Poincare eigenvalue: {exc}") from None
+        return 1.0 / math.sqrt(lam)
 
 
 class JacobianPattern:
@@ -598,7 +558,7 @@ class JacobianPattern:
     P^T diag(M_w(bulk), M_w(surf)) P as a bincount of the element matrices
     through precomputed positions.  ``held`` is the one matrix a
     :class:`NewtonSystem` refills in place.  No reference to the operators
-    is kept, so their ``_cache`` can hold a pattern without a reference cycle.
+    is kept, so :meth:`FemOperators.cached` can hold a pattern without a cycle.
     """
 
     def __init__(self, ops: FemOperators, n: int, P, offset=0, fixed=(), blocks=()):

@@ -20,7 +20,7 @@ from . import output
 from .assembly import BulkSurfacePair, SolverFailure
 from .config import ConfigError, build_setup, parse_config, _float_list, _get
 from .elliptic import solve_singular
-from .mesh import MeshError, save_mesh
+from .mesh import save_mesh
 from .stepper import DIAGNOSTIC_COLUMNS, TimeStepper
 
 EXIT_OK = 0
@@ -251,11 +251,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, MeshError, FileNotFoundError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
     except SolverFailure as exc:
         return _fail(EXIT_SOLVER, str(exc))
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError and MeshError too
         return _fail(EXIT_CONFIG, str(exc))
 
 

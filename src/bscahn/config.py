@@ -300,6 +300,8 @@ def build_setup(data: dict, out_dir: str | None = None, seed: int | None = None)
     t_end = _get(data, "time", "t_end", 0.05, cast=float)
     if not 0 < dt <= t_end < math.inf:  # false for NaN too
         raise ConfigError(f"need finite 0 < dt <= t_end, got dt={dt:g}, t_end={t_end:g}")
+    if abs(round(t_end / dt) * dt - t_end) > 1e-9 * t_end:  # a run takes round(t_end/dt) steps
+        raise ConfigError(f"t_end={t_end:g} is not a whole number of steps of dt={dt:g}")
     try:
         yp = YosidaParams(lam=lam)
         cfg = StepperConfig(dt=dt, cp=cp, pot=pot, yp=yp, mobility=mobility)

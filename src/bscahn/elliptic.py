@@ -82,14 +82,13 @@ def _newton_pattern(ops: FemOperators, cp: CouplingParams):
 
     Cached per operator set, so every regularization parameter shares it.
     """
-    key = ("newton", cp.K, cp.alpha)
-    if key not in ops._cache:
+
+    def build():
         P, stiff = _operators(ops, cp)
         lin = ops.project(stiff, P, P).tocoo()
-        ops._cache[key] = JacobianPattern(
-            ops, lin.shape[0], P, fixed=[(lin.row, lin.col, lin.data)]
-        )
-    return ops._cache[key]
+        return JacobianPattern(ops, lin.shape[0], P, fixed=[(lin.row, lin.col, lin.data)])
+
+    return ops.cached(("newton", cp.K, cp.alpha), build)
 
 
 def _newton_system(prob: EllipticProblem, factor) -> NewtonSystem:
@@ -121,11 +120,10 @@ def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSur
     ops, cp, pot, yp = prob.ops, prob.cp, prob.pot, prob.yp
     P, stiff = _operators(ops, cp)
     lam = yp.lam
-    key = ("tlam", cp.K, cp.alpha, lam)
-    if key not in ops._cache:
-        mat = (1.0 + lam) * ops.block_mass + lam * stiff
-        ops._cache[key] = spla.splu(ops.project(mat, P, P).tocsc())
-    lu = ops._cache[key]
+    lu = ops.cached(
+        ("tlam", cp.K, cp.alpha, lam),
+        lambda: spla.splu(ops.project((1.0 + lam) * ops.block_mass + lam * stiff, P, P).tocsc()),
+    )
 
     j = (yosida_resolvent(ops.bulk_at_tri_quad(current.bulk), pot.theta, yp),
          yosida_resolvent(ops.surf_at_quad(current.surf), pot.theta_surf, yp))

@@ -12,6 +12,7 @@ from bscahn.assembly import (
     JacobianPattern,
     LaggedFactor,
     NewtonSystem,
+    SolverError,
     SolverFailure,
     SPDLaggedFactor,
     assemble,
@@ -56,10 +57,6 @@ class TestCouplingParams:
         assert sigma(0.0) == 0.0
         assert sigma(math.inf) == 0.0
         assert sigma(4.0) == 0.25
-
-    def test_gamma_flags_zero(self):
-        assert CouplingParams(K=0.0, L=1.0, alpha=0.5, beta=1.0).gamma_K == 1.0
-        assert CP.gamma_K == 0.0
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
@@ -248,6 +245,16 @@ class TestConstraintProjection:
         twice = ops4.constrain(once, P)
         assert np.array_equal(once.bulk, twice.bulk) and np.array_equal(once.surf, twice.surf)
 
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("weight", [1.0, 0.5, -0.5, 0.0])
+    def test_reduce_is_the_transpose_product_bit_for_bit(self, n, weight, rng):
+        # the row gather sums each reduced entry in the order P^T's product does
+        ops = assemble(generate_unit_square(n))
+        P = ops.prolongator(weight)
+        for _ in range(5):
+            vec = rng.standard_normal(ops.n_bulk + ops.n_surf)
+            assert same_bits(ops.reduce(vec, P), P.T @ vec)
+
 
 class TestInverseOperator:
     def test_zero_maps_to_zero(self, ops2):
@@ -340,12 +347,23 @@ class TestPoincare:
         c2 = ops2.poincare_constant(CouplingParams(K=0.5, L=1.0, alpha=1.0, beta=2.0))
         assert c2 <= c1 + 1e-12
 
-    @pytest.mark.parametrize("K,alpha", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.5), (0.0, -0.5)])
-    def test_dense_eigensolver_oracle(self, ops2, K, alpha):
-        cp = CouplingParams(K=K, L=1.0, alpha=alpha, beta=2.0)
+    @pytest.mark.parametrize("K,L,alpha,beta", [
+        (1.0, 1.0, 1.0, 2.0), (0.0, 1.0, 1.0, 2.0), (1.0, 1.0, 0.5, 2.0), (0.0, 1.0, -0.5, 2.0),
+        (1.0, math.inf, 0.5, 2.0), (1.0, 1.0, 0.5, 0.0),
+    ])
+    def test_dense_eigensolver_oracle(self, ops2, K, L, alpha, beta):
+        cp = CouplingParams(K=K, L=L, alpha=alpha, beta=beta)
         assert ops2.poincare_constant(cp) == pytest.approx(
             dense_poincare(ops2, cp), abs=1e-8
         )
+
+    def test_eigensolver_failure_is_a_solver_error(self, ops2, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", unconverged)
+        with pytest.raises(SolverError, match="Poincare eigenvalue: .*no convergence"):
+            ops2.poincare_constant(CP)
 
     def test_unbounded_regime_rejected(self, ops2):
         with pytest.raises(ValueError):
