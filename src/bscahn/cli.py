@@ -21,7 +21,7 @@ from .assembly import BulkSurfacePair, SolverFailure
 from .config import ConfigError, build_setup, parse_config, _float_list, _get
 from .elliptic import solve_singular
 from .mesh import save_mesh
-from .stepper import DIAGNOSTIC_COLUMNS, TimeStepper
+from .stepper import TimeStepper
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,12 +54,12 @@ def cmd_mesh(args) -> int:
     setup = build_setup(data, out_dir=args.out, seed=args.seed)
     out = _ensure_outdir(setup.out_dir)
     path = os.path.join(out, "mesh.txt")
-    save_mesh(setup.mesh, path)
-    areas = setup.mesh.triangle_areas()
+    mesh = setup.ops.mesh
+    save_mesh(mesh, path)
     print(
-        f"mesh: {setup.mesh.num_nodes} nodes, {setup.mesh.num_triangles} triangles, "
-        f"{setup.mesh.num_surface_nodes} surface nodes, perimeter {setup.mesh.perimeter:g}, "
-        f"area {areas.sum():.12g} -> {path}"
+        f"mesh: {mesh.num_nodes} nodes, {mesh.num_triangles} triangles, "
+        f"{mesh.num_surface_nodes} surface nodes, perimeter {mesh.perimeter:g}, "
+        f"area {mesh.triangle_areas().sum():.12g} -> {path}"
     )
     return EXIT_OK
 
@@ -71,9 +71,9 @@ def cmd_simulate(args) -> int:
     stepper = TimeStepper(setup.ops, setup.cfg)
     traj = stepper.run(setup.initial, setup.field, setup.t_end)
     csv_path = os.path.join(out, "diagnostics.csv")
-    output.write_csv(csv_path, DIAGNOSTIC_COLUMNS, traj.rows)
+    output.write_csv(csv_path, traj.rows)
     output.write_field_snapshot(
-        os.path.join(out, "field_final.txt"), setup.mesh, traj.final.phi_psi
+        os.path.join(out, "field_final.txt"), setup.ops.mesh, traj.final.phi_psi
     )
     output.write_meta(
         os.path.join(out, "run_meta.txt"),
@@ -107,7 +107,7 @@ def _elliptic_rhs(data, setup) -> BulkSurfacePair:
         path = data.get("elliptic", {}).get("rhs_path")
         if not path:
             raise ConfigError("elliptic rhs_kind = file needs rhs_path")
-        return output.read_field_snapshot(path, setup.mesh) * scale
+        return output.read_field_snapshot(path, setup.ops.mesh) * scale
     raise ConfigError(f"unknown elliptic rhs kind {kind!r}")
 
 
@@ -128,8 +128,8 @@ def cmd_elliptic(args) -> int:
         for i, d in enumerate(sol.extras["h1_differences"])
     ]
     csv_path = os.path.join(out, "elliptic.csv")
-    output.write_csv(csv_path, ["lam", "h1_difference"], rows)
-    output.write_field_snapshot(os.path.join(out, "elliptic_solution.txt"), setup.mesh, sol.uv)
+    output.write_csv(csv_path, rows)
+    output.write_field_snapshot(os.path.join(out, "elliptic_solution.txt"), setup.ops.mesh, sol.uv)
     output.write_meta(
         os.path.join(out, "run_meta.txt"),
         {"command": "elliptic", "config": args.config, "seed": setup.seed},
@@ -190,7 +190,7 @@ def cmd_study(args) -> int:
     res = _STUDIES[args.kind](data, setup)
     out = _ensure_outdir(setup.out_dir)
     csv_path = os.path.join(out, f"study_{args.kind}.csv")
-    output.write_csv(csv_path, res.columns, res.rows)
+    output.write_csv(csv_path, res.rows)
     output.write_meta(
         os.path.join(out, "run_meta.txt"),
         {"command": f"study {args.kind}", "config": args.config, "seed": setup.seed},

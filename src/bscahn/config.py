@@ -116,8 +116,6 @@ def _finite(raw: str) -> float:
 def _get(data, section, key, default=None, cast=_finite):
     raw = data.get(section, {}).get(key)
     if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
         return default
     try:
         return cast(raw)
@@ -133,7 +131,6 @@ def _float_list(raw: str) -> list[float]:
 class RunSetup:
     """Everything one simulation needs, built from a parsed configuration."""
 
-    mesh: Mesh
     ops: FemOperators
     cfg: StepperConfig
     field: VelocityField
@@ -154,15 +151,12 @@ def build_mesh(data: dict) -> Mesh:
 
 
 def build_potentials(data: dict) -> PotentialSpec:
-    sec = data.get("potentials", {})
     try:
         return PotentialSpec(
             theta=_get(data, "potentials", "theta", 0.8),
             theta_c=_get(data, "potentials", "theta_c", 1.6),
-            theta_surf=_get(data, "potentials", "theta_surf") if "theta_surf" in sec else None,
-            theta_c_surf=(
-                _get(data, "potentials", "theta_c_surf") if "theta_c_surf" in sec else None
-            ),
+            theta_surf=_get(data, "potentials", "theta_surf"),
+            theta_c_surf=_get(data, "potentials", "theta_c_surf"),
             kappa1=_get(data, "potentials", "kappa1", 1.0),
             kappa2=_get(data, "potentials", "kappa2", 0.0),
         )
@@ -229,6 +223,8 @@ def build_velocity(data: dict, cp: CouplingParams) -> VelocityField:
     else:
         raise ConfigError(f"unknown velocity kind {kind!r}")
     mollify = _get(data, "velocity", "mollify", 0.0)
+    if mollify < 0:
+        raise ConfigError(f"mollify must be >= 0 (0 is off), got {mollify:g}")
     if mollify > 0:
         field_ = mollify_in_time(field_, mollify)
     if cp.K == 0.0 and not field_.trace_matches_surface:
@@ -239,14 +235,12 @@ def build_velocity(data: dict, cp: CouplingParams) -> VelocityField:
     return field_
 
 
-def build_initial(
-    data: dict, mesh: Mesh, ops: FemOperators, cp: CouplingParams, seed: int
-) -> BulkSurfacePair:
+def build_initial(data: dict, ops: FemOperators, cp: CouplingParams, seed: int) -> BulkSurfacePair:
     sec = data.get("initial", {})
     kind = sec.get("kind", "constant")
     if kind == "constant":
         vb = _get(data, "initial", "value_bulk", 0.0)
-        vs = _get(data, "initial", "value_surf", 0.0) if "value_surf" in sec else vb
+        vs = _get(data, "initial", "value_surf", vb)
         pair = ops.constant_pair(vb, vs)
     elif kind == "random":
         mean = _get(data, "initial", "mean", 0.0)
@@ -266,9 +260,9 @@ def build_initial(
         sharp = _get(data, "initial", "sharpness", 0.05)
         if sharp <= 0 or radius <= 0:
             raise ConfigError("bubble radius and sharpness must be positive")
-        d_bulk = np.linalg.norm(mesh.nodes - np.array([cx, cy]), axis=1)
+        d_bulk = np.linalg.norm(ops.mesh.nodes - np.array([cx, cy]), axis=1)
         bulk = np.tanh((radius - d_bulk) / sharp)
-        surf = bulk[mesh.surface_nodes].copy()
+        surf = bulk[ops.mesh.surface_nodes].copy()
         pair = BulkSurfacePair(bulk, surf)
         if cp.K == 0.0 and cp.alpha != 1.0:
             raise ConfigError("bubble initial data with K = 0 needs alpha = 1")
@@ -276,7 +270,7 @@ def build_initial(
         path = sec.get("path")
         if not path:
             raise ConfigError("initial kind = file needs a path")
-        pair = output.read_field_snapshot(path, mesh)
+        pair = output.read_field_snapshot(path, ops.mesh)
     else:
         raise ConfigError(f"unknown initial kind {kind!r}")
 
@@ -288,8 +282,7 @@ def build_initial(
 
 
 def build_setup(data: dict, out_dir: str | None = None, seed: int | None = None) -> RunSetup:
-    mesh = build_mesh(data)
-    ops = assemble(mesh)
+    ops = assemble(build_mesh(data))
     pot = build_potentials(data)
     cp = build_coupling(data, ops)
     mobility = build_mobility(data)
@@ -308,9 +301,8 @@ def build_setup(data: dict, out_dir: str | None = None, seed: int | None = None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     field_ = build_velocity(data, cp)
-    initial = build_initial(data, mesh, ops, cp, seed)
+    initial = build_initial(data, ops, cp, seed)
     return RunSetup(
-        mesh=mesh,
         ops=ops,
         cfg=cfg,
         field=field_,

@@ -66,11 +66,6 @@ class ExperimentResult:
     reason: str
     extras: dict
 
-    @property
-    def columns(self) -> list:
-        """The CSV header: the keys of the first row (every study has two or more)."""
-        return list(self.rows[0])
-
 
 # -- velocity norms ------------------------------------------------------------
 

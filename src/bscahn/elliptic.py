@@ -133,7 +133,7 @@ def fixed_point_step(current: BulkSurfacePair, prob: EllipticProblem) -> BulkSur
     return ops.from_vector(ops.prolong(red, P))
 
 
-_TOL = 1e-10  # step tolerance of the shifted solve, residual tolerance of the continuation
+_TOL = 1e-10  # step tolerance of the shifted solve, residual tolerance of a regularized one
 _MAX_FP_ITER = 100000  # contraction iterations of one shifted solve
 _ANDERSON_DEPTH = 5  # residual differences the shifted solve mixes
 _NEWTON_MAX_ITER = 60  # Newton iterations of one regularized solve
@@ -209,12 +209,11 @@ def solve_shifted_regularized(prob: EllipticProblem, use_newton: bool = False) -
 
 def solve_regularized(
     prob: EllipticProblem,
-    tol: float = _TOL,
-    max_iter: int = _NEWTON_MAX_ITER,
     start: BulkSurfacePair | None = None,
     factor: SPDLaggedFactor | None = None,
 ) -> EllipticSolution:
-    """Damped Newton for -Lap u + F'_lam(u) = f with the coupling rows.
+    """Damped Newton for -Lap u + F'_lam(u) = f with the coupling rows, to
+    residual _TOL in at most _NEWTON_MAX_ITER updates.
 
     The quadrature-sampled curvature keeps the Jacobian uniformly positive
     definite (lower bound theta/(1+theta) on the weight), so no mean
@@ -226,7 +225,7 @@ def solve_regularized(
     system = _newton_system(prob, factor if factor is not None else SPDLaggedFactor())
     history: list[float] = []
     red = ops.to_reduced(start if start is not None else ops.zero_pair(), system.pattern.P)
-    _, _, full, its, trials = system.solve(red, tol, max_iter, history)
+    _, _, full, its, trials = system.solve(red, _TOL, _NEWTON_MAX_ITER, history)
     return EllipticSolution(
         uv=ops.from_vector(full),
         residual_norm=history[-1],
@@ -293,7 +292,6 @@ def project_initial_data(
     cp: CouplingParams,
     pot: PotentialSpec,
     yp: YosidaParams,
-    tol: float = 1e-10,
 ) -> BulkSurfacePair:
     """Regularization-compatible initial phase fields.
 
@@ -306,7 +304,7 @@ def project_initial_data(
         mu_theta0.surf - f2_prime(phi_psi0.surf, pot.theta_c_surf),
     )
     prob = EllipticProblem(ops=ops, cp=cp, pot=pot, yp=yp, rhs=rhs)
-    return solve_regularized(prob, tol=tol, start=phi_psi0).uv
+    return solve_regularized(prob, start=phi_psi0).uv
 
 
 def recovered_normal_derivative(uv: BulkSurfacePair, prob: EllipticProblem) -> np.ndarray:

@@ -16,17 +16,17 @@ from .mesh import Mesh, TokenReader
 
 
 def fmt(x) -> str:
+    """Strings as given, integers in decimal, the rest (booleans too) to 17 digits."""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
 
 
-def write_csv(path: str, columns, rows) -> None:
-    """Rows are dicts keyed by column name."""
+def write_csv(path: str, rows) -> None:
+    """Rows are dicts keyed by column name; the header is the first row's keys."""
+    columns = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -34,10 +34,22 @@ def write_csv(path: str, columns, rows) -> None:
 
 
 def read_csv(path: str):
+    """(header, rows as dicts of strings); a file with no header, or a row
+    whose field count differs from the header's, raises ValueError naming
+    the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    columns = lines[0].split(",")
-    rows = [dict(zip(columns, ln.split(","))) for ln in lines[1:]]
+        lines = [(k, ln) for k, ln in enumerate(fh.read().split("\n"), start=1) if ln]
+    if not lines:
+        raise ValueError(f"{path}: empty file, no header line")
+    columns = lines[0][1].split(",")
+    rows = []
+    for lineno, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != len(columns):
+            raise ValueError(
+                f"{path}: line {lineno}: expected {len(columns)} fields, got {len(fields)}"
+            )
+        rows.append(dict(zip(columns, fields)))
     return columns, rows
 
 

@@ -21,8 +21,10 @@ from .assembly import SolverFailure
 
 _TINY_GAP = 1e-15  # bracket inset at the +-1 endpoints
 # Switch to the log-gap solve once 1-|root| falls below this: closer to the
-# endpoint the s-space residual cannot reach resolvent_tol in float64.
+# endpoint the s-space residual cannot reach _RESOLVENT_TOL in float64.
 _SATURATION = 1e-3
+_RESOLVENT_TOL = 1e-12  # residual at which a resolvent entry is converged
+_RESOLVENT_MAX_ITER = 100  # Newton passes of one resolvent solve
 
 
 class PotentialDomainError(ValueError):
@@ -67,7 +69,7 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class YosidaParams:
-    """Regularization parameter and resolvent solver controls.
+    """Regularization parameter and its ceiling.
 
     The default ceiling keeps lam strictly below 1, which the convexity
     floor and the quadratic growth bound need; contraction-map studies may
@@ -76,15 +78,11 @@ class YosidaParams:
     """
 
     lam: float = 1e-3
-    resolvent_tol: float = 1e-12
-    resolvent_max_iter: int = 100
     lam_ceiling: float = 0.999
 
     def __post_init__(self):
         if not (0.0 < self.lam <= self.lam_ceiling <= 1.0):
             raise ValueError(f"need 0 < lam <= lam_ceiling <= 1, got lam={self.lam}")
-        if self.resolvent_tol <= 0 or self.resolvent_max_iter < 1:
-            raise ValueError("bad resolvent controls")
 
 
 # -- raw potential ----------------------------------------------------------
@@ -155,30 +153,30 @@ def yosida_resolvent(r, theta: float, yp: YosidaParams):
     interior = ra < r_switch  # False for NaN
 
     if interior.all():
-        out = _interior_roots(ra.ravel(), lam, theta, yp).reshape(ra.shape)
+        out = _interior_roots(ra.ravel(), lam, theta).reshape(ra.shape)
     else:
         out = np.empty_like(rv)
         if np.any(interior):
-            out[interior] = _interior_roots(ra[interior], lam, theta, yp)
+            out[interior] = _interior_roots(ra[interior], lam, theta)
         sat = ~interior
-        out[sat] = _saturated_roots(ra[sat], lam * half, yp)
+        out[sat] = _saturated_roots(ra[sat], lam * half)
 
     out *= sign
     return float(out[0]) if scalar else out
 
 
-def _interior_roots(ri, lam: float, theta: float, yp: YosidaParams) -> np.ndarray:
+def _interior_roots(ri, lam: float, theta: float) -> np.ndarray:
     """Roots for 0 <= ri < r_switch: Newton with bisection fallback on a fixed
-    bracket, each entry frozen once its residual is within tol.  Frozen
-    entries leave the arrays once they are at least half of them."""
+    bracket, each entry frozen once its residual is within _RESOLVENT_TOL.
+    Frozen entries leave the arrays once they are at least half of them."""
     half = theta / 2.0
     frozen = active = None  # roots of the entries that left, and the rest's indices
     lo = np.zeros_like(ri)  # g(0) = -ri <= 0
     hi = np.full_like(ri, 1.0 - _TINY_GAP)
     s = np.minimum(ri, 1.0 - 1e-6)  # the clip to [0, 1 - 1e-6]: ri >= 0
-    for _ in range(yp.resolvent_max_iter):
+    for _ in range(_RESOLVENT_MAX_ITER):
         g = s + lam * half * np.log((1.0 + s) / (1.0 - s)) - ri
-        converged = np.abs(g) <= yp.resolvent_tol
+        converged = np.abs(g) <= _RESOLVENT_TOL
         n_converged = np.count_nonzero(converged)
         if n_converged == s.size:
             if frozen is None:
@@ -201,13 +199,12 @@ def _interior_roots(ri, lam: float, theta: float, yp: YosidaParams) -> np.ndarra
         s = np.where(converged, s, s_new) if n_converged else s_new
     k = int(np.argmin(converged)) if n_converged else 0  # first unconverged entry
     raise ResolventError(
-        f"resolvent did not reach tol {yp.resolvent_tol:g} in "
-        f"{yp.resolvent_max_iter} iterations",
+        f"resolvent did not reach tol {_RESOLVENT_TOL:g} in {_RESOLVENT_MAX_ITER} iterations",
         bracket=(float(lo[k]), float(hi[k])),
     )
 
 
-def _saturated_roots(rs, c: float, yp: YosidaParams) -> np.ndarray:
+def _saturated_roots(rs, c: float) -> np.ndarray:
     """Roots for rs >= r_switch or NaN (c = lam*theta/2): safeguarded Newton
     on u = ln t, t = 1 - s, with a u-bracket, each entry frozen once its
     residual is within tol, as in :func:`_interior_roots`; an entry that never
@@ -216,10 +213,10 @@ def _saturated_roots(rs, c: float, yp: YosidaParams) -> np.ndarray:
     u_lo = np.full_like(rs, np.log(5e-324))  # h(u_lo) > 0 or t underflows
     u_hi = np.full_like(rs, np.log(_SATURATION))
     u = np.clip((1.0 - rs + c * np.log(2.0)) / c, u_lo, u_hi)
-    for _ in range(yp.resolvent_max_iter):
+    for _ in range(_RESOLVENT_MAX_ITER):
         t = np.exp(u)
         h = (1.0 - t) + c * (np.log(2.0 - t) - u) - rs
-        done = np.abs(h) <= yp.resolvent_tol * np.maximum(1.0, np.abs(rs))
+        done = np.abs(h) <= _RESOLVENT_TOL * np.maximum(1.0, np.abs(rs))
         n_done = np.count_nonzero(done)
         if n_done == u.size:
             break

@@ -44,6 +44,9 @@ from .potentials import (
 )
 from .velocity import VelocityField
 
+_NEWTON_TOL = 1e-12  # residual max-norm at which a step's Newton stops
+_NEWTON_MAX_ITER = 30  # Newton updates of one step
+
 
 class StepError(SolverFailure):
     """Nonlinear solve failed for one step; suggests halving the time step."""
@@ -98,8 +101,6 @@ class StepperConfig:
     pot: PotentialSpec = field(default_factory=PotentialSpec)
     yp: YosidaParams = field(default_factory=YosidaParams)
     mobility: object = field(default_factory=ConstantMobility)
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 30
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
@@ -145,13 +146,6 @@ class Trajectory:
     @property
     def final(self) -> State:
         return self.states[-1]
-
-
-DIAGNOSTIC_COLUMNS = (
-    "step,t,mass_bulk,mass_surf,mass_weighted,energy_total,energy_grad_bulk,"
-    "energy_grad_surf,energy_pot_bulk,energy_pot_surf,energy_coupling,"
-    "dissipation,balance_residual,max_abs_phi,max_abs_psi,newton_iters"
-).split(",")
 
 
 class TimeStepper:
@@ -391,7 +385,7 @@ class TimeStepper:
         """
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        ops, cfg = self.ops, self.cfg
+        ops = self.ops
         # before the solve, whose line-search trials replace the kept vector
         energy_old = self.energy(state.phi_psi)
         mass_u = self.mass @ ops.to_vector(state.phi_psi)
@@ -400,9 +394,7 @@ class TimeStepper:
         w_red = ops.to_reduced(state.mu_theta, self.P_L)
         x = np.concatenate([w_red, ops.to_reduced(state.phi_psi, self.P_K)])
         history = []
-        x_new, _, u_full, iters, trials = system.solve(
-            x, cfg.newton_tol, cfg.newton_max_iter, history
-        )
+        x_new, _, u_full, iters, trials = system.solve(x, _NEWTON_TOL, _NEWTON_MAX_ITER, history)
         w_full = ops.prolong(x_new[: len(w_red)], self.P_L)
         new = State(ops.from_vector(u_full), ops.from_vector(w_full), state.t + dt, dt)
         energy = self.energy(new.phi_psi)

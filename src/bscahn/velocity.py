@@ -28,12 +28,12 @@ _ADMISSIBILITY_THRESHOLD = 1e-10  # worst residual a discretely admissible field
 
 @dataclass(frozen=True)
 class ConstantEnvelope:
-    value: float = 1.0
+    """1 at every time; a field's scale is its amplitude or speed."""
 
     def __call__(self, t):
         if np.ndim(t) == 0:
-            return self.value
-        return np.full(np.shape(t), float(self.value))
+            return 1.0
+        return np.ones(np.shape(t))
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,11 @@ class StepEnvelope:
 @dataclass(frozen=True)
 class SineEnvelope:
     omega: float = 1.0
-    amplitude: float = 1.0
 
     def __call__(self, t):
         if np.ndim(t) == 0:
-            return self.amplitude * math.sin(self.omega * t)
-        return self.amplitude * np.sin(self.omega * np.asarray(t, dtype=float))
+            return math.sin(self.omega * t)
+        return np.sin(self.omega * np.asarray(t, dtype=float))
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -343,10 +342,7 @@ def _stream_edge_integrals(field_: StreamFunctionVelocity, mesh: Mesh, t: float)
 
 
 def discrete_admissibility(
-    field_: VelocityField,
-    mesh: Mesh,
-    ops: FemOperators,
-    t: float = 0.0,
+    field_: VelocityField, ops: FemOperators, t: float = 0.0
 ) -> AdmissibilityReport:
     """Measure how far the field is from discretely admissible.
 
@@ -371,9 +367,9 @@ def discrete_admissibility(
         # basis, -1/len for the tail, 0 for the opposite node; the edge
         # integral itself is direction-free, so the two adjacent triangles
         # contribute with opposite signs and cancel exactly
-        integrals, lengths = _stream_edge_integrals(field_, mesh, t)
+        integrals, lengths = _stream_edge_integrals(field_, ops.mesh, t)
         vals = (integrals / lengths).T  # (3, T)
-        tails = mesh.triangles.T
+        tails = ops.mesh.triangles.T
         heads = np.roll(tails, -1, axis=0)
         # summed local edge by local edge, heads before tails
         index, values = np.stack([heads, tails], axis=1), np.stack([vals, -vals], axis=1)

@@ -19,6 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from bscahn import potentials
 from bscahn.assembly import BulkSurfacePair, JacobianPattern, NewtonSystem, SPDLaggedFactor
 from bscahn.elliptic import EllipticSolveError
 from bscahn.potentials import (
@@ -72,7 +73,9 @@ def resolvent_bisect(r: float, theta: float, lam: float, iters: int = 200) -> fl
 def yosida_resolvent_reference(r, theta: float, yp):
     """The resolvent kernel as it stood before it iterated on active sets:
     every entry of each branch is updated in every iteration, converged ones
-    frozen in place.  The package kernel must agree with it bit for bit."""
+    frozen in place.  The package kernel must agree with it bit for bit; both
+    read the module's resolvent tolerance and iteration cap when called."""
+    tol, max_iter = potentials._RESOLVENT_TOL, potentials._RESOLVENT_MAX_ITER
     r_arr = np.asarray(r, dtype=float)
     scalar = r_arr.ndim == 0
     rv = np.atleast_1d(r_arr).astype(float).copy()
@@ -98,9 +101,9 @@ def yosida_resolvent_reference(r, theta: float, yp):
         hi = np.full_like(ri, 1.0 - _TINY_GAP)
         s = np.clip(ri, 0.0, 1.0 - 1e-6)
         converged = np.zeros(ri.shape, dtype=bool)
-        for _ in range(yp.resolvent_max_iter):
+        for _ in range(max_iter):
             g = s + lam * half * np.log((1.0 + s) / (1.0 - s)) - ri
-            converged = np.abs(g) <= yp.resolvent_tol
+            converged = np.abs(g) <= tol
             if np.all(converged):
                 break
             lo = np.where(g < 0, s, lo)
@@ -114,8 +117,7 @@ def yosida_resolvent_reference(r, theta: float, yp):
             if not np.all(converged):
                 k = int(np.argmin(converged.ravel()))
                 raise ResolventError(
-                    f"resolvent did not reach tol {yp.resolvent_tol:g} in "
-                    f"{yp.resolvent_max_iter} iterations",
+                    f"resolvent did not reach tol {tol:g} in {max_iter} iterations",
                     bracket=(float(lo.ravel()[k]), float(hi.ravel()[k])),
                 )
         out[interior] = s
@@ -128,10 +130,10 @@ def yosida_resolvent_reference(r, theta: float, yp):
         u_lo = np.full_like(rs, np.log(5e-324))  # h(u_lo) > 0 or t underflows
         u_hi = np.full_like(rs, np.log(_SATURATION))
         u = np.clip((1.0 - rs + c * np.log(2.0)) / c, u_lo, u_hi)
-        for _ in range(yp.resolvent_max_iter):
+        for _ in range(max_iter):
             t = np.exp(u)
             h = (1.0 - t) + c * (np.log(2.0 - t) - u) - rs
-            done = np.abs(h) <= yp.resolvent_tol * np.maximum(1.0, np.abs(rs))
+            done = np.abs(h) <= tol * np.maximum(1.0, np.abs(rs))
             if np.all(done):
                 break
             u_lo = np.where(h > 0, u, u_lo)  # h decreasing in u

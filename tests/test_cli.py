@@ -8,14 +8,22 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from bscahn import cli
+from bscahn import cli, config
 from bscahn.assembly import SolverError, SolverFailure, assemble
 from bscahn.diagnostics import StudyRunError
 from bscahn.elliptic import EllipticSolveError
 from bscahn.potentials import ResolventError
-from bscahn.stepper import StepError
+from bscahn.stepper import ConstantMobility, QuadraticMobility, StepError
 from bscahn.config import ConfigError, build_setup, parse_config_text
 from bscahn.output import read_csv, read_field_snapshot, write_csv, write_field_snapshot
+from bscahn.velocity import (
+    ConstantEnvelope,
+    MollifiedEnvelope,
+    StepEnvelope,
+    StreamFunctionVelocity,
+    SurfaceSlipVelocity,
+    ZeroVelocity,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -429,6 +437,20 @@ class TestCommands:
         code = run_cli("plot", str(out / "diagnostics.csv"), "t,nope", str(out / "x.svg"))
         assert code == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file, no header line"),
+        ("\n\n", "empty file, no header line"),
+        ("t,e\n0,1\n1\n", "line 3: expected 2 fields, got 1"),
+        ("t,e\n\n0,1,2\n", "line 3: expected 2 fields, got 3"),
+    ], ids=["empty", "blank-lines", "short-row", "long-row"])
+    def test_plot_of_a_malformed_csv_is_one_config_error(self, text, message, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        code = run_cli("plot", str(csv), "t,e", str(tmp_path / "x.svg"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config: {csv}: {message}"]
+        assert not (tmp_path / "x.svg").exists()
+
     def test_reruns_byte_identical_outside_sidecar(self, tmp_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         run_cli("simulate", "--config", cfg_path("simulate.cfg"), "--out", str(out1))
@@ -642,6 +664,73 @@ def run_on_snapshot(tmp_path, text, use):
     return run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out")), str(field)
 
 
+# two steps on n = 4 from constant data, which each case below extends
+_BRANCH_BASE = "[mesh]\nn = 4\n[time]\ndt = 1e-3\nt_end = 2e-3\n"
+_STREAM = "[velocity]\nkind = stream\n"
+
+
+class TestConfigBranches:
+    """Every kind a config may name, through `cli.main`: an accepted kind
+    builds a setup with the configured (field, envelope, mobility) types and
+    exits 0; a rejected value exits 1 with one `error: config:` line."""
+
+    @pytest.mark.parametrize("command, text, expected", [
+        ("simulate", "[mobility]\nkind = quadratic\n[initial]\nkind = random\n",
+         (ZeroVelocity, ConstantEnvelope, QuadraticMobility)),
+        ("simulate", "[velocity]\nkind = slip\namplitude = 2\n",
+         (SurfaceSlipVelocity, ConstantEnvelope, ConstantMobility)),
+        ("simulate", _STREAM + "envelope = step\nstep_t0 = 1e-3\n",
+         (StreamFunctionVelocity, StepEnvelope, ConstantMobility)),
+        ("simulate", _STREAM + "envelope = sine\nmollify = 0.01\n",
+         (StreamFunctionVelocity, MollifiedEnvelope, ConstantMobility)),
+        ("simulate", _STREAM + "mollify = 0\n",
+         (StreamFunctionVelocity, ConstantEnvelope, ConstantMobility)),
+        ("elliptic", "[elliptic]\nrhs_kind = constant\nrhs_value = 0.3\n",
+         (ZeroVelocity, ConstantEnvelope, ConstantMobility)),
+        ("simulate", _STREAM + "mollify = -0.01\n", "mollify must be >= 0 (0 is off), got -0.01"),
+        ("simulate", "[mobility]\nkind = cubic\n", "unknown mobility kind 'cubic'"),
+        ("simulate", _STREAM + "envelope = square\n", "unknown envelope 'square'"),
+        ("simulate", _STREAM + "profile = cosine\n", "unknown stream profile 'cosine'"),
+        ("simulate", "[velocity]\nkind = vortex\n", "unknown velocity kind 'vortex'"),
+        ("simulate", "[initial]\nkind = noise\n", "unknown initial kind 'noise'"),
+        ("simulate", "[initial]\nkind = file\n", "initial kind = file needs a path"),
+        ("simulate", "[initial]\nkind = bubble\nradius = 0\n",
+         "bubble radius and sharpness must be positive"),
+        ("simulate", "[initial]\nkind = bubble\nsharpness = -0.05\n",
+         "bubble radius and sharpness must be positive"),
+        ("simulate", "[coupling]\nK = 0\nalpha = 0.5\n[initial]\nkind = bubble\n",
+         "bubble initial data with K = 0 needs alpha = 1"),
+        ("simulate", "[run]\nseed\n", "line 7: expected key = value, got 'seed'"),
+        ("simulate", "[coupling]\nK = -1\n", "bad value '-1' for [coupling] K"),
+        ("elliptic", "[elliptic]\nrhs_kind = file\n", "elliptic rhs_kind = file needs rhs_path"),
+        ("elliptic", "[elliptic]\nrhs_kind = zero\n", "unknown elliptic rhs kind 'zero'"),
+        ("elliptic", "[coupling]\nK = inf\n", "elliptic solves require K in [0, inf)"),
+    ], ids=["quadratic-mobility", "slip", "step-envelope", "mollified", "mollify-zero-is-off",
+            "constant-rhs", "negative-mollify", "mobility-kind", "envelope", "stream-profile",
+            "velocity-kind", "initial-kind", "file-without-path", "bubble-radius",
+            "bubble-sharpness", "bubble-K0-alpha", "line-without-equals", "negative-K",
+            "rhs-file-without-path", "rhs-kind", "elliptic-K-inf"])
+    def test_config_branch(self, command, text, expected, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def build_setup_kept(*args, **kwargs):
+            built.append(config.build_setup(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_setup", build_setup_kept)
+        cfg = tmp_path / "branch.cfg"
+        cfg.write_text(_BRANCH_BASE + text)
+        code = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        if isinstance(expected, str):
+            assert (code, err) == (1, [f"error: config: {expected}"])
+        else:
+            assert (code, err) == (0, [])
+            (setup,) = built
+            kinds = (type(setup.field), type(setup.field.envelope), type(setup.cfg.mobility))
+            assert kinds == expected
+
+
 class TestSnapshotInput:
     """A `bsfield 1` file given as elliptic right-hand side or initial data."""
 
@@ -708,6 +797,6 @@ class TestFieldSnapshots:
     def test_csv_roundtrip_17_digits(self, tmp_path):
         path = tmp_path / "t.csv"
         value = 0.1234567890123456789
-        write_csv(str(path), ["a"], [{"a": value}])
+        write_csv(str(path), [{"a": value}])
         _, rows = read_csv(str(path))
         assert float(rows[0]["a"]) == value

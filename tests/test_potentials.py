@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bscahn import potentials
 from bscahn.potentials import (
     _SATURATION,
     DominationReport,
@@ -136,10 +138,11 @@ class TestResolvent:
             yosida_resolvent(grid, 0.8, yp), -yosida_resolvent(-grid, 0.8, yp), atol=1e-14
         )
 
-    def test_iteration_cap_raises(self):
-        yp = YosidaParams(lam=0.1, resolvent_max_iter=1, resolvent_tol=1e-15)
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(potentials, "_RESOLVENT_MAX_ITER", 1)
+        monkeypatch.setattr(potentials, "_RESOLVENT_TOL", 1e-15)
         with pytest.raises(ResolventError) as err:
-            yosida_resolvent(0.5, 0.8, yp)
+            yosida_resolvent(0.5, 0.8, YosidaParams(lam=0.1))
         lo, hi = err.value.bracket
         assert lo <= hi
 
@@ -290,12 +293,13 @@ KERNEL_SETTINGS = settings(max_examples=300, deadline=None, database=None, deran
 
 @st.composite
 def resolvent_inputs(draw, max_iter=st.just(100)):
-    """(r, theta, YosidaParams): r a scalar or an array of any shape up to 3-d,
-    empty included, mixing signed zeros, NaN, +-inf, |r| up to 1e3 and values
-    a few ulps either side of the interior/saturated switch."""
+    """(r, theta, YosidaParams, iteration cap): r a scalar or an array of any
+    shape up to 3-d, empty included, mixing signed zeros, NaN, +-inf, |r| up
+    to 1e3 and values a few ulps either side of the interior/saturated switch."""
     lam = draw(st.floats(1e-6, 0.999))
     theta = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
-    yp = YosidaParams(lam=lam, resolvent_max_iter=draw(max_iter))
+    yp = YosidaParams(lam=lam)
+    cap = draw(max_iter)
     r_switch = (1.0 - _SATURATION) + lam * (theta / 2.0) * np.log(
         (2.0 - _SATURATION) / _SATURATION
     )
@@ -317,14 +321,15 @@ def resolvent_inputs(draw, max_iter=st.just(100)):
                    elements=elements),
         hnp.arrays(np.float64, st.integers(3, 9), elements=saturated),
     ))
-    return r, theta, yp
+    return r, theta, yp, cap
 
 
-def _outcome(kernel, r, theta, yp):
-    try:
-        out = kernel(r, theta, yp)
-    except ResolventError as exc:
-        return "error", str(exc), exc.bracket
+def _outcome(kernel, r, theta, yp, cap):
+    with mock.patch.object(potentials, "_RESOLVENT_MAX_ITER", cap):
+        try:
+            out = kernel(r, theta, yp)
+        except ResolventError as exc:
+            return "error", str(exc), exc.bracket
     return type(out), np.shape(out), np.asarray(out).tobytes()
 
 
@@ -332,9 +337,9 @@ class TestResolventKernel:
     @KERNEL_SETTINGS
     @given(resolvent_inputs())
     def test_bitwise_equal_to_the_whole_array_kernel(self, case):
-        r, theta, yp = case
-        assert _outcome(yosida_resolvent, r, theta, yp) == _outcome(
-            yosida_resolvent_reference, r, theta, yp
+        r, theta, yp, cap = case
+        assert _outcome(yosida_resolvent, r, theta, yp, cap) == _outcome(
+            yosida_resolvent_reference, r, theta, yp, cap
         )
 
     @KERNEL_SETTINGS
@@ -342,15 +347,17 @@ class TestResolventKernel:
     def test_iteration_cap_raises_as_the_whole_array_kernel(self, case):
         # same message and the bracket of the first unconverged entry in
         # array order, or the same values when the cap is not reached
-        r, theta, yp = case
-        assert _outcome(yosida_resolvent, r, theta, yp) == _outcome(
-            yosida_resolvent_reference, r, theta, yp
+        r, theta, yp, cap = case
+        assert _outcome(yosida_resolvent, r, theta, yp, cap) == _outcome(
+            yosida_resolvent_reference, r, theta, yp, cap
         )
 
     @pytest.mark.parametrize("r", [[0.0, 0.9, 0.5, 0.0], [0.0, 0.9, 0.5]])
-    def test_iteration_cap_reports_the_first_unconverged_entry(self, r):
+    def test_iteration_cap_reports_the_first_unconverged_entry(self, r, monkeypatch):
         # the zeros converge at once, 0.9 and 0.5 do not; the bracket is 0.9's
-        yp = YosidaParams(lam=0.1, resolvent_max_iter=2, resolvent_tol=1e-15)
+        monkeypatch.setattr(potentials, "_RESOLVENT_MAX_ITER", 2)
+        monkeypatch.setattr(potentials, "_RESOLVENT_TOL", 1e-15)
+        yp = YosidaParams(lam=0.1)
         r = np.array(r)
         with pytest.raises(ResolventError) as err:
             yosida_resolvent(r, 0.8, yp)

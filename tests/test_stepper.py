@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bscahn import potentials
+from bscahn import potentials, stepper
 from bscahn.assembly import BulkSurfacePair, CouplingParams, JacobianPattern, assemble, same_bits
 from bscahn.config import ConfigError, build_initial, parse_config_text
 from bscahn.mesh import generate_unit_square
@@ -54,6 +54,12 @@ def make_config(K=1.0, L=1.0, alpha=0.5, beta=2.0, dt=1e-3, lam=1e-3, mobility=N
         yp=YosidaParams(lam=lam),
         mobility=mobility or ConstantMobility(),
     )
+
+
+def cap_newton_at_one_unreachable_update(mp):
+    """Make every step's Newton fail: one update to a tolerance it cannot meet."""
+    mp.setattr(stepper, "_NEWTON_MAX_ITER", 1)
+    mp.setattr(stepper, "_NEWTON_TOL", 1e-15)
 
 
 def admissible_random(ops, cp, rng, mean=0.05, amp=0.3):
@@ -202,27 +208,26 @@ class TestSingleStep:
         w = [r["mass_weighted"] for r in traj.rows]
         assert max(abs(x - w[0]) for x in w) <= 1e-10 * (1 + abs(w[0]))
 
-    def test_nonconvergence_advises_halving(self, ops4, rng):
+    def test_nonconvergence_advises_halving(self, ops4, rng, monkeypatch):
         cfg = make_config(dt=1e-3)
         st = TimeStepper(ops4, cfg)
-        bad_cfg = StepperConfig(
-            dt=cfg.dt, cp=cfg.cp, pot=POT, yp=cfg.yp, newton_max_iter=1, newton_tol=1e-15
-        )
-        st_bad = TimeStepper(ops4, bad_cfg)
+        st_bad = TimeStepper(ops4, cfg)
         init = admissible_random(ops4, cfg.cp, rng)
         state = st.run(init, ZeroVelocity(), t_end=1e-3).states[0]
+        cap_newton_at_one_unreachable_update(monkeypatch)
         with pytest.raises(StepError, match="halve dt"):
             st_bad.step(state, StreamFunctionVelocity(amplitude=1.0), cfg.dt)
 
-    def test_convergence_on_the_last_allowed_update_is_accepted(self, ops4):
-        # this step needs three Newton updates; with newton_max_iter = 3 the
+    def test_convergence_on_the_last_allowed_update_is_accepted(self, ops4, monkeypatch):
+        # this step needs three Newton updates; with _NEWTON_MAX_ITER = 3 the
         # iterate after the third one must be checked, not rejected
         cfg = make_config()
         field = StreamFunctionVelocity(amplitude=1.0, profile="sine2")
         init = admissible_random(ops4, cfg.cp, np.random.default_rng(0))
         free = TimeStepper(ops4, cfg).run(init, field, t_end=1e-3)
         assert free.rows[1]["newton_iters"] == 3
-        capped = TimeStepper(ops4, replace(cfg, newton_max_iter=3)).run(init, field, 1e-3)
+        monkeypatch.setattr(stepper, "_NEWTON_MAX_ITER", 3)
+        capped = TimeStepper(ops4, cfg).run(init, field, 1e-3)
         assert capped.failure is None
         assert capped.rows[1]["newton_iters"] == 3
         assert np.array_equal(capped.final.phi_psi.bulk, free.final.phi_psi.bulk)
@@ -326,7 +331,7 @@ class TestRun:
         )
         cp = CouplingParams(**{k: float(v) for k, v in data["coupling"].items()})
         with pytest.raises(ConfigError, match=match) as from_config:
-            build_initial(data, ops4.mesh, ops4, cp, seed=0)
+            build_initial(data, ops4, cp, seed=0)
         st = TimeStepper(ops4, make_config(**{k: getattr(cp, k) for k in data["coupling"]}))
         with pytest.raises(ValueError, match=match) as from_run:
             st.run(ops4.constant_pair(bulk, surf), ZeroVelocity(), 1e-3)
@@ -733,7 +738,7 @@ class TestStepJacobian:
         assert factors == [1] + [0] * 9
 
     def test_newton_directions_are_solved_to_the_newton_tolerance(self):
-        # each direction stops at max(1e-10 ||b||, newton_tol / 10): the same
+        # each direction stops at max(1e-10 ||b||, _NEWTON_TOL / 10): the same
         # Newton iterations per step as at the 1e-10 relative target, with
         # 39 refinement sweeps where that target made 49
         ops = assemble(generate_unit_square(16))
@@ -769,7 +774,7 @@ class TestStepJacobian:
         # blocks afterwards adds only keys already among them
         assert same_bits(pattern._keys, np.unique(np.concatenate(made)))
 
-    def test_no_factor_held_after_run(self, ops4, rng):
+    def test_no_factor_held_after_run(self, ops4, rng, monkeypatch):
         cfg = make_config()
         field = StreamFunctionVelocity(amplitude=1.0, profile="sine2")
         init = admissible_random(ops4, cfg.cp, rng)
@@ -777,8 +782,10 @@ class TestStepJacobian:
         st.run(init, field, 3e-3)
         assert st.factor.lu is None
         # a StepError ends the run with a failure record
-        failing = TimeStepper(ops4, replace(cfg, newton_max_iter=1, newton_tol=1e-15))
-        traj = failing.run(init, field, 3e-3)
+        failing = TimeStepper(ops4, cfg)
+        with monkeypatch.context() as mp:
+            cap_newton_at_one_unreachable_update(mp)
+            traj = failing.run(init, field, 3e-3)
         assert traj.failure is not None
         assert failing.factor.lu is None
 
@@ -791,7 +798,7 @@ class TestStepJacobian:
         assert st.factor.factorizations == 2
         assert st.factor.lu is None
 
-    def test_failing_step_rebuilds_on_a_fresh_stepper(self, ops4, rng):
+    def test_failing_step_rebuilds_on_a_fresh_stepper(self, ops4, rng, monkeypatch):
         # a step that fails on a factor kept from an earlier step raises the
         # StepError a fresh stepper raises from the same state, bit for bit
         cfg = make_config()
@@ -801,13 +808,13 @@ class TestStepJacobian:
         state, _ = st.step(state, field, cfg.dt)
         assert st.factor.lu is not None
         before = st.factor.factorizations
-        failing = replace(cfg, newton_max_iter=1, newton_tol=1e-15)
-        lagging = TimeStepper(ops4, failing)
+        cap_newton_at_one_unreachable_update(monkeypatch)
+        lagging = TimeStepper(ops4, cfg)
         lagging.factor = st.factor
         with pytest.raises(StepError) as lagged:
             lagging.step(state, field, cfg.dt)
         with pytest.raises(StepError) as direct:
-            TimeStepper(ops4, failing).step(state, field, cfg.dt)
+            TimeStepper(ops4, cfg).step(state, field, cfg.dt)
         assert str(lagged.value) == str(direct.value)
         assert lagged.value.history == direct.value.history
         assert st.factor.factorizations == before + 1

@@ -96,18 +96,16 @@ class TestSampling:
 
 
 class TestAdmissibility:
-    def test_zero_field_all_zero(self, mesh4, ops4):
-        rep = discrete_admissibility(ZeroVelocity(), mesh4, ops4)
+    def test_zero_field_all_zero(self, ops4):
+        rep = discrete_admissibility(ZeroVelocity(), ops4)
         assert rep.weak_divergence_max == 0.0
         assert rep.boundary_normal_max == 0.0
         assert rep.surface_divergence_max == 0.0
         assert rep.passed
 
     @pytest.mark.parametrize("profile", ["sine", "sine2"])
-    def test_stream_fields_pass_default_threshold(self, mesh8, ops8, profile):
-        rep = discrete_admissibility(
-            StreamFunctionVelocity(profile=profile), mesh8, ops8
-        )
+    def test_stream_fields_pass_default_threshold(self, ops8, profile):
+        rep = discrete_admissibility(StreamFunctionVelocity(profile=profile), ops8)
         assert rep.passed
         assert rep.weak_divergence_max <= 1e-12
         assert rep.boundary_normal_max <= 1e-12
@@ -123,18 +121,16 @@ class TestAdmissibility:
         nodes[interior] += np.random.default_rng(5).uniform(-0.03, 0.03, (len(interior), 2))
         tris = np.array([np.roll(tri, k % 3) for k, tri in enumerate(mesh.triangles[::-1])])
         moved = replace(mesh, nodes=nodes, triangles=tris)
-        rep = discrete_admissibility(
-            StreamFunctionVelocity(profile=profile), moved, assemble(moved)
-        )
+        rep = discrete_admissibility(StreamFunctionVelocity(profile=profile), assemble(moved))
         assert rep.passed
         assert rep.weak_divergence_max <= 1e-12
 
-    def test_slip_field_divergence_free(self, mesh4, ops4):
-        rep = discrete_admissibility(SurfaceSlipVelocity(speed=1.0), mesh4, ops4)
+    def test_slip_field_divergence_free(self, ops4):
+        rep = discrete_admissibility(SurfaceSlipVelocity(speed=1.0), ops4)
         assert rep.surface_divergence_max == 0.0
         assert rep.passed
 
-    def test_field_of_another_class_is_refused(self, mesh4, ops4):
+    def test_field_of_another_class_is_refused(self, ops4):
         class Uniform(velocity.VelocityField):
             envelope = ConstantEnvelope()
 
@@ -145,7 +141,7 @@ class TestAdmissibility:
                 return np.zeros_like(np.asarray(s, dtype=float))
 
         with pytest.raises(TypeError, match="Uniform"):
-            discrete_admissibility(Uniform(), mesh4, ops4)
+            discrete_admissibility(Uniform(), ops4)
 
     def test_trace_compatibility_flags(self):
         assert ZeroVelocity().trace_matches_surface
@@ -207,17 +203,21 @@ class TestMollification:
         assert np.all(z.sample_bulk(0.3, 0.4, 0.7) == 0.0)
         assert np.all(z.sample_surface(np.array([0.0, 2.0]), 0.7) == 0.0)
         e1 = mollify_in_time(SurfaceSlipVelocity(speed=1.0, envelope=SineEnvelope()), 0.1)
-        e2 = mollify_in_time(SurfaceSlipVelocity(speed=1.0, envelope=SineEnvelope(amplitude=2.0)), 0.1)
+
+        def doubled(t):  # the sine envelope, scaled by 2
+            return 2.0 * SineEnvelope()(t)
+
+        e2 = mollify_in_time(SurfaceSlipVelocity(speed=1.0, envelope=doubled), 0.1)
         assert e2.envelope(0.7) == pytest.approx(2.0 * e1.envelope(0.7), rel=1e-12)
 
-    def test_spatial_structure_untouched(self, mesh4, ops4):
+    def test_spatial_structure_untouched(self, ops4):
         f = mollify_in_time(StreamFunctionVelocity(profile="sine"), 0.05)
-        rep = discrete_admissibility(f, mesh4, ops4, t=0.3)
+        rep = discrete_admissibility(f, ops4, t=0.3)
         assert rep.passed
 
     @pytest.mark.parametrize(
         "inner",
-        [ConstantEnvelope(0.7), StepEnvelope(t0=0.3), SineEnvelope(omega=3.0, amplitude=2.0)],
+        [ConstantEnvelope(), StepEnvelope(t0=0.3), SineEnvelope(omega=3.0)],
     )
     def test_vectorized_quadrature_matches_the_pointwise_loop(self, inner):
         mol = MollifiedEnvelope(inner, 0.1)
@@ -237,7 +237,7 @@ class TestMollification:
 
     def test_envelopes_accept_arrays(self):
         ts = np.array([0.1, 0.5, 0.9])
-        for env in (ConstantEnvelope(2.0), StepEnvelope(t0=0.5), SineEnvelope(omega=2.0)):
+        for env in (ConstantEnvelope(), StepEnvelope(t0=0.5), SineEnvelope(omega=2.0)):
             assert env(ts) == pytest.approx([env(float(t)) for t in ts], rel=1e-15, abs=1e-300)
 
     def test_positive_width_required(self):
